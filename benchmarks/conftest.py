@@ -3,7 +3,10 @@
 Every paper table/figure has a benchmark module that (a) times the code that
 regenerates it via pytest-benchmark and (b) writes the reproduced rows/series
 to ``benchmarks/results/`` so they can be compared against the paper's values
-(EXPERIMENTS.md records that comparison).
+(EXPERIMENTS.md records that comparison).  Those tables and the repo-root
+``BENCH_*.json`` baselines are rewritten in place only under
+``REPRO_BENCH_REFRESH=1``; a plain run writes them to the gitignored
+``benchmarks/.results/`` instead (see :data:`REFRESH_BASELINES`).
 
 The store snapshots are generated at ``REPRO_BENCH_SCALE`` (default 0.15) of
 the paper's dataset size so the whole suite completes in minutes; set the
@@ -44,8 +47,21 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.15"))
 #: always apply.
 SPEEDUP_GATES = os.environ.get("REPRO_BENCH_NO_GATE", "") != "1"
 
+#: Whether this run refreshes the committed outputs in place: the repo-root
+#: ``BENCH_*.json`` baselines and the ``benchmarks/results/`` tables.  Only
+#: ``REPRO_BENCH_REFRESH=1`` does (CI's bench-smoke job sets it, so its
+#: artifacts keep their paths); any other run writes the same files under
+#: the gitignored :data:`OUTPUT_DIR`, so running the suite leaves the
+#: tracked tree untouched.  Tests that read a committed baseline keep
+#: reading the repo-root file either way.
+REFRESH_BASELINES = os.environ.get("REPRO_BENCH_REFRESH", "") == "1"
+
+#: Untracked destination of baselines and result tables without a refresh.
+OUTPUT_DIR = Path(__file__).parent / ".results"
+
 #: Directory where reproduced tables/figures are written.
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = (Path(__file__).parent / "results" if REFRESH_BASELINES
+               else OUTPUT_DIR)
 
 #: Layout version stamped into every ``BENCH_*.json`` payload.  Bumped only
 #: when the payload shape changes incompatibly; the drift observatory
@@ -84,8 +100,14 @@ def write_baseline(path: Path, payload: dict) -> Path:
     ``benchmark`` key so every baseline is well-keyed for
     ``repro obs drift --bench`` (idempotent re-ingestion, last-two-runs
     comparison).  Use this instead of dumping the payload directly.
+    ``path`` names the committed baseline; unless the run refreshes
+    baselines (:data:`REFRESH_BASELINES`) the payload lands under
+    :data:`OUTPUT_DIR` with the same file name.  Returns where it went.
     """
     path = Path(path)
+    if not REFRESH_BASELINES:
+        OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
+        path = OUTPUT_DIR / path.name
     stamped = {"benchmark": payload.get("benchmark", path.stem),
                "schema_version": BENCH_SCHEMA_VERSION,
                "run_id": bench_run_id()}
@@ -113,7 +135,7 @@ def assert_speedup(measured: float, minimum: float, label: str = "") -> None:
 
 
 def write_result(name: str, lines) -> Path:
-    """Write a reproduced table/figure to ``benchmarks/results/<name>.txt``."""
+    """Write a reproduced table/figure to ``<RESULTS_DIR>/<name>.txt``."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     text = "\n".join(lines) + "\n"

@@ -12,6 +12,14 @@ the arrays columnar end to end.  This module measures and enforces:
   >= 10x, with the two stores' full column arrays **bit-identical**;
 * **end-to-end speedup** — ``FleetSimulator.run_to_store`` (simulate +
   batch-ingest) must beat the pre-PR simulate + row-ingest loop >= 5x;
+* **block speedup** — on a sparse Ambient population (~4 events per user,
+  where the per-user fixed cost dominates), block ``run_to_store`` must
+  beat simulating and appending user by user (``simulate_user`` + one
+  ``column_batch`` append per trace — the semantic reference) >= 2x,
+  writing byte-identical segments; both paths' µs per user are recorded.
+  ``simulate_user`` is itself a block of one, somewhat slower than the
+  per-user fast path block evaluation replaced, so the ratio overstates
+  the gain over that older path;
 * **mixed-format identity** — the acceptance gate: queries and fleet report
   tables over a store mixing v2 JSONL and v3 columnar segments are
   bit-identical to a pure-JSONL store, for any worker count, chunk size or
@@ -32,6 +40,7 @@ import pytest
 from conftest import (BENCH_SCALE, assert_speedup,
                       write_baseline, write_result)
 
+from repro.campaign import ambient_spec
 from repro.core.pipeline import GaugeNN
 from repro.fleet import FleetSimulator, FleetSpec, zoo_population
 from repro.fleet.reports import (battery_drain_ecdf, offload_summary,
@@ -46,6 +55,15 @@ MIN_COLUMNAR_SPEEDUP = 10.0
 
 #: Acceptance: minimum end-to-end run_to_store speedup over the pre-PR path.
 MIN_END_TO_END_SPEEDUP = 5.0
+
+#: Acceptance: block run_to_store vs the per-user simulate + append loop.
+MIN_BLOCK_SPEEDUP = 2.0
+
+#: Sparse (Ambient) population of the block gate, scaled like the others.
+BLOCK_GATE_USERS = max(int(8000 * BENCH_SCALE), 400)
+
+#: Interleaved repeats of each side of the block gate (best one counts).
+BLOCK_GATE_REPEATS = 3
 
 #: Population size / virtual horizon of the benchmark fleet (matches
 #: BENCH_fleet so the event counts line up across baselines).
@@ -192,6 +210,63 @@ def test_bench_fleet_end_to_end(fleet_spec, traces, tmp_path_factory):
     assert_speedup(speedup, MIN_END_TO_END_SPEEDUP, "fleet run_to_store")
 
 
+def test_bench_block_vs_per_user_ingest(tmp_path_factory):
+    """Acceptance: block run_to_store >= 2x the per-user path, same bytes.
+
+    The per-user side runs today's ``simulate_user`` (a block of one), not
+    the per-user evaluator block evaluation replaced.
+    """
+    spec = ambient_spec(BLOCK_GATE_USERS, seed=0)
+    base = tmp_path_factory.mktemp("bench_ingest_block")
+    kind = kind_for("fleet_events")
+
+    def per_user(path) -> int:
+        simulator = FleetSimulator(spec, max_workers=1)
+        with ResultStore(path).writer(
+                rows_per_segment=ROWS_PER_SEGMENT) as writer:
+            for user_id in range(spec.num_users):
+                writer.append_batch(
+                    kind, simulator.simulate_user(user_id).column_batch())
+        return writer.rows_committed
+
+    def block(path) -> int:
+        return FleetSimulator(spec, max_workers=1).run_to_store(
+            path, rows_per_segment=ROWS_PER_SEGMENT)
+
+    seconds = {"per_user": [], "block": []}
+    rows = {}
+    for repeat in range(BLOCK_GATE_REPEATS):
+        for name, run in (("per_user", per_user), ("block", block)):
+            path = base / f"{name}-{repeat}.store"
+            start = time.perf_counter()
+            rows[name] = run(path)
+            seconds[name].append(time.perf_counter() - start)
+    assert rows["block"] == rows["per_user"] > 0
+
+    def segment_shas(name):
+        store = ResultStore(base / f"{name}-0.store")
+        return [meta.sha256 for meta in store.segments]
+
+    assert segment_shas("block") == segment_shas("per_user"), \
+        "block ingest wrote different segments than the per-user path"
+
+    best = {name: min(values) for name, values in seconds.items()}
+    speedup = best["per_user"] / best["block"]
+    RESULTS["block_ingest"] = {
+        "users": spec.num_users,
+        "events": rows["block"],
+        "per_user_seconds": best["per_user"],
+        "block_seconds": best["block"],
+        "per_user_us_per_user": best["per_user"] / spec.num_users * 1e6,
+        "block_us_per_user": best["block"] / spec.num_users * 1e6,
+        "speedup": speedup,
+        "per_user_reference": "simulate_user (a block of one) + one "
+                              "column_batch append per trace",
+        "byte_identical_segments": True,
+    }
+    assert_speedup(speedup, MIN_BLOCK_SPEEDUP, "block run_to_store")
+
+
 def test_bench_mixed_store_identity(fleet_spec, traces, row_store,
                                     tmp_path_factory):
     """Acceptance: mixed v2+v3 stores query bit-identically to pure JSONL,
@@ -277,6 +352,7 @@ def test_write_ingest_baseline():
         "scale": BENCH_SCALE,
         "min_required_columnar_speedup": MIN_COLUMNAR_SPEEDUP,
         "min_required_end_to_end_speedup": MIN_END_TO_END_SPEEDUP,
+        "min_required_block_speedup": MIN_BLOCK_SPEEDUP,
         **RESULTS,
     }
     write_baseline(BASELINE_PATH, payload)
@@ -294,3 +370,6 @@ def test_write_ingest_baseline():
                    MIN_COLUMNAR_SPEEDUP, "columnar store ingest")
     assert_speedup(RESULTS["end_to_end"]["speedup"],
                    MIN_END_TO_END_SPEEDUP, "fleet run_to_store")
+    assert RESULTS["block_ingest"]["byte_identical_segments"]
+    assert_speedup(RESULTS["block_ingest"]["speedup"],
+                   MIN_BLOCK_SPEEDUP, "block run_to_store")

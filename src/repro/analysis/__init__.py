@@ -3,6 +3,7 @@
 from repro.analysis.ecdf import Ecdf
 from repro.analysis.stats import (
     exponential_decay_scan,
+    exponential_decay_scan_rows,
     geometric_mean,
     kernel_density,
     remove_outliers_iqr,
@@ -13,6 +14,7 @@ from repro.analysis.stats import (
 __all__ = [
     "Ecdf",
     "exponential_decay_scan",
+    "exponential_decay_scan_rows",
     "geometric_mean",
     "kernel_density",
     "remove_outliers_iqr",

@@ -9,7 +9,8 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 __all__ = ["summary_statistics", "remove_outliers_iqr", "geometric_mean",
-           "kernel_density", "exponential_decay_scan", "time_bin_indices"]
+           "kernel_density", "exponential_decay_scan",
+           "exponential_decay_scan_rows", "time_bin_indices"]
 
 #: Per-step log-decay clamp for :func:`exponential_decay_scan`.  A single
 #: step decaying by ``e^-30 ~ 1e-13`` already wipes the carried state below
@@ -136,13 +137,45 @@ def exponential_decay_scan(log_decays: np.ndarray, inputs,
     z = np.asarray(log_decays, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("log_decays must be one-dimensional")
+    b = np.broadcast_to(np.asarray(inputs, dtype=np.float64), z.shape)
+    return exponential_decay_scan_rows(z[None], b[None], initial)[0]
+
+
+def exponential_decay_scan_rows(log_decays: np.ndarray, inputs,
+                                initial: float = 0.0) -> np.ndarray:
+    """:func:`exponential_decay_scan` of every row of a 2-D array at once.
+
+    Each row is an independent recurrence along the last axis; ``inputs``
+    broadcasts against ``log_decays`` (e.g. one column of per-row additions).
+    Rows whose accumulated decay fits one chunk take the closed form as a
+    single set of array ops; every prefix sum is ``np.cumsum(..., axis=1)``,
+    a sequential accumulate per row, so each row is bit-identical to scanning
+    it on its own.  Rows that need more chunks fall back to the chunked scan
+    one by one.
+    """
+    z = np.asarray(log_decays, dtype=np.float64)
+    if z.ndim != 2:
+        raise ValueError("log_decays must be two-dimensional")
     if z.size and float(z.min()) < 0:
         raise ValueError("log_decays must be non-negative")
     b = np.broadcast_to(np.asarray(inputs, dtype=np.float64), z.shape)
     if z.size == 0:
-        return np.empty(0, dtype=np.float64)
+        return np.empty(z.shape, dtype=np.float64)
 
     z = np.minimum(z, DECAY_SCAN_RESET_LOG)
+    cum = np.cumsum(z, axis=1)
+    chunked = np.flatnonzero(cum[:, -1] > DECAY_SCAN_CHUNK_LOG)
+    cum[chunked] = 0.0                     # keeps exp() finite; redone below
+    growth = np.exp(cum)
+    out = (initial + np.cumsum(b * growth, axis=1)) / growth
+    for row in chunked:
+        out[row] = _chunked_decay_scan(z[row], b[row], initial)
+    return out
+
+
+def _chunked_decay_scan(z: np.ndarray, b: np.ndarray,
+                        initial: float) -> np.ndarray:
+    """One row of clamped exponents over chunks of bounded accumulated decay."""
     cum = np.cumsum(z)
     starts = np.searchsorted(
         cum, np.arange(0.0, float(cum[-1]), DECAY_SCAN_CHUNK_LOG), side="left")

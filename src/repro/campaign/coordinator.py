@@ -8,8 +8,9 @@ A campaign run is four deterministic steps:
    (user, time) event order exactly.
 2. **Simulate** — each :class:`ShardTask` runs in its own process
    (:func:`~repro.runtime.pool.iter_mapped_chunks` over the task list),
-   streaming its users' column batches into a shard-local store via
-   ``append_batch`` and accumulating the shard's
+   streaming its users into a shard-local store a block at a time
+   (:func:`~repro.fleet.simulator.append_traces`, exactly the
+   ``run_to_store`` path) and accumulating the shard's
    :class:`~repro.cloud.load.LoadProfile`.  Per-user seeds
    (:func:`~repro.fleet.population.derive_user_seed`) make each shard's
    output independent of every other shard.
@@ -36,26 +37,22 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from repro import obs
 from repro.cloud.load import LoadProfile
 from repro.fleet.population import FleetSpec
-from repro.fleet.simulator import FleetSimulator
+from repro.fleet.simulator import FleetSimulator, append_traces
 from repro.runtime.pool import iter_mapped_chunks
 from repro.store.columnar import coerce_batch
 from repro.store.merge import MergeStats, adopt_segments
-from repro.store.schema import RowKind, kind_for
+from repro.store.schema import kind_for
 from repro.store.segment import write_columnar_segment
 from repro.store.store import ResultStore
 
 __all__ = ["CampaignResult", "ShardResult", "ShardTask", "run_campaign",
            "shard_ranges"]
 
-#: Event rows buffered per shard before one concatenated ``append_batch``.
-#: Sparse workloads emit a few rows per trace; batching the writer calls
-#: keeps its per-append chunk bookkeeping O(1) amortised.
-FLUSH_EVENTS = 65536
+#: Default segment size of campaign stores (rows per sealed segment).
+ROWS_PER_SEGMENT = 65536
 
 
 def shard_ranges(num_users: int, shards: int) -> list[tuple[int, int]]:
@@ -91,10 +88,9 @@ class ShardTask:
     hi: int
     #: Shard-local store directory.
     root: str
-    rows_per_segment: int = FLUSH_EVENTS
+    rows_per_segment: int = ROWS_PER_SEGMENT
     compress: bool = False
     bin_seconds: float = 900.0
-    flush_events: int = FLUSH_EVENTS
 
 
 @dataclass(frozen=True)
@@ -107,24 +103,6 @@ class ShardResult:
     offloaded: int
     segments: int
     seconds: float
-
-
-def _concat_batches(kind: RowKind,
-                    batches: list[dict[str, np.ndarray]]
-                    ) -> dict[str, np.ndarray]:
-    """One read-only array per column over buffered trace batches.
-
-    Freezing the concatenated arrays (nobody else references them) lets
-    ``coerce_batch`` adopt them without its defensive copy.
-    """
-    if len(batches) == 1:
-        return batches[0]
-    out: dict[str, np.ndarray] = {}
-    for column in kind.columns:
-        array = np.concatenate([batch[column.name] for batch in batches])
-        array.setflags(write=False)
-        out[column.name] = array
-    return out
 
 
 def _run_shard(task: ShardTask) -> ShardResult:
@@ -142,26 +120,15 @@ def _run_shard(task: ShardTask) -> ShardResult:
         store = ResultStore(task.root)
         profile = LoadProfile(task.spec.regions, task.spec.horizon_s,
                               task.bin_seconds)
-        events_kind = kind_for("fleet_events")
         events = offloaded = 0
-        buffered: list[dict[str, np.ndarray]] = []
-        buffered_rows = 0
         with store.writer(rows_per_segment=task.rows_per_segment,
                           compress=task.compress) as writer:
-            for trace in simulator.iter_traces((task.lo, task.hi)):
-                offloaded += profile.add_trace(trace)
-                if trace.num_events:
-                    buffered.append(trace.column_batch())
-                    buffered_rows += trace.num_events
-                    events += trace.num_events
-                if buffered_rows >= task.flush_events:
-                    writer.append_batch(events_kind,
-                                        _concat_batches(events_kind,
-                                                        buffered))
-                    buffered, buffered_rows = [], 0
-            if buffered:
-                writer.append_batch(events_kind,
-                                    _concat_batches(events_kind, buffered))
+            for block in simulator.iter_blocks(
+                    (task.lo, task.hi),
+                    rows_per_segment=task.rows_per_segment):
+                for trace in block:
+                    offloaded += profile.add_trace(trace)
+                events += append_traces(writer, block)
             # The shard's demand grid rides in the same store; the merge
             # rebuilds and sums the grids rather than adopting these rows.
             writer.append_batch("fleet_load", profile.column_batch())
@@ -198,7 +165,7 @@ class CampaignResult:
 
 def run_campaign(spec: FleetSpec, root: Union[str, Path], *,
                  shards: int, bin_seconds: float = 900.0,
-                 rows_per_segment: int = FLUSH_EVENTS,
+                 rows_per_segment: int = ROWS_PER_SEGMENT,
                  compress: bool = False,
                  max_parallel: Optional[int] = None,
                  use_processes: bool = True) -> CampaignResult:

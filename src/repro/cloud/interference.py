@@ -40,7 +40,7 @@ from repro import obs
 from repro.cloud.capacity import CapacityModel
 from repro.cloud.load import FIG15_API_NAMES, LoadProfile, ServiceTable
 from repro.fleet.population import FleetSpec
-from repro.fleet.simulator import FleetSimulator, UserTrace
+from repro.fleet.simulator import FleetSimulator, UserTrace, append_traces
 
 __all__ = ["InterferenceConfig", "InterferenceResult", "InterferenceSimulator"]
 
@@ -223,14 +223,13 @@ class InterferenceSimulator:
                      rows_per_segment: int = 8192) -> tuple[int, "InterferenceResult"]:
         """Solve, then stream the final pass into a results store.
 
-        Writes the final pass's ``fleet_events`` rows (memory-flat,
-        batch-native column ingestion exactly like
+        Writes the final pass's ``fleet_events`` rows (memory-flat, one
+        column batch per simulated block exactly like
         :meth:`FleetSimulator.run_to_store`) followed by the converged load
         profile as one ``fleet_load`` column batch.  Returns
         ``(rows_committed, result)``; ``result.traces`` stays ``None`` —
         the store holds them.
         """
-        from repro.store.schema import kind_for
         from repro.store.store import ResultStore
 
         if not isinstance(store, ResultStore):
@@ -238,15 +237,14 @@ class InterferenceSimulator:
         result = self.solve()
         profile = self._empty_profile()
         arrived = 0
-        events_kind = kind_for("fleet_events")
-        load_kind = kind_for("fleet_load")
         with obs.span("cloud.final_pass", items=self.spec.num_users):
             with store.writer(rows_per_segment=rows_per_segment) as writer:
-                for trace in self._simulator(result.table).iter_traces():
-                    profile.add_trace(trace)
-                    arrived += trace.num_events
-                    writer.append_batch(events_kind, trace.column_batch())
-                writer.append_batch(load_kind, profile.column_batch())
+                for block in self._simulator(result.table).iter_blocks(
+                        rows_per_segment=rows_per_segment):
+                    for trace in block:
+                        profile.add_trace(trace)
+                    arrived += append_traces(writer, block)
+                writer.append_batch("fleet_load", profile.column_batch())
         result.profile = profile
         result.arrived = arrived
         result.passes += 1

@@ -27,7 +27,23 @@ import math
 
 import numpy as np
 
-__all__ = ["ThermalModel", "ThermalState"]
+__all__ = ["ThermalModel", "ThermalState", "throttle_factors"]
+
+
+def throttle_factors(sustained_seconds, time_constant_s,
+                     throttle_floor) -> np.ndarray:
+    """Throttle factors of sustained loads, elementwise over all arguments.
+
+    :meth:`ThermalModel.throttle_factor`'s expression in the same operation
+    order, with the time constant and floor broadcast too, so devices with
+    different thermal models evaluate in one call (the fleet simulator's
+    block of users, one row per device) bit-identically to the scalar path.
+    """
+    sustained = np.asarray(sustained_seconds, dtype=np.float64)
+    if sustained.size and float(sustained.min()) < 0:
+        raise ValueError("sustained_seconds must be non-negative")
+    progress = 1.0 - np.exp(-sustained / time_constant_s)
+    return 1.0 - (1.0 - throttle_floor) * progress
 
 
 @dataclass
@@ -90,11 +106,8 @@ class ThermalModel:
         operation order); the fleet simulator evaluates whole event vectors
         through this in one call.
         """
-        sustained = np.asarray(sustained_seconds, dtype=np.float64)
-        if sustained.size and float(sustained.min()) < 0:
-            raise ValueError("sustained_seconds must be non-negative")
-        progress = 1.0 - np.exp(-sustained / self.time_constant_s)
-        return 1.0 - (1.0 - self.throttle_floor) * progress
+        return throttle_factors(sustained_seconds, self.time_constant_s,
+                                self.throttle_floor)
 
     def sustained_latency_ms(self, cold_latency_ms: float, sustained_seconds: float) -> float:
         """Latency of one inference after sustained prior load."""

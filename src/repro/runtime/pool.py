@@ -79,7 +79,8 @@ def iter_mapped_chunks(
     ``run_chunk`` receives a slice of consecutive items and returns one result
     per item, in slice order; the iterator yields the concatenation in the
     original item order.  With one worker (and no process pool) everything
-    runs inline — no pool, no reordering risk, no pickling.  ``run_chunk``
+    runs inline — no pool, no reordering risk, no pickling — in slices of
+    ``chunk_size`` items (one at a time when it is not given).  ``run_chunk``
     must be picklable when ``use_processes`` is set (e.g. a bound method of a
     picklable object).
     """
@@ -93,8 +94,9 @@ def iter_mapped_chunks(
         collector.count("pool.items_mapped", len(items))
     workers = resolve_workers(len(items), max_workers)
     if workers <= 1 and not use_processes:
-        for item in items:
-            yield from run_chunk((item,))
+        step = chunk_size or 1
+        for lo in range(0, len(items), step):
+            yield from run_chunk(items[lo:lo + step])
         return
 
     chunk = chunk_size or default_chunk_size(len(items), workers, use_processes)

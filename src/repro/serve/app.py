@@ -34,9 +34,30 @@ from repro.store.store import ResultStore
 __all__ = ["ServeApp", "ServerThread"]
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 500: "Internal Server Error"}
+            405: "Method Not Allowed", 413: "Payload Too Large",
+            414: "URI Too Long", 431: "Request Header Fields Too Large",
+            500: "Internal Server Error"}
 #: Hard cap on request bodies; /v1/query specs are tiny.
 _MAX_BODY = 1 << 20
+
+
+class _BadRequest(Exception):
+    """A request the parser rejects: answered with ``status``, then closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _content_length(headers: dict[str, str]) -> int:
+    """The declared body length; only plain decimal digits are accepted."""
+    value = headers.get("content-length", "") or "0"
+    if not (value.isascii() and value.isdigit()):
+        raise _BadRequest(400, f"invalid Content-Length {value[:32]!r}")
+    length = int(value)
+    if length > _MAX_BODY:
+        raise _BadRequest(413, "request body too large")
+    return length
 
 
 class ServeApp:
@@ -109,26 +130,15 @@ class ServeApp:
         loop = asyncio.get_running_loop()
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as bad:
+                    await self._respond(writer, bad.status,
+                                        {"error": str(bad)}, keep_alive=False)
                     break
-                parts = request_line.decode("latin-1").strip().split()
-                if len(parts) != 3:
-                    await self._respond(writer, 400,
-                                        {"error": "malformed request line"},
-                                        keep_alive=False)
+                if request is None:
                     break
-                method, target, version = parts
-                headers = await self._read_headers(reader)
-                if headers is None:
-                    break
-                length = int(headers.get("content-length", "0") or "0")
-                if length > _MAX_BODY:
-                    await self._respond(writer, 400,
-                                        {"error": "request body too large"},
-                                        keep_alive=False)
-                    break
-                body = await reader.readexactly(length) if length else b""
+                method, target, version, headers, body = request
 
                 obs.count("serve.requests")
                 status, payload = await loop.run_in_executor(
@@ -148,6 +158,35 @@ class ServeApp:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    @classmethod
+    async def _read_request(cls, reader: asyncio.StreamReader):
+        """``(method, target, version, headers, body)``, or ``None`` at EOF.
+
+        Malformed input raises :class:`_BadRequest` with the status to
+        answer: 400 for a bad request line or ``Content-Length``, 413 for
+        an oversized body, 414/431 for a request or header line longer
+        than the stream reader's limit (which ``readline`` reports as
+        :class:`ValueError`).
+        """
+        try:
+            request_line = await reader.readline()
+        except ValueError:
+            raise _BadRequest(414, "request line too long")
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").strip().split()
+        if len(parts) != 3:
+            raise _BadRequest(400, "malformed request line")
+        try:
+            headers = await cls._read_headers(reader)
+        except ValueError:
+            raise _BadRequest(431, "request header line too long")
+        if headers is None:
+            return None
+        length = _content_length(headers)
+        body = await reader.readexactly(length) if length else b""
+        return (*parts, headers, body)
 
     def _dispatch(self, method: str, target: str,
                   body: bytes) -> tuple[int, dict]:

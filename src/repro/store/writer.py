@@ -26,7 +26,10 @@ set (one subset test per row); the batch path validates once per batch,
 vectorised over the arrays — no per-row dicts, no per-row ``json.dumps``,
 stats straight off the column arrays.  That difference is the
 ``benchmarks/test_bench_ingest.py`` gate: batch ingestion is required to
-beat row ingestion by >= 10x.
+beat row ingestion by >= 10x.  Buffering is O(1) per append: a running
+row count per kind decides when to seal, so a stream of many small
+batches costs no more bookkeeping per batch than one large batch (the
+buffered chunks are concatenated once, at the seal).
 
 The writer is the sweep's ``on_result`` sink: pass ``writer.append``
 directly as the callback, or use
@@ -66,6 +69,9 @@ class StoreWriter:
         self._pending: dict[str, list[dict]] = {}
         #: kind -> buffered column chunks (each a schema-coerced batch).
         self._pending_batches: dict[str, list[dict[str, np.ndarray]]] = {}
+        #: kind -> rows in ``_pending_batches`` (a running count, so an
+        #: append costs O(1) however many chunks are buffered).
+        self._batch_rows: dict[str, int] = {}
         self._sequence = store.sequence
         self._closed = False
         #: Rows committed (sealed + manifest-visible) by this writer.
@@ -110,7 +116,14 @@ class StoreWriter:
         per row.  Buffered chunks seal by concatenation into a packed
         columnar segment — no per-row dicts, no per-row JSON — once
         ``rows_per_segment`` rows have accumulated (and at
-        :meth:`flush`/:meth:`close`).
+        :meth:`flush`/:meth:`close`).  The buffered-row count is kept
+        running, so an append costs O(1) however many chunks are waiting.
+
+        A seal takes each string column's width from everything buffered
+        at that moment, so producers that merge many small batches into one
+        (:func:`~repro.fleet.simulator.append_traces`) reproduce the small
+        appends' segment bytes by cutting where those would have sealed
+        (see :meth:`batch_rows_pending`).
         """
         if self._closed:
             raise RuntimeError("writer is closed")
@@ -122,15 +135,24 @@ class StoreWriter:
             return 0
         if self._pending.get(kind.name):
             self.flush(kind.name)  # mode switch: seal buffered rows first
-        chunks = self._pending_batches.setdefault(kind.name, [])
-        chunks.append(batch)
-        if sum(c[kind.columns[0].name].size for c in chunks) \
-                >= self.rows_per_segment:
+        self._pending_batches.setdefault(kind.name, []).append(batch)
+        pending = self._batch_rows.get(kind.name, 0) + rows
+        self._batch_rows[kind.name] = pending
+        if pending >= self.rows_per_segment:
             # Seal only full rows_per_segment slices; the remainder stays
             # buffered so mid-stream segments never under- (or over-) shoot
             # the configured size.
             self._flush(kind.name, seal_partial_batches=False)
         return rows
+
+    def batch_rows_pending(self, kind: Union[str, RowKind]) -> int:
+        """Batch-appended rows of one kind buffered but not yet sealed.
+
+        Always below ``rows_per_segment``: the next append seals once the
+        running total reaches it.
+        """
+        name = kind if isinstance(kind, str) else kind.name
+        return self._batch_rows.get(name, 0)
 
     def append_many(self, objects: Iterable[Any]) -> int:
         """Append a stream of pipeline objects; returns how many."""
@@ -143,11 +165,8 @@ class StoreWriter:
     @property
     def rows_pending(self) -> int:
         """Rows buffered but not yet committed (row and batch buffers)."""
-        rows = sum(len(rows) for rows in self._pending.values())
-        for name, chunks in self._pending_batches.items():
-            first = kind_for(name).columns[0].name
-            rows += sum(chunk[first].size for chunk in chunks)
-        return rows
+        return sum(len(rows) for rows in self._pending.values()) \
+            + sum(self._batch_rows.values())
 
     # ------------------------------------------------------------------ #
     # Sealing
@@ -193,6 +212,7 @@ class StoreWriter:
             start = stop
         self._pending_batches[kind.name] = [] if start >= total else \
             [{name: array[start:] for name, array in columns.items()}]
+        self._batch_rows[kind.name] = total - start
         return sealed
 
     def flush(self, kind: Optional[str] = None) -> None:

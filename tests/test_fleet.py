@@ -209,6 +209,25 @@ class TestDeterminism:
             assert np.array_equal(a.battery_fraction, b.battery_fraction)
             assert np.array_equal(a.offloaded, b.offloaded)
 
+    def test_bit_identical_across_slices_and_blocks(self, spec, traces,
+                                                    monkeypatch):
+        """Many pool slices, many blocks per slice, every pool kind."""
+        from repro.fleet import simulator as fleet_simulator
+
+        monkeypatch.setattr(fleet_simulator, "BLOCK_USERS", 3)
+        for simulator in (FleetSimulator(spec, max_workers=1),
+                          FleetSimulator(spec, max_workers=2),
+                          FleetSimulator(spec, max_workers=2,
+                                         use_processes=True)):
+            assert simulator._slice_users(NUM_USERS) <= 3
+            other = list(simulator.iter_traces(max_cells=40))
+            assert [t.user.user_id for t in other] == list(range(NUM_USERS))
+            for a, b in zip(traces, other):
+                for name in ("times_s", "latency_ms", "energy_mj", "throttle",
+                             "battery_fraction", "discharge_mah", "wait_ms",
+                             "route"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+
     def test_traces_stream_in_user_order(self, traces):
         assert [t.user.user_id for t in traces] == list(range(NUM_USERS))
 

@@ -1,0 +1,205 @@
+"""Block ingestion is the per-user path, byte for byte (hypothesis).
+
+A differential test in the sense of generated semantic-conflict tests: the
+block path (``FleetSimulator.run_to_store`` — users simulated a padded
+block at a time, appended as one batch per block) is compared against the
+per-user reference (``simulate_user`` plus one ``column_batch`` append per
+trace) on generated populations, and must seal byte-identical segments.
+A second property fixes the block budget so blocks close mid-population,
+and the writer property checks that how a batch stream is split into
+``append_batch`` calls never changes what is sealed.  Segment sha256 lists
+of fixed (spec, seed) inputs are pinned to the values the per-user
+simulator wrote before block evaluation existed.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.campaign import ambient_spec, synthetic_fleet_batch
+from repro.campaign.workloads import zoo_spec
+from repro.cloud.load import FIG15_API_NAMES, ServiceTable
+from repro.devices.battery import RechargeSchedule
+from repro.devices.device import PHONES
+from repro.fleet import (DiurnalProfile, FleetSimulator, FleetSpec,
+                         QueuePolicy, RoutingPolicy, congested_population,
+                         zoo_population)
+from repro.store import ResultStore, kind_for
+
+HOUR = 3600.0
+
+
+def _service_table(spec: FleetSpec, seed: int) -> ServiceTable:
+    """A frozen service table with a different value in every cell."""
+    bins = int(np.ceil(spec.horizon_s / 900.0))
+    rng = np.random.default_rng(seed)
+    grid = 45.0 + 200.0 * rng.random(
+        (len(spec.regions), len(FIG15_API_NAMES), bins))
+    return ServiceTable(spec.regions, FIG15_API_NAMES, 900.0, grid)
+
+
+#: name -> (spec builder(users, seed), user-count ceiling).  Dense and
+#: queueing families get short horizons and few users to stay fast.
+FAMILIES = {
+    "ambient": (lambda users, seed: ambient_spec(users, seed=seed), 300),
+    "zoo": (lambda users, seed: zoo_spec(users, seed=seed,
+                                         horizon_s=2 * HOUR), 12),
+    "diurnal": (lambda users, seed: FleetSpec(
+        graphs_with_tasks=zoo_population(), num_users=users,
+        horizon_s=6 * HOUR, seed=seed,
+        diurnal=DiurnalProfile.default()), 10),
+    "recharge": (lambda users, seed: replace(
+        ambient_spec(users, seed=seed, horizon_s=3 * 86400.0),
+        recharge=RechargeSchedule(start_hour=2.0, duration_h=3.0,
+                                  level=0.9)), 120),
+    "queue_shed": (lambda users, seed: FleetSpec(
+        graphs_with_tasks=congested_population(), num_users=users,
+        horizon_s=4 * HOUR, devices=(PHONES[0],), seed=seed,
+        policy=RoutingPolicy(queue=QueuePolicy(max_wait_ms=2000.0))), 5),
+    "service_table": (lambda users, seed: replace(
+        zoo_spec(users, seed=seed, horizon_s=2 * HOUR),
+        regions=("east", "west")), 12),
+}
+
+
+def _simulator(family: str, users: int, seed: int) -> FleetSimulator:
+    spec = FAMILIES[family][0](users, seed)
+    table = _service_table(spec, seed) if family == "service_table" else None
+    return FleetSimulator(spec, max_workers=1, service_table=table)
+
+
+def _segment_shas(store: ResultStore) -> list[str]:
+    return [meta.sha256 for meta in store.segments]
+
+
+def _per_user_store(simulator: FleetSimulator, path, rows_per_segment: int
+                    ) -> ResultStore:
+    """The reference: one ``column_batch`` append per simulated user."""
+    store = ResultStore(path)
+    kind = kind_for("fleet_events")
+    with store.writer(rows_per_segment=rows_per_segment) as writer:
+        for user_id in range(simulator.spec.num_users):
+            writer.append_batch(
+                kind, simulator.simulate_user(user_id).column_batch())
+    return store
+
+
+@st.composite
+def populations(draw):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    users = draw(st.integers(min_value=1, max_value=FAMILIES[family][1]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return family, users, seed
+
+
+@given(population=populations(),
+       rows_per_segment=st.integers(min_value=64, max_value=4096))
+@example(population=("zoo", 12, 0), rows_per_segment=64)
+@example(population=("ambient", 300, 3), rows_per_segment=64)
+@example(population=("recharge", 40, 1), rows_per_segment=64)
+@settings(max_examples=25, deadline=None)
+def test_block_run_to_store_matches_per_user_path(tmp_path_factory, population,
+                                                  rows_per_segment):
+    family, users, seed = population
+    base = tmp_path_factory.mktemp("blocks")
+    simulator = _simulator(family, users, seed)
+    reference = _per_user_store(simulator, base / "per_user.store",
+                                rows_per_segment)
+    rows = simulator.run_to_store(base / "block.store",
+                                  rows_per_segment=rows_per_segment)
+    block = ResultStore(base / "block.store")
+    assert rows == reference.num_rows("fleet_events")
+    assert _segment_shas(block) == _segment_shas(reference)
+
+
+@given(population=populations(),
+       max_cells=st.integers(min_value=1, max_value=2000))
+@example(population=("recharge", 30, 5), max_cells=3)
+@example(population=("queue_shed", 5, 17), max_cells=50)
+@settings(max_examples=25, deadline=None)
+def test_any_block_budget_gives_per_user_traces(population, max_cells):
+    family, users, seed = population
+    simulator = _simulator(family, users, seed)
+    traces = simulator._simulate_blocks(range(users), max_cells)
+    assert [trace.user.user_id for trace in traces] == list(range(users))
+    for trace in traces:
+        alone = simulator.simulate_user(trace.user.user_id)
+        for field in ("times_s", "latency_ms", "energy_mj", "throttle",
+                      "battery_fraction", "discharge_mah", "wait_ms",
+                      "route"):
+            assert np.array_equal(getattr(trace, field),
+                                  getattr(alone, field)), field
+
+
+@given(rows=st.integers(min_value=0, max_value=300),
+       rows_per_segment=st.integers(min_value=8, max_value=64),
+       splits=st.lists(st.lists(st.integers(min_value=0, max_value=300),
+                                max_size=12), min_size=2, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_writer_seals_the_same_segments_for_any_split(tmp_path_factory, rows,
+                                                      rows_per_segment,
+                                                      splits):
+    stream = synthetic_fleet_batch(0, rows, seed=rows_per_segment)
+    base = tmp_path_factory.mktemp("splits")
+    sealed = []
+    for index, cuts in enumerate(splits):
+        store = ResultStore(base / f"split-{index}.store")
+        edges = [0, *sorted(min(cut, rows) for cut in cuts), rows]
+        appended = 0
+        with store.writer(rows_per_segment=rows_per_segment) as writer:
+            for lo, hi in zip(edges, edges[1:]):
+                writer.append_batch("fleet_events", {
+                    name: array[lo:hi] for name, array in stream.items()})
+                appended += hi - lo
+                pending = appended - writer.rows_committed
+                assert writer.rows_pending == pending
+                assert writer.batch_rows_pending("fleet_events") == pending
+                assert pending < rows_per_segment
+        assert writer.rows_pending == 0
+        assert writer.rows_committed == rows
+        sealed.append(_segment_shas(store))
+    assert all(shas == sealed[0] for shas in sealed)
+
+
+#: Segment sha256 lists (hashed together) that the per-user simulator wrote
+#: for these inputs before block evaluation, at the given segment size.
+PINNED = {
+    ("ambient", 1000, 0, 8192):
+        "713ff42fcaa7105144a59c6c71b2832eee22187a199014ee57b38a00dfab3f1e",
+    ("zoo_1h", 150, 0, 8192):
+        "82eaba5c665a2b38861977f9866a75e54d565280b6b3ddd36889708ef42af76a",
+    ("diurnal", 30, 6, 4096):
+        "6d03baa5437ced73e0ab46281575a47670795c2cabc8915e5eecbeab99684a9b",
+    ("recharge", 20, 2, 2048):
+        "d38a3ad5e93eba5990567b30c70a8af4c6041750ebfb6146b22daa6054bab01e",
+}
+
+
+def _pinned_spec(name: str, users: int, seed: int) -> FleetSpec:
+    if name == "ambient":
+        return ambient_spec(users, seed=seed)
+    if name == "zoo_1h":
+        return zoo_spec(users, seed=seed, horizon_s=HOUR)
+    if name == "diurnal":
+        return FleetSpec(graphs_with_tasks=zoo_population(),
+                         num_users=users, horizon_s=86400.0, seed=seed,
+                         diurnal=DiurnalProfile.default())
+    return FleetSpec(graphs_with_tasks=zoo_population(), num_users=users,
+                     horizon_s=3 * 86400.0, seed=seed,
+                     recharge=RechargeSchedule(start_hour=2.0, duration_h=3.0,
+                                               level=0.9))
+
+
+@pytest.mark.parametrize("key", sorted(PINNED), ids=lambda key: key[0])
+def test_segments_match_the_per_user_simulator(tmp_path, key):
+    import hashlib
+
+    name, users, seed, rows_per_segment = key
+    FleetSimulator(_pinned_spec(name, users, seed), max_workers=1
+                   ).run_to_store(tmp_path, rows_per_segment=rows_per_segment)
+    shas = _segment_shas(ResultStore(tmp_path))
+    assert hashlib.sha256("".join(shas).encode()).hexdigest() == PINNED[key]

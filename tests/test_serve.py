@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -404,6 +405,33 @@ class TestServeHTTP:
             self.get(server.url + "/v1/report/bogus")
         assert excinfo.value.code == 404
         assert "error" in json.loads(excinfo.value.read())
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GET /v1/health HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"GET /v1/health HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+        (b"GET /v1/health HTTP/1.1\r\nX-Big: " + b"a" * (70 * 1024)
+         + b"\r\n\r\n", 431),
+        (b"POST /v1/query HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+         413),
+    ], ids=["length-abc", "length-negative", "header-over-64k",
+            "body-too-large"])
+    def test_malformed_request_answers_status(self, server, request_bytes,
+                                              status):
+        host, port = server.url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(request_bytes)
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "Connection: close" in lines
+        assert "error" in json.loads(body)
+        # The server survived: the next connection is served normally.
+        status_ok, health = self.get(server.url + "/v1/health")
+        assert status_ok == 200 and health["rows"] == 1200
 
     def test_serves_fresh_generation_during_live_ingest(self, tmp_path):
         root = tmp_path / "live.store"
