@@ -20,6 +20,11 @@ the arrays columnar end to end.  This module measures and enforces:
   ``simulate_user`` is itself a block of one, somewhat slower than the
   per-user fast path block evaluation replaced, so the ratio overstates
   the gain over that older path;
+* **block materialisation** — building 1,200 Ambient users' plans with
+  ``FleetSpec.materialize_block`` (a :data:`BLOCK_USERS` slice per call,
+  as the simulator does) must beat the per-user semantic reference
+  (``materialize_reference``, one user at a time) >= 1.4x, with every plan
+  identical; both paths' µs per user are recorded;
 * **mixed-format identity** — the acceptance gate: queries and fleet report
   tables over a store mixing v2 JSONL and v3 columnar segments are
   bit-identical to a pure-JSONL store, for any worker count, chunk size or
@@ -43,6 +48,8 @@ from conftest import (BENCH_SCALE, assert_speedup,
 from repro.campaign import ambient_spec
 from repro.core.pipeline import GaugeNN
 from repro.fleet import FleetSimulator, FleetSpec, zoo_population
+from repro.fleet.reference import materialize_reference
+from repro.fleet.simulator import BLOCK_USERS
 from repro.fleet.reports import (battery_drain_ecdf, offload_summary,
                                  tail_latency_table)
 from repro.store import ResultStore, compact_store, kind_for
@@ -64,6 +71,16 @@ BLOCK_GATE_USERS = max(int(8000 * BENCH_SCALE), 400)
 
 #: Interleaved repeats of each side of the block gate (best one counts).
 BLOCK_GATE_REPEATS = 3
+
+#: Acceptance: block materialisation vs the per-user reference.
+MIN_MATERIALIZE_SPEEDUP = 1.4
+
+#: Ambient population of the materialisation gate (not scaled: the gate
+#: measures a fixed per-user cost, and 1,200 users take well under 1 s).
+MATERIALIZE_GATE_USERS = 1200
+
+#: Interleaved repeats of each side of the materialisation gate.
+MATERIALIZE_GATE_REPEATS = 5
 
 #: Population size / virtual horizon of the benchmark fleet (matches
 #: BENCH_fleet so the event counts line up across baselines).
@@ -267,6 +284,55 @@ def test_bench_block_vs_per_user_ingest(tmp_path_factory):
     assert_speedup(speedup, MIN_BLOCK_SPEEDUP, "block run_to_store")
 
 
+def test_bench_materialize_block_vs_reference():
+    """Acceptance: block materialisation >= 1.4x the per-user reference,
+    every user and plan identical."""
+    spec = ambient_spec(MATERIALIZE_GATE_USERS, seed=0)
+    ids = range(spec.num_users)
+
+    def per_user() -> list:
+        return [materialize_reference(spec, user_id) for user_id in ids]
+
+    def block() -> list:
+        pairs = []
+        for first in range(0, spec.num_users, BLOCK_USERS):
+            pairs += spec.materialize_block(ids[first:first + BLOCK_USERS])
+        return pairs
+
+    # Interleaved best-of: host drift hits both sides alike.
+    seconds = {"per_user": [], "block": []}
+    plans = {}
+    for _ in range(MATERIALIZE_GATE_REPEATS):
+        for name, run in (("per_user", per_user), ("block", block)):
+            start = time.perf_counter()
+            plans[name] = run()
+            seconds[name].append(time.perf_counter() - start)
+
+    for (user, plan), (ref_user, ref_plan) in zip(plans["block"],
+                                                  plans["per_user"],
+                                                  strict=True):
+        assert user == ref_user
+        assert plan.start_battery_fraction == ref_plan.start_battery_fraction
+        for name in ("times", "noise", "rtt_ms"):
+            assert getattr(plan, name).tobytes() \
+                == getattr(ref_plan, name).tobytes(), name
+
+    best = {name: min(values) for name, values in seconds.items()}
+    speedup = best["per_user"] / best["block"]
+    RESULTS["materialize_block"] = {
+        "users": spec.num_users,
+        "events": sum(plan.num_events for _, plan in plans["block"]),
+        "per_user_seconds": best["per_user"],
+        "block_seconds": best["block"],
+        "per_user_us_per_user": best["per_user"] / spec.num_users * 1e6,
+        "block_us_per_user": best["block"] / spec.num_users * 1e6,
+        "speedup": speedup,
+        "per_user_reference": "materialize_reference, one user at a time",
+        "identical_plans": True,
+    }
+    assert_speedup(speedup, MIN_MATERIALIZE_SPEEDUP, "materialize_block")
+
+
 def test_bench_mixed_store_identity(fleet_spec, traces, row_store,
                                     tmp_path_factory):
     """Acceptance: mixed v2+v3 stores query bit-identically to pure JSONL,
@@ -353,6 +419,7 @@ def test_write_ingest_baseline():
         "min_required_columnar_speedup": MIN_COLUMNAR_SPEEDUP,
         "min_required_end_to_end_speedup": MIN_END_TO_END_SPEEDUP,
         "min_required_block_speedup": MIN_BLOCK_SPEEDUP,
+        "min_required_materialize_speedup": MIN_MATERIALIZE_SPEEDUP,
         **RESULTS,
     }
     write_baseline(BASELINE_PATH, payload)
@@ -373,3 +440,6 @@ def test_write_ingest_baseline():
     assert RESULTS["block_ingest"]["byte_identical_segments"]
     assert_speedup(RESULTS["block_ingest"]["speedup"],
                    MIN_BLOCK_SPEEDUP, "block run_to_store")
+    assert RESULTS["materialize_block"]["identical_plans"]
+    assert_speedup(RESULTS["materialize_block"]["speedup"],
+                   MIN_MATERIALIZE_SPEEDUP, "materialize_block")

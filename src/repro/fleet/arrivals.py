@@ -29,7 +29,7 @@ from repro.core.scenarios import Scenario
 from repro.dnn.graph import Graph
 
 __all__ = ["SessionShape", "SESSION_SHAPES", "session_shape_for",
-           "DiurnalProfile", "generate_arrivals"]
+           "DiurnalProfile", "generate_arrivals", "session_ticks"]
 
 #: Floor on generated session durations, seconds (a one-glance session).
 MIN_SESSION_S = 2.0
@@ -128,6 +128,25 @@ class DiurnalProfile:
         return np.minimum(starts, np.nextafter(horizon_s, 0.0))
 
 
+def session_ticks(starts: np.ndarray, durations: np.ndarray,
+                  rate_hz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Request times of a batch of sessions, and the session of each tick.
+
+    Session ``k`` starts at ``starts[k]`` and ticks every ``1 / rate_hz[k]``
+    seconds, ``max(1, floor(durations[k] * rate_hz[k]))`` times, with the
+    phase anchored at the start.  Ticks come out session by session in
+    input order (unmasked, unsorted): one ``np.repeat`` expansion evaluates
+    ``start + period * j`` for every tick ``j`` at once, the same IEEE
+    operations a per-session ``arange`` would run.
+    """
+    counts = np.maximum(1, np.floor(durations * rate_hz).astype(np.int64))
+    session = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    tick = (np.arange(session.size) - first[session]).astype(np.float64)
+    period = 1.0 / rate_hz
+    return starts[session] + period[session] * tick, session
+
+
 def generate_arrivals(scenario: Scenario, graph: Graph,
                       rng: np.random.Generator, horizon_s: float,
                       diurnal: Optional[DiurnalProfile] = None) -> np.ndarray:
@@ -160,12 +179,8 @@ def generate_arrivals(scenario: Scenario, graph: Graph,
     if num_sessions == 0:
         return np.empty(0, dtype=np.float64)
 
-    period = 1.0 / rate_hz
-    counts = np.maximum(1, np.floor(durations * rate_hz).astype(np.int64))
-    times = np.concatenate([
-        start + period * np.arange(count, dtype=np.float64)
-        for start, count in zip(starts, counts)
-    ])
+    times, _ = session_ticks(starts, durations,
+                             np.full(num_sessions, float(rate_hz)))
     times = times[times < horizon_s]
     times.sort(kind="stable")
     return times

@@ -22,6 +22,12 @@ the charger).
 produce equivalent traces; ``benchmarks/test_bench_fleet.py`` and
 ``benchmarks/test_bench_cloud.py`` measure the vectorised loop's speedup
 over this one (>= 5x enforced).
+
+:func:`materialize_reference` plays the same role for the population: it
+builds one user and their plan with every step per user, the
+specification :meth:`~repro.fleet.population.FleetSpec.materialize_block`
+is held byte-identical to by ``tests/test_fleet_population.py`` and
+measured against by ``benchmarks/test_bench_ingest.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ import math
 import numpy as np
 
 from repro.devices.thermal import ThermalModel
-from repro.fleet.population import FleetSpec
+from repro.fleet.arrivals import generate_arrivals
+from repro.fleet.population import (FleetSpec, UserPlan, VirtualUser,
+                                    derive_user_region, derive_user_seed)
 from repro.fleet.queueing import (ROUTE_CLOUD, ROUTE_DEVICE, ROUTE_QUEUED,
                                   ROUTE_SHED)
 from repro.fleet.router import cloud_api_for_scenario
@@ -39,7 +47,53 @@ from repro.fleet.simulator import MIN_NOISE_FACTOR, UserTrace
 from repro.runtime.energy_model import EnergyModel
 from repro.runtime.latency_model import LatencyModel
 
-__all__ = ["simulate_user_naive"]
+__all__ = ["materialize_reference", "simulate_user_naive"]
+
+
+def materialize_reference(spec: FleetSpec,
+                          user_id: int) -> tuple[VirtualUser, UserPlan]:
+    """Build user ``user_id`` and their full event plan, one user at a time.
+
+    Every RNG draw happens here, in a fixed order, from the user's own
+    derived seed; every other step of the plan is evaluated for this user
+    alone.
+    """
+    if not 0 <= user_id < spec.num_users:
+        raise ValueError(f"user_id must be in [0, {spec.num_users})")
+    seed = derive_user_seed(spec.seed, user_id)
+    rng = np.random.default_rng(seed)
+
+    eligible = spec.eligible_scenarios
+    scenario = eligible[int(rng.integers(len(eligible)))]
+    device = spec.devices[int(rng.choice(len(spec.devices),
+                                         p=spec._device_weights()))]
+    pool = spec.scenario_pool(scenario)
+    graph, task = pool[int(rng.integers(len(pool)))]
+    low, high = spec.start_battery_range
+    start_fraction = float(rng.uniform(low, high))
+
+    times = generate_arrivals(scenario, graph, rng, spec.horizon_s,
+                              diurnal=spec.diurnal)
+    noise = 1.0 + spec.noise_fraction * rng.standard_normal(times.size)
+    rtt_ms = spec.policy.cloud.draw_rtt_ms(rng, times.size)
+
+    user = VirtualUser(
+        user_id=user_id,
+        device=device,
+        graph=graph,
+        task=task,
+        scenario=scenario,
+        backend=spec._backend_for(device, graph),
+        seed=seed,
+        region=derive_user_region(spec.seed, user_id, spec.regions),
+    )
+    plan = UserPlan(
+        times=times,
+        noise=noise,
+        rtt_ms=rtt_ms,
+        start_battery_fraction=start_fraction,
+    )
+    return user, plan
 
 
 def simulate_user_naive(spec: FleetSpec, user_id: int,

@@ -85,8 +85,12 @@ class CloudProfile:
 
     def draw_rtt_ms(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Per-request RTT draws (log-normal around the median)."""
-        return self.rtt_median_ms * np.exp(
-            self.rtt_sigma * rng.standard_normal(count))
+        return self.rtt_ms_from_normals(rng.standard_normal(count))
+
+    def rtt_ms_from_normals(self, normals: np.ndarray) -> np.ndarray:
+        """RTTs of standard-normal draws (elementwise, so a population can
+        draw per user and transform once per block)."""
+        return self.rtt_median_ms * np.exp(self.rtt_sigma * normals)
 
     def latency_ms(self, rtt_ms, payload_bytes: int, service_ms=None):
         """End-to-end latency of offloaded requests (elementwise over RTTs).

@@ -646,7 +646,8 @@ class FleetSimulator:
                          max_cells: int) -> list[UserTrace]:
         """Simulate users in order, evaluated in budgeted blocks.
 
-        Users are materialised one at a time, each exactly once; a block
+        Users are materialised :data:`BLOCK_USERS` at a time
+        (:meth:`FleetSpec.materialize_block`), each exactly once; a block
         closes before the user whose spans would push its padded matrix
         (rows x longest row) past ``max_cells``, so a dense user cannot
         inflate the matrices of the sparse users around it.
@@ -654,17 +655,20 @@ class FleetSimulator:
         traces: list[UserTrace] = []
         members: list = []
         rows = width = 0
-        for user_id in user_ids:
-            member = self._member(user_id)
-            lengths = [hi - lo for lo, hi, _ in member[2] if hi > lo]
-            if lengths:
-                grown = max(width, max(lengths))
-                if members and (rows + len(lengths)) * grown > max_cells:
-                    traces += _Block(self, members).run()
-                    members, rows, grown = [], 0, max(lengths)
-                rows += len(lengths)
-                width = grown
-            members.append(member)
+        for first in range(0, len(user_ids), BLOCK_USERS):
+            for user, plan in self.spec.materialize_block(
+                    user_ids[first:first + BLOCK_USERS]):
+                spans = self._span_slices(plan.times,
+                                          plan.start_battery_fraction)
+                lengths = [hi - lo for lo, hi, _ in spans if hi > lo]
+                if lengths:
+                    grown = max(width, max(lengths))
+                    if members and (rows + len(lengths)) * grown > max_cells:
+                        traces += _Block(self, members).run()
+                        members, rows, grown = [], 0, max(lengths)
+                    rows += len(lengths)
+                    width = grown
+                members.append((user, plan, spans))
         if members:
             traces += _Block(self, members).run()
         return traces

@@ -85,6 +85,8 @@ class ServeApp:
             max_workers=handler_threads,
             thread_name_prefix="repro-serve-handler")
         self._server: Optional[asyncio.base_events.Server] = None
+        #: Open connections: handler task -> its stream writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.url: Optional[str] = None
 
     # ------------------------------------------------------------------ #
@@ -101,9 +103,22 @@ class ServeApp:
         return self.url
 
     async def stop(self) -> None:
+        """Stop accepting, close every open connection, stop the worker.
+
+        Idle keep-alive clients would otherwise leave their handlers
+        pending (and their transports open) past the loop's end; on Python
+        3.12+ ``Server.wait_closed`` also waits for them, so the handlers
+        are closed, cancelled and awaited before it.
+        """
         self.worker.stop()
         if self._server is not None:
             self._server.close()
+            await asyncio.sleep(0)  # let just-accepted handlers register
+            handlers = list(self._connections)
+            for handler, writer in self._connections.items():
+                writer.close()
+                handler.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self._executor.shutdown(wait=False)
@@ -128,6 +143,8 @@ class ServeApp:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         loop = asyncio.get_running_loop()
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while True:
                 try:
@@ -152,7 +169,14 @@ class ServeApp:
         except (asyncio.IncompleteReadError, ConnectionResetError,
                 BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            if self._server is not None and self._server.is_serving():
+                raise
+            # stop() cancelled this handler: ending normally keeps Python
+            # 3.11's stream done-callback from logging the cancellation as
+            # an unhandled error.
         finally:
+            del self._connections[handler]
             writer.close()
             try:
                 await writer.wait_closed()

@@ -11,12 +11,15 @@ format, so float formatting differences cannot hide.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -399,6 +402,28 @@ class TestServeHTTP:
                 json.loads(response.read())
         finally:
             connection.close()
+
+    def test_stop_closes_idle_keep_alive_connection(self, fleet_store,
+                                                    caplog):
+        """Exiting with a keep-alive client still connected leaves no
+        pending handler or open transport behind, and does not stall."""
+        app = ServeApp(fleet_store.root, port=0, refresh_s=0.05)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with ServerThread(app) as server:
+                host, port = server.url.removeprefix("http://").split(":")
+                connection = http.client.HTTPConnection(host, int(port),
+                                                        timeout=10)
+                connection.request("GET", "/v1/health")
+                assert connection.getresponse().read()
+                started = time.perf_counter()
+            stop_s = time.perf_counter() - started
+            connection.close()
+            gc.collect()
+        assert stop_s < 2.0
+        assert not [warning for warning in caught
+                    if "unclosed transport" in str(warning.message)]
+        assert "destroyed but it is pending" not in caplog.text
 
     def test_http_error_body(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
