@@ -2,9 +2,9 @@
 
 Three acceptance properties on a large synthetic two-store campaign pair:
 
-* **vectorised diff speed** — :func:`repro.store.diff.diff_stores` (radix
-  key encoding + reduceat/bincount group reductions over the column
-  caches) must beat the per-row Python reference
+* **vectorised diff speed** — :func:`repro.store.diff.diff_stores` (one
+  grouped ``Query.aggregate`` per side over the column caches, then key
+  alignment) must beat the per-row Python reference
   (:func:`diff_kind_reference`) by at least ``MIN_DIFF_SPEEDUP``x;
 * **bit-exact equivalence** — the vectorised engine's changed groups,
   per-metric values, and added/removed entity sets must equal the

@@ -1,7 +1,9 @@
 """Store-served telemetry reports: timeline, stage breakdown, shard skew.
 
 All tables read a sidecar telemetry store (see :mod:`repro.obs.sink`)
-through the store's own column caches and return plain lists of dicts —
+through :class:`~repro.store.query.Query` — a ``run_id`` filter prunes
+other runs' segments unread, and per-group totals come from
+``aggregate()`` — and return plain lists of dicts —
 the CLI (``repro obs report``) renders them, tests assert on them, and
 notebooks can frame them.  The span tree is rebuilt from the persisted
 ``(span_id, parent_id)`` pairs; :meth:`Collector.absorb`'s id remapping
@@ -25,26 +27,10 @@ def _open(store):
     return store if isinstance(store, ResultStore) else ResultStore(store)
 
 
-def _gather(store, kind_name: str, run_id: Optional[str]) -> Optional[dict]:
-    """All of a kind's rows as one concatenated column dict (or ``None``)."""
-    from repro.store.schema import kind_for
-
-    metas = store.segments_for(kind_name)
-    if not metas:
-        return None
-    kind = kind_for(kind_name)
-    columns = {
-        column.name: np.concatenate(
-            [np.asarray(store.columns_for(meta)[column.name])
-             for meta in metas])
-        for column in kind.columns
-    }
-    if run_id is not None:
-        mask = columns["run_id"] == run_id
-        columns = {name: array[mask] for name, array in columns.items()}
-    if not columns["run_id"].size:
-        return None
-    return columns
+def _query(store, kind_name: str, run_id: Optional[str]):
+    """A query over one telemetry kind, pushed down to ``run_id`` if given."""
+    query = _open(store).query(kind_name)
+    return query if run_id is None else query.where(run_id=run_id)
 
 
 def available_runs(store: Union[str, Path, "ResultStore"]) -> tuple[str, ...]:
@@ -57,9 +43,8 @@ def available_runs(store: Union[str, Path, "ResultStore"]) -> tuple[str, ...]:
     store = _open(store)
     runs: set[str] = set()
     for kind_name in ("telemetry_metrics", "telemetry_spans"):
-        columns = _gather(store, kind_name, None)
-        if columns is not None:
-            runs.update(str(run) for run in np.unique(columns["run_id"]))
+        runs.update(_query(store, kind_name, None).arrays("run_id")["run_id"]
+                    .tolist())
     return tuple(sorted(runs))
 
 
@@ -72,15 +57,12 @@ def run_timeline(store: Union[str, Path, "ResultStore"], *,
     and ``depth`` computed from the stitched parent chain (orphan parents
     count as roots, which the stitching tests pin never happens).
     """
-    store = _open(store)
-    spans = _gather(store, "telemetry_spans", run_id)
-    if spans is None:
+    spans = _query(store, "telemetry_spans", run_id).rows()
+    if not spans:
         return []
-    order = np.lexsort((spans["span_id"], spans["start_s"]))
-    t0 = float(spans["start_s"].min())
-    parents = {int(span_id): int(parent_id)
-               for span_id, parent_id in zip(spans["span_id"],
-                                             spans["parent_id"])}
+    parents = {span["span_id"]: span["parent_id"] for span in spans}
+    t0 = min(span["start_s"] for span in spans)
+    spans.sort(key=lambda span: (span["start_s"], span["span_id"]))
     depths: dict[int, int] = {}
 
     def depth_of(span_id: int) -> int:
@@ -93,22 +75,18 @@ def run_timeline(store: Union[str, Path, "ResultStore"], *,
         depths[span_id] = depth
         return depth
 
-    rows = []
-    for index in order:
-        span_id = int(spans["span_id"][index])
-        rows.append({
-            "run_id": str(spans["run_id"][index]),
-            "span_id": span_id,
-            "parent_id": int(spans["parent_id"][index]),
-            "name": str(spans["name"][index]),
-            "offset_s": float(spans["start_s"][index]) - t0,
-            "duration_s": float(spans["duration_s"][index]),
-            "depth": depth_of(span_id),
-            "shard": int(spans["shard"][index]),
-            "items": int(spans["items"][index]),
-            "detail": str(spans["detail"][index]),
-        })
-    return rows
+    return [{
+        "run_id": span["run_id"],
+        "span_id": span["span_id"],
+        "parent_id": span["parent_id"],
+        "name": span["name"],
+        "offset_s": span["start_s"] - t0,
+        "duration_s": span["duration_s"],
+        "depth": depth_of(span["span_id"]),
+        "shard": span["shard"],
+        "items": span["items"],
+        "detail": span["detail"],
+    } for span in spans]
 
 
 def stage_breakdown(store: Union[str, Path, "ResultStore"], *,
@@ -120,22 +98,14 @@ def stage_breakdown(store: Union[str, Path, "ResultStore"], *,
     (a span's duration includes everything beneath it) — this is a
     by-stage profile, not an exclusive-time flame graph.
     """
-    store = _open(store)
-    spans = _gather(store, "telemetry_spans", run_id)
-    if spans is None:
-        return []
-    rows = []
-    for name in np.unique(spans["name"]):
-        mask = spans["name"] == name
-        durations = spans["duration_s"][mask]
-        rows.append({
-            "name": str(name),
-            "spans": int(mask.sum()),
-            "total_s": float(durations.sum()),
-            "mean_s": float(durations.mean()),
-            "max_s": float(durations.max()),
-            "items": int(spans["items"][mask].sum()),
-        })
+    rows = (_query(store, "telemetry_spans", run_id)
+            .group_by("name")
+            .agg(spans=("duration_s", "count"),
+                 total_s=("duration_s", "sum"),
+                 mean_s=("duration_s", "mean"),
+                 max_s=("duration_s", "max"),
+                 items=("items", "sum"))
+            .aggregate())
     rows.sort(key=lambda row: row["total_s"], reverse=True)
     return rows
 
@@ -150,27 +120,17 @@ def shard_skew(store: Union[str, Path, "ResultStore"], *,
     seconds over the mean across shards — the straggler table for
     campaign runs.
     """
-    store = _open(store)
-    spans = _gather(store, "telemetry_spans", run_id)
-    if spans is None:
-        return []
-    mask = spans["shard"] >= 0
+    query = _query(store, "telemetry_spans", run_id).where(
+        "shard", ">=", 0)
     if name is not None:
-        mask &= spans["name"] == name
-    if not mask.any():
+        query.where(name=name)
+    rows = (query.group_by("shard")
+            .agg(spans=("duration_s", "count"),
+                 seconds=("duration_s", "sum"),
+                 items=("items", "sum"))
+            .aggregate())
+    if not rows:
         return []
-    shards = spans["shard"][mask]
-    durations = spans["duration_s"][mask]
-    items = spans["items"][mask]
-    rows = []
-    for shard in np.unique(shards):
-        shard_mask = shards == shard
-        rows.append({
-            "shard": int(shard),
-            "spans": int(shard_mask.sum()),
-            "seconds": float(durations[shard_mask].sum()),
-            "items": int(items[shard_mask].sum()),
-        })
     mean_seconds = float(np.mean([row["seconds"] for row in rows]))
     for row in rows:
         row["skew"] = row["seconds"] / mean_seconds if mean_seconds else 0.0
@@ -181,22 +141,7 @@ def metrics_table(store: Union[str, Path, "ResultStore"], *,
                   run_id: Optional[str] = None,
                   metric_class: Optional[str] = None) -> list[dict]:
     """Every persisted metric row, name-sorted; filterable by class."""
-    store = _open(store)
-    metrics = _gather(store, "telemetry_metrics", run_id)
-    if metrics is None:
-        return []
-    rows = []
-    for index in np.argsort(metrics["metric"], kind="stable"):
-        row_class = str(metrics["metric_class"][index])
-        if metric_class is not None and row_class != metric_class:
-            continue
-        rows.append({
-            "run_id": str(metrics["run_id"][index]),
-            "metric": str(metrics["metric"][index]),
-            "metric_class": row_class,
-            "value_i": int(metrics["value_i"][index]),
-            "total": float(metrics["total"][index]),
-            "min": float(metrics["min"][index]),
-            "max": float(metrics["max"][index]),
-        })
-    return rows
+    query = _query(store, "telemetry_metrics", run_id)
+    if metric_class is not None:
+        query.where(metric_class=metric_class)
+    return sorted(query.rows(), key=lambda row: row["metric"])

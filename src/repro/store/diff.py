@@ -3,23 +3,20 @@
 The cross-run half of the observability story: two campaign stores (or one
 store and a committed baseline snapshot of it) are compared by aligning
 their rows on a per-kind set of **group-by key columns** and reducing a
-per-kind set of **metric columns** over each group.  Everything evaluates
-over the NumPy column caches through the same
-:class:`~repro.store.query.Query` gather path (predicate pushdown, column
-pruning) that serves reports — never row by row:
+per-kind set of **metric columns** over each group.  The grouping is the
+store's one aggregation engine — never a row loop:
 
-1. each side's key + metric columns are gathered via ``Query.arrays``;
-2. group keys are radix-encoded into one ``int64`` code per row **with a
-   vocabulary shared across both sides**, so a code compares equal iff
-   every key column compares equal;
-3. metrics reduce per group (integer sums via ``np.add.reduceat`` in
-   int64 — exact — float sums via ``np.bincount`` weights — sequential
-   in row order — min/max via ``reduceat`` over a stable group sort), so
-   every reduction is a pure function of the group's rows and a store
-   diffed against itself is zero-delta *bit-exactly*;
-4. the two sides align with one ``np.intersect1d`` over the group codes:
-   matched groups yield per-metric delta arrays, unmatched ones become
-   the ``added`` / ``removed`` entity sets.
+1. each side runs one grouped :class:`~repro.store.query.Query`
+   (``where(...).group_by(*keys).agg(...).aggregate()``), so predicate
+   pushdown, column pruning, dictionary-coded group keys and the
+   vectorised reductions of :mod:`repro.store.kernels` all apply.  Integer
+   sums are exact and float sums/means accumulate sequentially in row
+   order, so every reduction is a pure function of the group's rows and a
+   store diffed against itself is zero-delta *bit-exactly*;
+2. the two sides' group rows (few: one per distinct key tuple) align by
+   key tuple in Python: matched groups yield per-metric delta arrays in
+   the query's ascending key order, unmatched ones become the ``added`` /
+   ``removed`` entity sets.
 
 What counts as a key and a metric per row kind lives in
 :data:`DIFF_SPECS`; callers may substitute their own
@@ -44,13 +41,9 @@ from repro.store.schema import kind_for
 __all__ = ["DiffSpec", "MetricSpec", "KindDiff", "StoreDiff", "DIFF_SPECS",
            "diff_stores", "diff_kind", "diff_kind_reference", "spec_for"]
 
-#: Aggregations the group reducer implements (a subset of the query
-#: engine's, restricted to ones with an exact reduceat/bincount form).
+#: Aggregations a diff metric may use (a subset of the query engine's,
+#: restricted to ones whose grouped kernels are exact per row set).
 _AGGS = ("count", "sum", "mean", "min", "max")
-
-#: Radix-encoded group codes must stay inside int64; beyond this many
-#: distinct composite keys the encoding could overflow.
-_MAX_KEY_SPACE = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -208,7 +201,7 @@ class KindDiff:
     metrics: tuple[str, ...]
     rows_a: int
     rows_b: int
-    #: Matched groups: key column -> decoded values.
+    #: Matched groups: key column -> values.
     key_arrays: dict[str, np.ndarray] = field(default_factory=dict)
     a: dict[str, np.ndarray] = field(default_factory=dict)
     b: dict[str, np.ndarray] = field(default_factory=dict)
@@ -304,145 +297,36 @@ class StoreDiff:
 # --------------------------------------------------------------------------- #
 # Engine
 # --------------------------------------------------------------------------- #
-def _gather(store, spec: DiffSpec,
-            where: Sequence[tuple[str, str, object]]) -> dict[str, np.ndarray]:
-    """One side's key + metric columns through the Query gather path."""
+def _groups(store, spec: DiffSpec,
+            where: Sequence[tuple[str, str, object]]) -> tuple[dict, int]:
+    """One side's ``({key tuple: metric values}, rows matched)``.
+
+    One grouped :class:`~repro.store.query.Query`; groups come back in its
+    ascending key order.  ``count`` metrics read the spec's first metric
+    column (or its first key when it has none) — the grouped count never
+    looks at the values.  A spec without metrics still counts, because a
+    query needs one aggregation to form its groups.
+    """
+    count_column = next((m.column for m in spec.metrics
+                         if m.column is not None), spec.keys[0])
     query = store.query(spec.kind)
     for column, op, value in where:
         query.where(column, op, value)
-    needed = dict.fromkeys(
-        spec.keys + tuple(m.column for m in spec.metrics
-                          if m.column is not None))
-    return query.arrays(*needed)
+    aggs = {m.out_name: (m.column or count_column, m.agg)
+            for m in spec.metrics}
+    rows = query.group_by(*spec.keys).agg(
+        **(aggs or {"rows": (count_column, "count")})).aggregate()
+    groups = {tuple(row[name] for name in spec.keys):
+              tuple(row[name] for name in spec.metric_names) for row in rows}
+    return groups, query.stats.rows_matched
 
 
-def _encode_keys(spec: DiffSpec, a: Mapping[str, np.ndarray],
-                 b: Mapping[str, np.ndarray]):
-    """Radix-encode both sides' key tuples over one shared vocabulary.
-
-    Returns ``(code_a, code_b, uniques)`` where ``uniques`` holds each key
-    column's shared vocabulary — the decode radix.  A code compares equal
-    across sides iff every key column compares equal; code *order* is an
-    implementation detail (first-occurrence for string columns, sorted
-    for numeric ones).
-    """
-    na = next(iter(a.values())).size if a else 0
-    nb = next(iter(b.values())).size if b else 0
-    code_a = np.zeros(na, dtype=np.int64)
-    code_b = np.zeros(nb, dtype=np.int64)
-    uniques: list[np.ndarray] = []
-    space = 1
-    for name in spec.keys:
-        combined = np.concatenate([a[name], b[name]])
-        inverse, u = _factorize(combined)
-        uniques.append(u)
-        radix = max(len(u), 1)
-        space *= radix
-        if space > _MAX_KEY_SPACE:
-            raise ValueError(
-                f"diff of kind {spec.kind!r}: key cardinality over "
-                f"{spec.keys} exceeds the int64 encoding space")
-        code_a = code_a * radix + inverse[:na]
-        code_b = code_b * radix + inverse[na:]
-    return code_a, code_b, uniques
-
-
-#: Max distinct values the scan-based string factorizer tries before
-#: falling back to a sort-based ``np.unique`` (the scan is O(n * K)).
-_SCAN_VOCAB_LIMIT = 64
-
-
-def _factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(inverse, uniques)`` such that ``uniques[inverse] == values``.
-
-    Equivalent to ``np.unique(values, return_inverse=True)`` up to the
-    order of ``uniques``.  String columns take a scan-based path: diff
-    group keys are low-cardinality (device names, scenarios, regions),
-    so K whole-column equality scans beat sorting millions of UCS4
-    strings by a wide margin; past :data:`_SCAN_VOCAB_LIMIT` distinct
-    values the scan abandons and falls back to the sort.
-    """
-    if values.dtype.kind != "U" or values.size == 0:
-        uniques, inverse = np.unique(values, return_inverse=True)
-        return inverse, uniques
-    inverse = np.zeros(values.size, dtype=np.int64)
-    remaining = np.ones(values.size, dtype=bool)
-    vocab: list[str] = []
-    while remaining.any():
-        if len(vocab) >= _SCAN_VOCAB_LIMIT:
-            uniques, inverse = np.unique(values, return_inverse=True)
-            return inverse, uniques
-        value = values[int(remaining.argmax())]
-        matches = values == value
-        inverse[matches] = len(vocab)
-        vocab.append(value)
-        remaining &= ~matches
-    return inverse, np.asarray(vocab, dtype=values.dtype)
-
-
-def _decode_keys(spec: DiffSpec, codes: np.ndarray,
-                 uniques: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
-    """Invert :func:`_encode_keys` for one array of group codes."""
-    values: dict[str, np.ndarray] = {}
-    remainder = codes.copy()
-    for name, u in zip(reversed(spec.keys), reversed(list(uniques))):
-        radix = max(len(u), 1)
-        values[name] = u[remainder % radix] if len(u) else \
-            np.empty(0, dtype=u.dtype)
-        remainder //= radix
-    return {name: values[name] for name in spec.keys}
-
-
-def _group_sum(values: np.ndarray, inverse: np.ndarray, order: np.ndarray,
-               starts: np.ndarray, n_groups: int) -> np.ndarray:
-    """Per-group sum, exact and order-stable per dtype class.
-
-    Integers sum via ``reduceat`` in int64 — exact for any order.  Floats
-    sum via ``bincount`` weights, which accumulates **sequentially in row
-    order** — the one float summation order a per-row reference can
-    reproduce, making vectorised-vs-reference equality bit-exact.
-    """
-    if values.dtype.kind in "iub":
-        return np.add.reduceat(values.astype(np.int64, copy=False)[order],
-                               starts)
-    return np.bincount(inverse, weights=values, minlength=n_groups)
-
-
-def _reduce(spec: DiffSpec, arrays: Mapping[str, np.ndarray],
-            codes: np.ndarray):
-    """Group-reduce one side's metrics; returns ``(group_codes, metrics)``.
-
-    Every reduction is a pure function of each group's row set and row
-    order (see :func:`_group_sum`), so it is deterministic for a
-    deterministic store and identical on both sides of a self-diff.
-    """
-    group_codes, inverse = np.unique(codes, return_inverse=True)
-    n_groups = len(group_codes)
-    metrics: dict[str, np.ndarray] = {}
-    if n_groups == 0:
-        for m in spec.metrics:
-            dtype = np.int64 if m.agg == "count" else np.float64
-            metrics[m.out_name] = np.empty(0, dtype=dtype)
-        return group_codes, metrics
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(n_groups))
-    counts = np.bincount(inverse, minlength=n_groups)
-    for m in spec.metrics:
-        if m.agg == "count":
-            metrics[m.out_name] = counts
-            continue
-        values = arrays[m.column]
-        if m.agg == "sum":
-            metrics[m.out_name] = _group_sum(values, inverse, order, starts,
-                                             n_groups)
-        elif m.agg == "mean":
-            metrics[m.out_name] = _group_sum(values, inverse, order, starts,
-                                             n_groups) / counts
-        elif m.agg == "min":
-            metrics[m.out_name] = np.minimum.reduceat(values[order], starts)
-        else:  # max
-            metrics[m.out_name] = np.maximum.reduceat(values[order], starts)
-    return group_codes, metrics
+def _key_arrays(kind, spec: DiffSpec,
+                keys: Sequence[tuple]) -> dict[str, np.ndarray]:
+    """Key tuples as one typed array per key column."""
+    return {name: np.array([key[i] for key in keys],
+                           dtype=kind.column(name).numpy_dtype)
+            for i, name in enumerate(spec.keys)}
 
 
 def diff_kind(store_a, store_b, spec: DiffSpec, *,
@@ -454,40 +338,27 @@ def diff_kind(store_a, store_b, spec: DiffSpec, *,
     ``run_id`` filter over a long telemetry sidecar never reads segments
     whose stats exclude the run.
     """
-    kind = kind_for(spec.kind)  # validates the kind exists
-    for name in spec.keys:
-        kind.column(name)
-    for m in spec.metrics:
-        if m.column is not None:
-            kind.column(m.column)
-
-    a = _gather(store_a, spec, where)
-    b = _gather(store_b, spec, where)
-    rows_a = next(iter(a.values())).size if a else 0
-    rows_b = next(iter(b.values())).size if b else 0
-    code_a, code_b, uniques = _encode_keys(spec, a, b)
-    groups_a, metrics_a = _reduce(spec, a, code_a)
-    groups_b, metrics_b = _reduce(spec, b, code_b)
-
-    common, index_a, index_b = np.intersect1d(
-        groups_a, groups_b, assume_unique=True, return_indices=True)
-    only_a = np.setdiff1d(groups_a, groups_b, assume_unique=True)
-    only_b = np.setdiff1d(groups_b, groups_a, assume_unique=True)
+    kind = kind_for(spec.kind)
+    groups_a, rows_a = _groups(store_a, spec, where)
+    groups_b, rows_b = _groups(store_b, spec, where)
+    matched = [key for key in groups_a if key in groups_b]
 
     diff = KindDiff(kind=spec.kind, keys=spec.keys,
                     metrics=spec.metric_names, rows_a=rows_a, rows_b=rows_b)
-    diff.key_arrays = _decode_keys(spec, common, uniques)
-    changed = np.zeros(len(common), dtype=bool)
-    for name in spec.metric_names:
-        va = metrics_a[name][index_a]
-        vb = metrics_b[name][index_b]
+    diff.key_arrays = _key_arrays(kind, spec, matched)
+    changed = np.zeros(len(matched), dtype=bool)
+    for index, name in enumerate(spec.metric_names):
+        va = np.array([groups_a[key][index] for key in matched])
+        vb = np.array([groups_b[key][index] for key in matched])
         diff.a[name] = va
         diff.b[name] = vb
         diff.delta[name] = vb - va
         changed |= va != vb
     diff.changed = changed
-    diff.added_keys = _decode_keys(spec, only_b, uniques)
-    diff.removed_keys = _decode_keys(spec, only_a, uniques)
+    diff.added_keys = _key_arrays(
+        kind, spec, [key for key in groups_b if key not in groups_a])
+    diff.removed_keys = _key_arrays(
+        kind, spec, [key for key in groups_a if key not in groups_b])
     return diff
 
 
@@ -537,7 +408,9 @@ def diff_kind_reference(store_a, store_b, spec: DiffSpec) -> dict:
     """
     def accumulate(store) -> dict:
         groups: dict[tuple, dict] = {}
-        arrays = _gather(store, spec, ())
+        arrays = store.query(spec.kind).arrays(*dict.fromkeys(
+            spec.keys + tuple(m.column for m in spec.metrics
+                              if m.column is not None)))
         length = next(iter(arrays.values())).size if arrays else 0
         for i in range(length):
             key = tuple(
@@ -562,7 +435,7 @@ def diff_kind_reference(store_a, store_b, spec: DiffSpec) -> dict:
                     continue
                 # Sequential accumulation in row order: Python float
                 # addition is IEEE double addition, the same order the
-                # engine's bincount-weights sum applies — so the equality
+                # grouped kernels' float sums apply — so the equality
                 # assertions compare bit-exact.
                 values = entry[m.out_name]
                 if m.agg == "sum":

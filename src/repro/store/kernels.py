@@ -9,9 +9,10 @@ set at once:
 * ``count``        — one ``bincount`` over the group indices;
 * ``sum``/``mean``/``std`` — integer/bool sums via ``np.add.reduceat``
   in int64 (exact, associative), float accumulation via ``np.bincount``
-  weights (sequential in row order — the same discipline as
-  :mod:`repro.store.diff`); ``std`` composes the same two passes the
-  per-row definition uses (mean, then mean of squared deviations);
+  weights (sequential in row order, which is also what makes a
+  :mod:`repro.store.diff` self-diff zero bit for bit); ``std`` composes
+  the same two passes the per-row definition uses (mean, then mean of
+  squared deviations);
 * ``min``/``max``  — ``ufunc.reduceat`` over the group-gathered array
   (lexicographic segment endpoints for string columns);
 * ``median``/``p50``/``p90``/``p99``/``p999`` — one ``lexsort`` per
@@ -26,11 +27,11 @@ tests in ``tests/test_query_engine.py`` enforce it).  Grouped float
 ``sum``/``mean``/``std`` are *defined* as sequential row-order
 accumulation — not NumPy's pairwise summation — because row-order sums
 are the one float discipline that survives vectorisation, chunking and
-re-segmentation unchanged (see ``store/diff.py``); every other reduction
-keeps its original NumPy definition (``np.quantile``, ``np.median``,
-``min``/``max``, exact integer sums).  Ungrouped aggregation is
-untouched by all of this: with no per-group loop to replace it still
-evaluates the plain :data:`repro.store.query.AGGREGATIONS` lambdas.
+re-segmentation unchanged; every other reduction keeps its original
+NumPy definition (``np.quantile``, ``np.median``, ``min``/``max``, exact
+integer sums).  Ungrouped aggregation is untouched by all of this: with
+no per-group loop to replace it still evaluates the plain
+:data:`repro.store.query.AGGREGATIONS` lambdas.
 """
 
 from __future__ import annotations

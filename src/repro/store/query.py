@@ -80,6 +80,10 @@ AGGREGATIONS: dict[str, Callable[[np.ndarray], float]] = {
     "p999": lambda a: np.quantile(a, 0.999).item(),
 }
 
+#: The mixed-radix group key must stay inside int64; ``aggregate`` raises
+#: once the product of the group columns' cardinalities exceeds this.
+_MAX_KEY_SPACE = 2 ** 62
+
 
 @dataclass(frozen=True)
 class Predicate:
@@ -658,12 +662,18 @@ class Query:
         # Encode the (possibly multi-column) group key as one int64 vector.
         key = np.zeros(length, dtype=np.int64)
         uniques: list[np.ndarray] = []
+        space = 1
         for name in self._group_by:
             if name in coded:
                 u, inverse = kernels.factorize_parts(arrays[name])
             else:
                 u, inverse = np.unique(arrays[name], return_inverse=True)
             uniques.append(u)
+            space *= len(u)
+            if space > _MAX_KEY_SPACE:
+                raise ValueError(
+                    f"group_by over {self._group_by}: key cardinality "
+                    f"exceeds the int64 group-key space")
             key = key * len(u) + inverse
         group_keys, key_inverse = np.unique(key, return_inverse=True)
 

@@ -331,6 +331,38 @@ class TestSinkAndReports:
         assert run_timeline(telemetry_store, run_id="nope") == []
 
 
+    def test_run_filters_scan_only_that_runs_segments(self, tmp_path):
+        path = tmp_path / "telemetry.store"
+        for run_id in ("a", "b"):
+            collector = Collector()
+            collector.count(f"demo.{run_id}", 3)
+            with collector.span("stage", items=2):
+                pass
+            with collector.span(f"stage.{run_id}", shard=0, items=1):
+                pass
+            write_telemetry(path, collector.snapshot(), run_id=run_id)
+        # The oracle: run "b" alone in a store of its own.
+        write_telemetry(tmp_path / "b.store", collector.snapshot(),
+                        run_id="b")
+        store = ResultStore(path)
+        assert [len(store.segments_for(kind))
+                for kind in ("telemetry_metrics", "telemetry_spans")] == [2, 2]
+
+        obs.enable()
+        stages = stage_breakdown(store, run_id="b")
+        metrics = metrics_table(store, run_id="b")
+        snapshot = obs.disable()
+        # Each table reads one segment of its kind; the run-"a" segment's
+        # manifest stats prune it unread.
+        assert snapshot.counter("query.segments_scanned") == 2
+        assert snapshot.counter("query.segments_pruned") == 2
+        alone = ResultStore(tmp_path / "b.store")
+        assert stages == stage_breakdown(alone)
+        assert metrics == metrics_table(alone)
+        assert {row["name"] for row in stages} == {"stage", "stage.b"}
+        assert [row["metric"] for row in metrics] == ["demo.b"]
+
+
 # ---------------------------------------------------------------------------
 # Campaign integration: derived seconds + shard skew
 # ---------------------------------------------------------------------------

@@ -121,6 +121,28 @@ class TestKernelVsReference:
             (store.query("fleet_events")
              .agg(n=("latency_ms", "count")).aggregate(engine="fast"))
 
+    def test_group_key_space_overflow_raises(self, tmp_path):
+        # 7000 distinct values in each of 5 columns: 7000**5 > 2**63, so
+        # the mixed-radix int64 key would wrap and mislabel groups.
+        store = ResultStore(tmp_path / "s")
+        with store.writer() as writer:
+            writer.append_batch("fleet_events",
+                                synthetic_fleet_batch(0, 7000, seed=0))
+        columns = ("time_s", "latency_ms", "wait_ms", "energy_mj",
+                   "battery_fraction")
+        query = (store.query("fleet_events").group_by(*columns)
+                 .agg(n=("latency_ms", "count")))
+        with pytest.raises(ValueError, match="battery_fraction"):
+            query.aggregate()
+        # Four of the columns still fit and label every group correctly.
+        rows = (store.query("fleet_events").group_by(*columns[:4])
+                .agg(n=("latency_ms", "count")).aggregate())
+        arrays = store.query("fleet_events").arrays(*columns[:4])
+        expected = sorted(zip(*(arrays[name].tolist()
+                                for name in columns[:4])))
+        assert [tuple(row[name] for name in columns[:4])
+                for row in rows] == expected
+
     def test_factorize_parts_matches_unique_over_decoded(self):
         rng = np.random.default_rng(5)
         vocabs = [np.unique(rng.choice(list("abcdefgh"), 6)) for _ in range(3)]

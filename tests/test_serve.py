@@ -275,6 +275,14 @@ class TestQueryServiceAndRouter:
                    .aggregate())
         assert dumps(served["rows"]) == dumps(offline)
 
+    def test_group_key_overflow_is_a_400(self, stack):
+        _, _, router, _ = stack
+        status, payload = router.dispatch(
+            "GET", "/v1/query?kind=fleet_events&group_by=time_s,latency_ms,"
+                   "wait_ms,energy_mj,throttle_factor,battery_fraction,"
+                   "discharge_mah&agg=latency_ms:count")
+        assert status == 400 and "int64" in payload["error"]
+
     def test_post_query_equals_get_query(self, stack):
         _, _, router, _ = stack
         _, get_payload = router.dispatch(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.store import (DIFF_SPECS, DiffSpec, MetricSpec, ResultStore,
                          diff_kind, diff_kind_reference, diff_stores)
@@ -198,43 +199,52 @@ class TestDiffEngine:
         assert entry["changed"] == entry["matched"]
 
 
+def assert_matches_reference(store_a, store_b, spec=None, *, where=(),
+                             reference_pair=None):
+    """``diff_kind`` equals ``diff_kind_reference`` bit for bit.
+
+    ``reference_pair`` holds the two stores the reference reads (default:
+    the same pair); a ``where`` diff compares against stores holding only
+    the matching rows, since the reference has no predicates.
+    """
+    spec = spec_for("fleet_events") if spec is None else spec
+    fast = diff_kind(store_a, store_b, spec, where=where)
+    slow = diff_kind_reference(*(reference_pair or (store_a, store_b)), spec)
+    assert fast.matched == slow["matched"]
+    fast_changed = {}
+    for row in fast.changed_rows(limit=None):
+        key = tuple(row[name] for name in spec.keys)
+        fast_changed[key] = {
+            metric: (row[metric]["a"], row[metric]["b"],
+                     row[metric]["delta"])
+            for metric in fast.metrics
+            if row[metric]["a"] != row[metric]["b"]}
+    slow_changed = {
+        key: {metric: triple for metric, triple in cells.items()}
+        for key, cells in slow["changed"].items()}
+    assert set(fast_changed) == set(slow_changed)
+    for key, cells in slow_changed.items():
+        for metric, (sa, sb, sd) in cells.items():
+            fa, fb, fd = fast_changed[key][metric]
+            # Bit-exact, not approx: same reduction order.
+            assert fa == sa and fb == sb and fd == sd
+    fast_added = {tuple(row[name] for name in spec.keys)
+                  for row in fast.added_rows(limit=None)}
+    fast_removed = {tuple(row[name] for name in spec.keys)
+                    for row in fast.removed_rows(limit=None)}
+    assert fast_added == slow["added"]
+    assert fast_removed == slow["removed"]
+    return fast
+
+
 class TestAgainstReference:
     """The vectorised engine must agree bit-exactly with the per-row path."""
-
-    def assert_matches_reference(self, store_a, store_b):
-        spec = spec_for("fleet_events")
-        fast = diff_kind(store_a, store_b, spec)
-        slow = diff_kind_reference(store_a, store_b, spec)
-        assert fast.matched == slow["matched"]
-        fast_changed = {}
-        for row in fast.changed_rows(limit=None):
-            key = tuple(row[name] for name in spec.keys)
-            fast_changed[key] = {
-                metric: (row[metric]["a"], row[metric]["b"],
-                         row[metric]["delta"])
-                for metric in fast.metrics
-                if row[metric]["a"] != row[metric]["b"]}
-        slow_changed = {
-            key: {metric: triple for metric, triple in cells.items()}
-            for key, cells in slow["changed"].items()}
-        assert set(fast_changed) == set(slow_changed)
-        for key, cells in slow_changed.items():
-            for metric, (sa, sb, _) in cells.items():
-                fa, fb, _ = fast_changed[key][metric]
-                # Bit-exact, not approx: same reduction order.
-                assert fa == sa and fb == sb
-        fast_added = {tuple(row[name] for name in spec.keys)
-                      for row in fast.added_rows(limit=None)}
-        fast_removed = {tuple(row[name] for name in spec.keys)
-                        for row in fast.removed_rows(limit=None)}
-        assert fast_added == slow["added"]
-        assert fast_removed == slow["removed"]
 
     def test_perturbed_pair(self, tmp_path):
         a = make_store(tmp_path / "a.store", fleet_batch(800, 17))
         b = make_store(tmp_path / "b.store",
                        fleet_batch(800, 17, latency_scale=1.001))
-        self.assert_matches_reference(a, b)
+        assert_matches_reference(a, b)
 
     def test_added_and_removed_groups(self, tmp_path):
         a = make_store(tmp_path / "a.store",
@@ -243,7 +253,136 @@ class TestAgainstReference:
         b = make_store(tmp_path / "b.store",
                        fleet_batch(500, 9, region_pool=("emea", "apac",
                                                         "mena")))
-        self.assert_matches_reference(a, b)
+        assert_matches_reference(a, b)
+
+
+    def test_mean_of_large_ints_matches_reference(self, tmp_path):
+        # Means accumulate float64 in row order, like the reference: an
+        # exact int64 sum divided by the count disagrees near 2**55.
+        spec = DiffSpec("fleet_events", ("region", "device_name"),
+                        (MetricSpec("cloud_bytes", "mean"),))
+        stores = []
+        for name, seed in (("a", 1), ("b", 2)):
+            batch = fleet_batch(400, seed)
+            batch["device_name"] = np.array(("pixel4", "S21"))[
+                np.arange(400) % 2]
+            batch["cloud_bytes"] = batch["cloud_bytes"] + 2 ** 55
+            stores.append(make_store(tmp_path / f"{name}.store", batch))
+        fast = assert_matches_reference(*stores, spec)
+        assert fast.matched == fast.num_changed == 6
+
+    def test_matched_groups_in_ascending_key_order(self, tmp_path):
+        batches = []
+        for pool in (("mena", "emea", "amer"), ("emea", "mena", "apac")):
+            batch = fleet_batch(9, 3)
+            batch["region"] = np.array(pool * 3, dtype="U16")
+            batches.append(batch)
+        kind = diff_stores(make_store(tmp_path / "a.store", batches[0]),
+                           make_store(tmp_path / "b.store", batches[1])
+                           ).kinds["fleet_events"]
+        assert kind.key_arrays["region"].tolist() == ["emea", "mena"]
+        assert [row["region"] for row in kind.changed_rows()] == \
+            ["emea", "mena"]
+        assert [row["region"] for row in kind.removed_rows()] == ["amer"]
+        assert [row["region"] for row in kind.added_rows()] == ["apac"]
+
+
+#: Generated diffs group by string, int and float key columns ...
+GEN_KEYS = ("device_name", "region", "user_id", "battery_fraction")
+#: ... and reduce every diff aggregation over an int and a float column.
+#: A count alone reads its spec's first key column.
+GEN_METRICS = (MetricSpec(None, "count"),) + tuple(
+    MetricSpec(column, agg) for column in ("latency_ms", "cloud_bytes")
+    for agg in ("sum", "mean", "min", "max"))
+GEN_WHERE = ((), (("region", "==", "emea"),), (("latency_ms", "<", 40.0),),
+             (("region", "in", ("amer", "apac")),
+              ("user_id", ">=", 1)))
+_OPS = {"==": np.equal, "<": np.less, ">=": np.greater_equal,
+        "in": np.isin}
+
+
+def generated_batch(n, seed, big_ints):
+    """``n`` fleet rows over a few values per key column (groups collide)."""
+    rng = np.random.default_rng(seed)
+    batch = fleet_batch(n, seed)
+    batch["device_name"] = np.array(("pixel4", "S21", "A20"),
+                                    dtype="U16")[rng.integers(0, 3, n)]
+    batch["user_id"] = rng.integers(0, 3, n)
+    batch["battery_fraction"] = np.array((0.25, 0.5, 1.0))[
+        rng.integers(0, 3, n)]
+    if big_ints:
+        batch["cloud_bytes"] = batch["cloud_bytes"] + 2 ** 55
+    return batch
+
+
+def write_layout(path, batch, layout):
+    """A store holding ``batch`` as columnar, JSONL or mixed segments."""
+    from repro.store.schema import kind_for
+
+    store = ResultStore(path)
+    n = batch["user_id"].size
+    if n == 0:
+        return store
+    split = {"columnar": n, "jsonl": 0, "mixed": n // 2}[layout]
+    names = [column.name for column in kind_for("fleet_events").columns]
+    with store.writer(rows_per_segment=8) as writer:
+        if split:
+            writer.append_batch("fleet_events", {
+                name: array[:split] for name, array in batch.items()})
+        for i in range(split, n):
+            writer.append_row("fleet_events",
+                              {name: batch[name][i].item() for name in names})
+    return store
+
+
+@st.composite
+def diff_cases(draw):
+    keys = tuple(draw(st.lists(st.sampled_from(GEN_KEYS), min_size=1,
+                               max_size=3, unique=True)))
+    metrics = tuple(draw(st.lists(st.sampled_from(GEN_METRICS), min_size=0,
+                                  max_size=4, unique=True)))
+    sides = []
+    for _ in range(2):
+        sides.append((draw(st.integers(min_value=0, max_value=30)),
+                      draw(st.integers(min_value=0, max_value=2 ** 16)),
+                      draw(st.sampled_from(("columnar", "jsonl", "mixed")))))
+    if draw(st.booleans()):  # same rows on both sides, any layouts
+        sides[1] = sides[0][:2] + sides[1][2:]
+    return (DiffSpec("fleet_events", keys, metrics), sides,
+            draw(st.booleans()), draw(st.sampled_from(GEN_WHERE)))
+
+
+@given(case=diff_cases())
+@example(case=(DiffSpec("fleet_events", ("region",),
+                        (MetricSpec(None, "count"),)),
+               [(0, 1, "columnar"), (12, 2, "jsonl")], False, ()))
+@example(case=(DiffSpec("fleet_events", ("user_id", "device_name"),
+                        (MetricSpec("cloud_bytes", "mean"),
+                         MetricSpec("cloud_bytes", "sum"))),
+               [(30, 5, "mixed"), (30, 5, "columnar")], True,
+               GEN_WHERE[3]))
+@settings(max_examples=40, deadline=None)
+def test_diff_kind_matches_reference_on_generated_specs(tmp_path_factory,
+                                                        case):
+    spec, sides, big_ints, where = case
+    base = tmp_path_factory.mktemp("gen")
+    stores, filtered = [], []
+    for label, (n, seed, layout) in zip("ab", sides):
+        batch = generated_batch(n, seed, big_ints)
+        stores.append(write_layout(base / f"{label}.store", batch, layout))
+        mask = np.ones(n, dtype=bool)
+        for column, op, value in where:
+            mask &= _OPS[op](batch[column], value)
+        filtered.append(write_layout(
+            base / f"{label}-where.store",
+            {name: array[mask] for name, array in batch.items()}, layout))
+    fast = assert_matches_reference(*stores, spec, where=where,
+                                    reference_pair=filtered)
+    assert fast.rows_a == filtered[0].num_rows("fleet_events")
+    assert fast.rows_b == filtered[1].num_rows("fleet_events")
+    matched = list(zip(*(fast.key_arrays[name].tolist()
+                         for name in spec.keys)))
+    assert matched == sorted(matched)
 
 
 class TestCli:
