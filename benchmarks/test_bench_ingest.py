@@ -8,10 +8,12 @@ throttled by the row path: array -> per-row dict -> per-row ``json.dumps``
 the arrays columnar end to end.  This module measures and enforces:
 
 * **store-layer speedup** — ingesting the same pre-simulated event stream
-  through ``append_batch`` must beat per-row ``append_row`` ingestion by
-  >= 10x, with the two stores' full column arrays **bit-identical**;
+  through ``append_batch`` must beat per-row JSONL ingestion
+  (:func:`ingest_rows_jsonl_reference`) by >= 10x, with the two stores'
+  full column arrays **bit-identical**.  ``append_row`` — which pivots
+  buffered rows and seals columnar too — is timed beside them, ungated;
 * **end-to-end speedup** — ``FleetSimulator.run_to_store`` (simulate +
-  batch-ingest) must beat the pre-PR simulate + row-ingest loop >= 5x;
+  batch-ingest) must beat the pre-PR simulate + per-row JSONL loop >= 5x;
 * **block speedup** — on a sparse Ambient population (~4 events per user,
   where the per-user fixed cost dominates), block ``run_to_store`` must
   beat simulating and appending user by user (``simulate_user`` + one
@@ -53,6 +55,7 @@ from repro.fleet.simulator import BLOCK_USERS
 from repro.fleet.reports import (battery_drain_ecdf, offload_summary,
                                  tail_latency_table)
 from repro.store import ResultStore, compact_store, kind_for
+from repro.store.segment import write_segment
 
 #: Where the machine-readable baseline lands (repo root, BENCH_* trajectory).
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_ingest.json"
@@ -108,8 +111,52 @@ def traces(fleet_spec):
     return FleetSimulator(fleet_spec, max_workers=2).collect()
 
 
+def ingest_rows_jsonl_reference(store, kind, rows) -> int:
+    """Per-row JSONL ingestion: the program the batch-path gates measure.
+
+    Each row is checked against the schema and copied into a per-event
+    dict; every ``ROWS_PER_SEGMENT`` rows (and once at the end) the dicts
+    seal through ``write_segment`` (JSONL row log + npz column cache) and
+    the segment is committed to the manifest.  This is the row path as
+    ``append_row`` ran it before row appends sealed columnar segments.
+    Returns the rows committed.
+    """
+    pending: list[dict] = []
+    committed = 0
+    sequence = store.sequence
+
+    def seal() -> None:
+        nonlocal committed, sequence
+        sequence += 1
+        meta = write_segment(store.segments_dir,
+                             f"{kind.name}-{sequence:06d}", kind, pending)
+        store._commit([meta], sequence)
+        committed += len(pending)
+        pending.clear()
+
+    for row in rows:
+        if not kind.column_name_set <= row.keys():
+            raise ValueError(f"row for kind {kind.name!r} is incomplete")
+        pending.append(dict(row))
+        if len(pending) >= ROWS_PER_SEGMENT:
+            seal()
+    if pending:
+        seal()
+    return committed
+
+
 def _ingest_rows(traces, store_path) -> tuple[ResultStore, float, int]:
-    """The pre-PR row path: per-event dicts through ``append_row``."""
+    """The pre-PR row path: per-event dicts sealed as JSONL segments."""
+    store = ResultStore(store_path)
+    kind = kind_for("fleet_events")
+    start = time.perf_counter()
+    rows = ingest_rows_jsonl_reference(
+        store, kind, (row for trace in traces for row in trace.rows()))
+    return store, time.perf_counter() - start, rows
+
+
+def _ingest_append_row(traces, store_path) -> tuple[ResultStore, float, int]:
+    """Today's row path: per-event dicts through ``append_row``."""
     store = ResultStore(store_path)
     kind = kind_for("fleet_events")
     start = time.perf_counter()
@@ -146,6 +193,20 @@ def row_store(traces, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def append_row_store(traces, tmp_path_factory):
+    """The same events through ``append_row`` (columnar seals; ungated)."""
+    path = tmp_path_factory.mktemp("bench_ingest") / "append_row.store"
+    store, seconds, rows = _ingest_append_row(traces, path)
+    RESULTS["append_row_ingest"] = {
+        "rows": rows,
+        "segments": len(store.segments),
+        "seconds": seconds,
+        "rows_per_second": rows / seconds,
+    }
+    return store
+
+
+@pytest.fixture(scope="module")
 def columnar_store(traces, tmp_path_factory):
     """Columnar store of the same events (the batch-path measurement)."""
     path = tmp_path_factory.mktemp("bench_ingest") / "columnar.store"
@@ -164,7 +225,8 @@ def _all_columns(store) -> dict[str, np.ndarray]:
     return store.query("fleet_events").arrays()
 
 
-def test_bench_columnar_vs_row_ingest(traces, row_store, columnar_store):
+def test_bench_columnar_vs_row_ingest(traces, row_store, columnar_store,
+                                      append_row_store):
     """Acceptance: batch ingestion >= 10x row ingestion, bit-identical."""
     total = sum(t.num_events for t in traces)
     assert total >= 100_000, "benchmark fleet too small to be meaningful"
@@ -174,13 +236,19 @@ def test_bench_columnar_vs_row_ingest(traces, row_store, columnar_store):
     assert columnar_store.verify_integrity() == len(columnar_store.segments)
     assert {m.format for m in row_store.segments} == {"jsonl"}
     assert {m.format for m in columnar_store.segments} == {"columnar"}
+    assert RESULTS["append_row_ingest"]["rows"] == total
+    assert {m.format for m in append_row_store.segments} == {"columnar"}
 
     rows_arrays = _all_columns(row_store)
     col_arrays = _all_columns(columnar_store)
+    append_row_arrays = _all_columns(append_row_store)
     for name, array in rows_arrays.items():
         assert np.array_equal(array, col_arrays[name]), \
             f"column {name} differs between formats"
         assert array.dtype == col_arrays[name].dtype
+        assert np.array_equal(array, append_row_arrays[name]), \
+            f"column {name} differs between row paths"
+        assert array.dtype == append_row_arrays[name].dtype
 
     speedup = RESULTS["row_ingest"]["seconds"] \
         / RESULTS["columnar_ingest"]["seconds"]
@@ -197,17 +265,16 @@ def test_bench_fleet_end_to_end(fleet_spec, traces, tmp_path_factory):
     base = tmp_path_factory.mktemp("bench_ingest_e2e")
     total = sum(t.num_events for t in traces)
 
-    # Pre-PR end-to-end: simulate and push per-event dicts through append_row.
+    # Pre-PR end-to-end: simulate and seal per-event dicts as JSONL.
     legacy_store = ResultStore(base / "legacy.store")
     kind = kind_for("fleet_events")
     start = time.perf_counter()
     simulator = FleetSimulator(fleet_spec, max_workers=2)
-    with legacy_store.writer(rows_per_segment=ROWS_PER_SEGMENT) as writer:
-        for trace in simulator.iter_traces():
-            for row in trace.rows():
-                writer.append_row(kind, row)
+    legacy_rows = ingest_rows_jsonl_reference(
+        legacy_store, kind,
+        (row for trace in simulator.iter_traces() for row in trace.rows()))
     legacy_seconds = time.perf_counter() - start
-    assert writer.rows_committed == total
+    assert legacy_rows == total
 
     start = time.perf_counter()
     rows = FleetSimulator(fleet_spec, max_workers=2).run_to_store(
@@ -341,15 +408,14 @@ def test_bench_mixed_store_identity(fleet_spec, traces, row_store,
     base = tmp_path_factory.mktemp("bench_ingest_mixed")
     kind = kind_for("fleet_events")
 
-    # Mixed store: alternate row-mode and batch-mode ingestion per user, so
+    # Mixed store: alternate per-row JSONL and batch ingestion per user, so
     # JSONL and columnar segments interleave within one kind.
     mixed = ResultStore(base / "mixed.store")
-    with mixed.writer(rows_per_segment=ROWS_PER_SEGMENT) as writer:
-        for trace in traces:
-            if trace.user.user_id % 2:
-                for row in trace.rows():
-                    writer.append_row(kind, row)
-            else:
+    for trace in traces:
+        if trace.user.user_id % 2:
+            ingest_rows_jsonl_reference(mixed, kind, trace.rows())
+        else:
+            with mixed.writer(rows_per_segment=ROWS_PER_SEGMENT) as writer:
                 writer.append_batch(kind, trace.column_batch())
     formats = {m.format for m in mixed.segments}
     assert formats == {"jsonl", "columnar"}, "store is not actually mixed"

@@ -34,11 +34,18 @@ from repro.store.store import ResultStore
 __all__ = ["ServeApp", "ServerThread"]
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 413: "Payload Too Large",
-            414: "URI Too Long", 431: "Request Header Fields Too Large",
+            405: "Method Not Allowed", 408: "Request Timeout",
+            413: "Payload Too Large", 414: "URI Too Long",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error"}
 #: Hard cap on request bodies; /v1/query specs are tiny.
 _MAX_BODY = 1 << 20
+#: Seconds a connection may wait for the first byte of its next request;
+#: an idle (keep-alive or silent) connection past it is closed quietly.
+IDLE_TIMEOUT_S = 30.0
+#: Seconds from a request's first byte until its request line, headers
+#: and body are in; a slower request is answered 408 and closed.
+REQUEST_TIMEOUT_S = 10.0
 
 
 class _BadRequest(Exception):
@@ -187,18 +194,35 @@ class ServeApp:
     async def _read_request(cls, reader: asyncio.StreamReader):
         """``(method, target, version, headers, body)``, or ``None`` at EOF.
 
-        Malformed input raises :class:`_BadRequest` with the status to
-        answer: 400 for a bad request line or ``Content-Length``, 413 for
-        an oversized body, 414/431 for a request or header line longer
-        than the stream reader's limit (which ``readline`` reports as
+        ``None`` too when no byte of a request arrives within
+        :data:`IDLE_TIMEOUT_S`.  Malformed input raises :class:`_BadRequest`
+        with the status to answer: 400 for a bad request line or
+        ``Content-Length``, 408 for a request still incomplete
+        :data:`REQUEST_TIMEOUT_S` after its first byte, 413 for an
+        oversized body, 414/431 for a request or header line longer than
+        the stream reader's limit (which ``readline`` reports as
         :class:`ValueError`).
         """
         try:
-            request_line = await reader.readline()
+            async with asyncio.timeout(IDLE_TIMEOUT_S):
+                first = await reader.read(1)
+        except TimeoutError:
+            return None
+        if not first:
+            return None
+        try:
+            async with asyncio.timeout(REQUEST_TIMEOUT_S):
+                return await cls._read_rest(reader, first)
+        except TimeoutError:
+            raise _BadRequest(408, "request not received in time")
+
+    @classmethod
+    async def _read_rest(cls, reader: asyncio.StreamReader, first: bytes):
+        """The request after its first byte (see :meth:`_read_request`)."""
+        try:
+            request_line = first + await reader.readline()
         except ValueError:
             raise _BadRequest(414, "request line too long")
-        if not request_line:
-            return None
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3:
             raise _BadRequest(400, "malformed request line")

@@ -5,15 +5,16 @@ backends x batch/thread configs — and a campaign's results need to outlive
 the process that measured them.  This package is that durability layer:
 
 * :class:`~repro.store.store.ResultStore` — an append-only, sharded,
-  column-oriented store (JSONL row logs + NumPy column caches, checksummed,
-  crash-safe via atomic segment rotation);
+  column-oriented store (packed columnar segments, checksummed, crash-safe
+  via atomic segment rotation; legacy JSONL row logs still read);
 * :class:`~repro.store.writer.StoreWriter` — the streaming ingestion sink
   that :class:`~repro.runtime.sweep.SweepRunner` and
   :class:`~repro.core.benchmarker.DeviceBenchmarker` feed; its
   :meth:`~repro.store.writer.StoreWriter.append_batch` is the batch-native
-  fast path the fleet/cloud simulators stream column arrays through,
-  sealing packed binary columnar segments (format version 3) next to the
-  row-oriented JSONL ones — mixed stores query bit-identically;
+  fast path the fleet/cloud simulators stream column arrays through, and
+  row appends seal the same packed binary columnar segments (format
+  version 3) — stores mixing them with legacy JSONL segments query
+  bit-identically;
 * :class:`~repro.store.query.Query` — vectorised filters/aggregations with
   per-segment predicate pushdown;
 * :class:`~repro.store.serving.ReportServer` — incremental, store-backed

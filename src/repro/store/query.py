@@ -684,20 +684,15 @@ class Query:
         reducer = kernels.GroupedReducer(key_inverse, len(group_keys))
         label_indices = kernels.decompose_keys(group_keys,
                                                [len(u) for u in uniques])
-        reduced = {out: reducer.reduce(column, arrays[column], fn)
-                   for out, (column, fn) in self._aggregations.items()}
-        results: list[dict] = []
-        for gi in range(len(group_keys)):
-            row: dict[str, Any] = {}
-            for name, u, indices in zip(self._group_by, uniques,
-                                        label_indices):
-                value = u[indices[gi]]
-                row[name] = str(value) if u.dtype.kind == "U" \
-                    else value.item()
-            for out in self._aggregations:
-                row[out] = reduced[out][gi]
-            results.append(row)
-        return results
+        # Column-wise: one tolist() per group key (native str/int/float/
+        # bool scalars), the reducers' lists as they are, one zip into
+        # dicts — no per-group NumPy indexing.
+        names = [*self._group_by, *self._aggregations]
+        columns = [u[indices].tolist()
+                   for u, indices in zip(uniques, label_indices)]
+        columns += [reducer.reduce(column, arrays[column], fn)
+                    for column, fn in self._aggregations.values()]
+        return [dict(zip(names, values)) for values in zip(*columns)]
 
     def _aggregate_reference(self, arrays: dict, group_keys: np.ndarray,
                              key_inverse: np.ndarray,

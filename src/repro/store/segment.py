@@ -4,18 +4,21 @@ A segment is the unit of durability and of query pruning.  Two on-disk
 formats coexist, chosen per segment at seal time and recorded in the
 manifest entry:
 
-* a **JSONL segment** (format ``"jsonl"``) keeps the row log
-  (``<name>.jsonl``, one JSON object per line) as the checksummed source of
-  truth plus a derived, rebuildable NumPy column cache (``<name>.npz``)
-  for vectorised scans — the row-oriented format every store before format
-  version 3 wrote;
 * a **columnar segment** (format ``"columnar"``, ``<name>.colseg``) makes
   the packed per-column payload of :mod:`repro.store.columnar` the
   checksummed durable artifact itself: one contiguous little-endian buffer
   per schema column behind a JSON header, sealed in a single
-  ``tobytes``-and-write and opened as zero-copy ``frombuffer`` views.  This
-  is the batch-native fast path ``StoreWriter.append_batch`` seals — no
-  per-row JSON encode on ingest, no pivot on read.
+  ``tobytes``-and-write and opened as zero-copy ``frombuffer`` views.  It
+  is the one format :class:`~repro.store.writer.StoreWriter` seals, for
+  row and batch appends alike — no per-row JSON encode on ingest, no
+  pivot on read;
+* a **JSONL segment** (format ``"jsonl"``) keeps the row log
+  (``<name>.jsonl``, one JSON object per line) as the checksummed source of
+  truth plus a derived, rebuildable NumPy column cache (``<name>.npz``)
+  for vectorised scans — the row-oriented format every store before format
+  version 3 wrote.  It is export/legacy only: :func:`write_segment` serves
+  ``store export --format jsonl`` and ``compact_store(output_format=
+  "jsonl")``, and the read path keeps decoding v2 stores.
 
 Both formats seal through the same tmp-file + fsync + atomic-rename
 protocol, carry the same manifest stats (per-column min/max for numeric

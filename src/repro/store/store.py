@@ -5,11 +5,11 @@ Layout on disk::
     campaign.store/
       MANIFEST.json          # the only mutable file; updated atomically
       segments/
-        executions-000001.jsonl    # immutable row log (source of truth)
-        executions-000001.npz      # derived column cache (rebuildable)
-        fleet_events-000002.colseg # packed columnar segment (format v3;
-        ...                        # the payload itself is the checksummed
-                                   # durable artifact)
+        executions-000001.colseg   # packed columnar segment (format v3;
+        fleet_events-000002.colseg # the payload itself is the checksummed
+        ...                        # durable artifact) — what writers seal
+        executions-000007.jsonl    # legacy/export only: immutable row log
+        executions-000007.npz      # and its derived column cache
 
 The manifest is the commit point: a segment exists for readers if and only if
 it is listed there.  Both segment seals and manifest updates are atomic
@@ -331,7 +331,7 @@ class ResultStore:
         return cached
 
     def rows_for(self, meta: SegmentMeta) -> list[dict]:
-        """Rows of one committed segment, from its JSONL log."""
+        """Rows of one committed segment, whichever format it was sealed in."""
         return segment_io.load_rows(self.segments_dir, meta, verify=self.verify)
 
     def iter_rows(self, kind: str) -> Iterator[dict]:
@@ -436,7 +436,7 @@ class StoreSnapshot:
         return self._store.columns_for(meta)
 
     def rows_for(self, meta: SegmentMeta) -> list[dict]:
-        """Rows of one pinned segment, from its JSONL log."""
+        """Rows of one pinned segment, whichever format it was sealed in."""
         return self._store.rows_for(meta)
 
     # Pure segment-list reads are identical to the store's; share the

@@ -8,28 +8,35 @@ segment whenever a buffer reaches ``rows_per_segment`` (and at
 :meth:`flush`/:meth:`close`).  Sealing follows the commit protocol of
 :mod:`repro.store.segment`:
 
-1. write the segment's durable artifact atomically and checksum it — the
-   JSONL row log for row-buffered kinds, the packed columnar payload for
-   batch-buffered ones;
-2. for JSONL segments, write the derived npz column cache (recoverable if
-   this is lost; columnar segments have no derived state);
-3. atomically rewrite ``MANIFEST.json`` to reference the new segment.
+1. pivot any buffered row dicts into one column chunk
+   (:func:`~repro.store.segment.build_columns`) and concatenate the kind's
+   buffered chunks;
+2. write each ``rows_per_segment`` slice as a packed columnar segment
+   (:func:`~repro.store.segment.write_columnar_segment`), atomically and
+   checksummed — the one on-disk format every write seals, with no
+   derived state beside it;
+3. atomically rewrite ``MANIFEST.json`` to reference the new segments.
 
 Only step 3 makes rows visible, so a crash at any point loses at most the
 rows buffered since the last seal — never previously committed data, and
 never a torn segment.  Row and batch appends may be mixed freely, even for
-the same kind: switching mode seals whatever the other mode had buffered
-first, so ingestion order is preserved exactly.
+the same kind: buffered rows become one column chunk, in append order,
+before the next batch is buffered behind them, so ingestion order is
+preserved exactly and both modes share one seal path.  (JSONL segments are
+written only by ``store export --format jsonl`` and
+``compact_store(output_format="jsonl")``.)
 
 The row path validates each row against a precomputed frozen column-name
-set (one subset test per row); the batch path validates once per batch,
-vectorised over the arrays — no per-row dicts, no per-row ``json.dumps``,
-stats straight off the column arrays.  That difference is the
-``benchmarks/test_bench_ingest.py`` gate: batch ingestion is required to
-beat row ingestion by >= 10x.  Buffering is O(1) per append: a running
-row count per kind decides when to seal, so a stream of many small
-batches costs no more bookkeeping per batch than one large batch (the
-buffered chunks are concatenated once, at the seal).
+set (one set comparison per row: missing and unknown columns are both
+rejected, as on the batch path) and pivots its buffered dicts once per
+seal; the batch path validates once per batch, vectorised over the arrays
+— no per-row dicts at all, stats straight off the column arrays.
+``benchmarks/test_bench_ingest.py`` gates batch ingestion at >= 10x
+per-row JSONL ingestion and records ``append_row``'s rate beside it.
+Buffering is O(1) per append: a running row count per kind decides when
+to seal, so a stream of many small batches costs no more bookkeeping per
+batch than one large batch (the buffered chunks are concatenated once, at
+the seal).
 
 The writer is the sweep's ``on_result`` sink: pass ``writer.append``
 directly as the callback, or use
@@ -48,8 +55,8 @@ import numpy as np
 from repro import obs
 from repro.store.columnar import coerce_batch
 from repro.store.schema import RowKind, kind_for, kind_of_object
-from repro.store.segment import (SegmentMeta, write_columnar_segment,
-                                 write_segment)
+from repro.store.segment import (SegmentMeta, build_columns,
+                                 write_columnar_segment)
 from repro.store.store import ResultStore
 
 __all__ = ["StoreWriter", "ingest_snapshot"]
@@ -66,11 +73,14 @@ class StoreWriter:
         self.rows_per_segment = rows_per_segment
         #: zlib-compress columnar segment sections when that wins.
         self.compress = compress
-        self._pending: dict[str, list[dict]] = {}
-        #: kind -> buffered column chunks (each a schema-coerced batch).
+        #: kind -> row dicts appended since the kind's last chunk boundary.
+        self._pending_rows: dict[str, list[dict]] = {}
+        #: kind -> buffered column chunks (schema-coerced batches and
+        #: pivoted row runs, in append order).
         self._pending_batches: dict[str, list[dict[str, np.ndarray]]] = {}
         #: kind -> rows in ``_pending_batches`` (a running count, so an
-        #: append costs O(1) however many chunks are buffered).
+        #: append costs O(1) however many chunks are buffered).  Rows still
+        #: in ``_pending_rows`` are not included.
         self._batch_rows: dict[str, int] = {}
         self._sequence = store.sequence
         self._closed = False
@@ -88,23 +98,30 @@ class StoreWriter:
         self.append_row(kind, kind.to_row(obj))
 
     def append_row(self, kind: Union[str, RowKind], row: Mapping) -> None:
-        """Append one already-flattened row of an explicit kind."""
+        """Append one already-flattened row of an explicit kind.
+
+        The row must name exactly the kind's columns: a missing column or
+        an unknown (e.g. misspelt) one raises :class:`ValueError`, as
+        :func:`~repro.store.columnar.coerce_batch` does for batches.
+        """
         if self._closed:
             raise RuntimeError("writer is closed")
         if isinstance(kind, str):
             kind = kind_for(kind)
-        if not kind.column_name_set <= row.keys():
+        if row.keys() != kind.column_name_set:
             missing = [c.name for c in kind.columns if c.name not in row]
+            if missing:
+                raise ValueError(
+                    f"row for kind {kind.name!r} is missing columns "
+                    f"{missing}")
+            extra = sorted(set(row) - kind.column_name_set)
             raise ValueError(
-                f"row for kind {kind.name!r} is missing columns {missing}")
-        if self._pending_batches.get(kind.name):
-            # Mode switch: seal the buffered column chunks first so the
-            # committed row order matches the append order exactly.
-            self.flush(kind.name)
-        pending = self._pending.setdefault(kind.name, [])
+                f"row for kind {kind.name!r} has unknown columns {extra}")
+        pending = self._pending_rows.setdefault(kind.name, [])
         pending.append(dict(row))
-        if len(pending) >= self.rows_per_segment:
-            self.flush(kind.name)
+        if len(pending) + self._batch_rows.get(kind.name, 0) \
+                >= self.rows_per_segment:
+            self._flush(kind.name, seal_partial_batches=False)
 
     def append_batch(self, kind: Union[str, RowKind],
                      columns: Mapping[str, Any]) -> int:
@@ -133,8 +150,7 @@ class StoreWriter:
         rows = next(iter(batch.values())).size if batch else 0
         if not rows:
             return 0
-        if self._pending.get(kind.name):
-            self.flush(kind.name)  # mode switch: seal buffered rows first
+        self._chunk_rows(kind)  # rows appended earlier stay ahead of it
         self._pending_batches.setdefault(kind.name, []).append(batch)
         pending = self._batch_rows.get(kind.name, 0) + rows
         self._batch_rows[kind.name] = pending
@@ -146,13 +162,14 @@ class StoreWriter:
         return rows
 
     def batch_rows_pending(self, kind: Union[str, RowKind]) -> int:
-        """Batch-appended rows of one kind buffered but not yet sealed.
+        """Rows of one kind buffered but not yet sealed (either append mode).
 
         Always below ``rows_per_segment``: the next append seals once the
         running total reaches it.
         """
         name = kind if isinstance(kind, str) else kind.name
-        return self._batch_rows.get(name, 0)
+        return len(self._pending_rows.get(name, ())) \
+            + self._batch_rows.get(name, 0)
 
     def append_many(self, objects: Iterable[Any]) -> int:
         """Append a stream of pipeline objects; returns how many."""
@@ -165,12 +182,28 @@ class StoreWriter:
     @property
     def rows_pending(self) -> int:
         """Rows buffered but not yet committed (row and batch buffers)."""
-        return sum(len(rows) for rows in self._pending.values()) \
+        return sum(len(rows) for rows in self._pending_rows.values()) \
             + sum(self._batch_rows.values())
 
     # ------------------------------------------------------------------ #
     # Sealing
     # ------------------------------------------------------------------ #
+    def _chunk_rows(self, kind: RowKind) -> None:
+        """Pivot a kind's buffered row dicts into one buffered column chunk.
+
+        The chunk queues behind the kind's earlier chunks, so append order
+        is kept.  Each string column is as wide as its longest buffered
+        value — what the rows pivot to through ``np.array``.
+        """
+        rows = self._pending_rows.get(kind.name)
+        if not rows:
+            return
+        self._pending_batches.setdefault(kind.name, []).append(
+            build_columns(kind, rows))
+        self._batch_rows[kind.name] = \
+            self._batch_rows.get(kind.name, 0) + len(rows)
+        self._pending_rows[kind.name] = []
+
     def _concatenated(self, kind: RowKind,
                       chunks: list[dict[str, np.ndarray]]
                       ) -> dict[str, np.ndarray]:
@@ -185,14 +218,15 @@ class StoreWriter:
 
     def _seal_batches(self, kind: RowKind, *,
                       seal_partial: bool) -> list[SegmentMeta]:
-        """Seal a kind's buffered column chunks in rows_per_segment slices.
+        """Seal a kind's buffered rows and chunks in rows_per_segment slices.
 
-        Segment sizing matches the row path: every mid-stream segment holds
-        exactly ``rows_per_segment`` rows (so per-segment pruning stats stay
-        sharp and crash-loss granularity honours the knob); only a final
-        seal (``seal_partial``) writes the sub-size tail, and a remainder
-        left behind stays buffered as one pre-concatenated chunk.
+        Every mid-stream segment holds exactly ``rows_per_segment`` rows (so
+        per-segment pruning stats stay sharp and crash-loss granularity
+        honours the knob); only a final seal (``seal_partial``) writes the
+        sub-size tail, and a remainder left behind stays buffered as one
+        pre-concatenated chunk.
         """
+        self._chunk_rows(kind)
         chunks = self._pending_batches.get(kind.name)
         if not chunks:
             return []
@@ -226,17 +260,9 @@ class StoreWriter:
                 if collector is not None and self.rows_pending else obs.NO_SPAN)
         with span:
             kinds = [kind] if kind is not None else \
-                list({**self._pending, **self._pending_batches})
+                list({**self._pending_rows, **self._pending_batches})
             sealed: list[SegmentMeta] = []
             for name in kinds:
-                rows = self._pending.get(name)
-                if rows:
-                    self._sequence += 1
-                    sealed.append(write_segment(
-                        self.store.segments_dir,
-                        f"{name}-{self._sequence:06d}",
-                        kind_for(name), rows))
-                    self._pending[name] = []
                 sealed.extend(self._seal_batches(
                     kind_for(name), seal_partial=seal_partial_batches))
             if sealed:

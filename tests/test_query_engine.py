@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from legacy_segments import append_jsonl, jsonl_store
 
 from repro.campaign import synthetic_fleet_batch
 from repro.store import ResultStore
@@ -40,16 +41,17 @@ def mixed_store(root, seed: int = 0) -> ResultStore:
     with store.writer(rows_per_segment=64) as writer:
         writer.append_batch("fleet_events",
                             synthetic_fleet_batch(0, 150, seed=seed))
-        writer.flush()
-        # JSONL (row-path) segments of the *same distribution*.
-        batch = synthetic_fleet_batch(1, 90, seed=seed)
-        for row in _rows_of(kind, batch):
-            writer.append_row("fleet_events", row)
-        writer.flush()
+    # Legacy JSONL segments of the *same distribution*.
+    append_jsonl(store, "fleet_events",
+                 _rows_of(kind, synthetic_fleet_batch(1, 90, seed=seed)),
+                 rows_per_segment=64)
+    with store.writer(rows_per_segment=64) as writer:
         # A single-row columnar segment.
         writer.append_batch("fleet_events",
                             synthetic_fleet_batch(2, 1, seed=seed))
     store.refresh()
+    assert [m.format for m in store.segments_for("fleet_events")] == \
+        ["columnar"] * 3 + ["jsonl"] * 2 + ["columnar"]
     return store
 
 
@@ -225,12 +227,11 @@ class TestCodedPredicates:
             for index in range(3):
                 writer.append_batch("fleet_events",
                                     synthetic_fleet_batch(index, 80))
-        jsonl = ResultStore(tmp_path / "jsonl")
-        with jsonl.writer(rows_per_segment=64) as writer:
-            for index in range(3):
-                for row in _rows_of(kind,
-                                    synthetic_fleet_batch(index, 80)):
-                    writer.append_row("fleet_events", row)
+        jsonl = jsonl_store(
+            tmp_path / "jsonl", "fleet_events",
+            [row for index in range(3)
+             for row in _rows_of(kind, synthetic_fleet_batch(index, 80))],
+            rows_per_segment=64)
         columnar.refresh()
         jsonl.refresh()
         assert all(m.is_columnar

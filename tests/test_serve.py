@@ -194,9 +194,13 @@ class TestConcurrentWriterReader:
     def test_crash_mid_seal_leaves_served_generation_intact(self, fleet_store):
         snapshot = fleet_store.open_snapshot()
         served = dumps(report_payload(snapshot, "tail_latency"))
-        # A writer dying mid-seal leaves partial segment/cache tmp files and
-        # sealed-but-uncommitted segment files; none are manifest-referenced.
+        # A writer dying mid-seal leaves a partial segment tmp file and
+        # sealed-but-uncommitted segment files (a valid .colseg, and a torn
+        # legacy .jsonl row log); none are manifest-referenced.
         seg_dir = fleet_store.segments_dir
+        sealed = seg_dir / fleet_store.segments[-1].data_filename
+        (seg_dir / "fleet_events-099997.colseg").write_bytes(
+            sealed.read_bytes())
         (seg_dir / "fleet_events-099999.jsonl").write_text('{"torn": ')
         (seg_dir / "fleet_events-099998.colseg.tmp").write_bytes(b"\x00\x01")
         (fleet_store.root / "MANIFEST.json.tmp").write_text('{"format_')
@@ -465,6 +469,36 @@ class TestServeHTTP:
         # The server survived: the next connection is served normally.
         status_ok, health = self.get(server.url + "/v1/health")
         assert status_ok == 200 and health["rows"] == 1200
+
+    def test_read_deadlines_close_idle_and_answer_slow(self, fleet_store,
+                                                       monkeypatch):
+        """A silent client is dropped quietly; a half-sent header block gets
+        408 + close; neither holds the server up for the next client."""
+        from repro.serve import app as app_module
+
+        monkeypatch.setattr(app_module, "IDLE_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(app_module, "REQUEST_TIMEOUT_S", 0.2)
+        app = ServeApp(fleet_store.root, port=0, refresh_s=0.05)
+        with ServerThread(app) as server:
+            host, port = server.url.removeprefix("http://").split(":")
+            with socket.create_connection((host, int(port)),
+                                          timeout=10) as silent:
+                started = time.perf_counter()
+                assert silent.recv(65536) == b""  # closed, no response
+                assert time.perf_counter() - started < 5.0
+            with socket.create_connection((host, int(port)),
+                                          timeout=10) as slow:
+                slow.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n")
+                response = b""
+                while chunk := slow.recv(65536):
+                    response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0].startswith("HTTP/1.1 408 ")
+            assert "Connection: close" in lines
+            assert "error" in json.loads(body)
+            status, health = self.get(server.url + "/v1/health")
+            assert status == 200 and health["rows"] == 1200
 
     def test_serves_fresh_generation_during_live_ingest(self, tmp_path):
         root = tmp_path / "live.store"

@@ -43,6 +43,21 @@ def populated(tmp_path, results):
     return store
 
 
+@pytest.fixture()
+def legacy(populated):
+    """``populated`` rewritten as legacy JSONL segments, same boundaries.
+
+    Appends seal columnar segments; JSONL (row log + npz cache) is written
+    only by exports and ``compact_store(output_format="jsonl")``, and is
+    still read as the v2 legacy format.
+    """
+    from repro.store import compact_store
+
+    compact_store(populated, rows_per_segment=3, output_format="jsonl")
+    assert {meta.format for meta in populated.segments} == {"jsonl"}
+    return populated
+
+
 class TestSchemaRoundTrip:
     def test_execution_result_exact(self, results):
         for result in results:
@@ -97,16 +112,40 @@ class TestWriterAndReopen:
         segments = populated.segments_for("executions")
         assert len(segments) == -(-len(results) // 3)
         assert sum(meta.rows for meta in segments) == len(results)
-        # Sealed logs and caches both exist on disk.
+        # Row appends seal packed columnar segments: one durable file
+        # each, no JSONL row log and no npz cache anywhere.
         for meta in segments:
-            assert (populated.segments_dir / meta.log_filename).exists()
-            assert (populated.segments_dir / meta.cache_filename).exists()
+            assert meta.format == "columnar"
+            assert (populated.segments_dir / meta.data_filename).exists()
+        assert not [path for path in populated.segments_dir.iterdir()
+                    if path.suffix in (".jsonl", ".npz")]
+
+    def test_legacy_jsonl_segments_keep_log_and_cache(self, legacy):
+        for meta in legacy.segments_for("executions"):
+            assert (legacy.segments_dir / meta.log_filename).exists()
+            assert (legacy.segments_dir / meta.cache_filename).exists()
 
     def test_writer_validates_rows(self, tmp_path):
         store = ResultStore(tmp_path / "s")
         with store.writer() as writer:
             with pytest.raises(ValueError):
                 writer.append_row("executions", {"model_name": "m"})
+
+    def test_writer_rejects_unknown_row_columns(self, tmp_path, results):
+        """A misspelt column must raise, not vanish from every query."""
+        store = ResultStore(tmp_path / "s")
+        row = execution_result_to_row(results[0])
+        with store.writer() as writer:
+            with pytest.raises(ValueError,
+                               match=r"unknown columns \['latency_MS'\]"):
+                writer.append_row("executions", dict(row, latency_MS=1.0))
+            with pytest.raises(ValueError, match="missing columns"):
+                writer.append_row("executions", {
+                    ("latency_MS" if name == "latency_ms" else name): value
+                    for name, value in row.items()})
+            assert writer.rows_pending == 0
+            writer.append_row("executions", row)
+        assert store.query("executions").objects() == results[:1]
 
     def test_closed_writer_refuses_appends(self, tmp_path, results):
         store = ResultStore(tmp_path / "s")
@@ -145,27 +184,47 @@ class TestWriterAndReopen:
 class TestDurability:
     """Ingest -> kill mid-segment (simulated) -> reopen -> committed rows only."""
 
-    def test_uncommitted_segment_is_invisible(self, populated, results):
-        committed = populated.query("executions").objects()
+    def test_uncommitted_segment_is_invisible(self, legacy, results):
+        committed = legacy.query("executions").objects()
         # Simulate a crash after a row log was sealed but before the manifest
         # commit: a well-formed segment file that no manifest entry references.
-        orphan = populated.segments_dir / "executions-000099.jsonl"
+        orphan = legacy.segments_dir / "executions-000099.jsonl"
         orphan.write_text(json.dumps(
             execution_result_to_row(results[0])) + "\n")
-        reopened = ResultStore(populated.root)
+        reopened = ResultStore(legacy.root)
         assert reopened.query("executions").objects() == committed
 
-    def test_torn_tmp_files_are_invisible(self, populated, results):
-        committed = populated.query("executions").objects()
+    def test_torn_tmp_files_are_invisible(self, legacy, results):
+        committed = legacy.query("executions").objects()
         # Simulate a crash mid-write: partial tmp files for a segment, its
         # cache and the manifest, including a truncated (torn) JSON line.
         half_row = json.dumps(execution_result_to_row(results[0]))[:37]
-        (populated.segments_dir / "executions-000100.jsonl.tmp").write_text(
+        (legacy.segments_dir / "executions-000100.jsonl.tmp").write_text(
             json.dumps(execution_result_to_row(results[1])) + "\n" + half_row)
-        (populated.segments_dir / "executions-000100.npz.tmp").write_bytes(b"\x00")
+        (legacy.segments_dir / "executions-000100.npz.tmp").write_bytes(b"\x00")
+        (legacy.root / "MANIFEST.json.tmp").write_text("{\"format_")
+        reopened = ResultStore(legacy.root)
+        assert reopened.query("executions").objects() == committed
+
+    def test_torn_colseg_tmp_of_row_appends_is_invisible(self, populated,
+                                                         results):
+        """Row appends seal .colseg: a crash mid-seal leaves a torn .tmp."""
+        from repro.store.columnar import pack_columns
+        from repro.store.segment import build_columns
+
+        committed = populated.query("executions").objects()
+        assert committed == results
+        kind = kind_for("executions")
+        payload = pack_columns(kind, build_columns(
+            kind, [execution_result_to_row(r) for r in results[:2]]))
+        (populated.segments_dir / "executions-000100.colseg.tmp"
+         ).write_bytes(payload[:len(payload) // 2])
+        (populated.segments_dir / "executions-000099.colseg"
+         ).write_bytes(payload)  # sealed, never committed
         (populated.root / "MANIFEST.json.tmp").write_text("{\"format_")
         reopened = ResultStore(populated.root)
         assert reopened.query("executions").objects() == committed
+        assert reopened.verify_integrity() == len(reopened.segments)
 
     def test_reopen_after_partial_flush(self, tmp_path, results):
         # Writer dies before flushing its tail: the committed prefix is exactly
@@ -180,33 +239,49 @@ class TestDurability:
         assert reopened.num_rows("executions") == committed
         assert reopened.query("executions").objects() == results[:committed]
 
-    def test_corrupted_segment_detected(self, populated):
-        meta = populated.segments_for("executions")[0]
-        path = populated.segments_dir / meta.log_filename
+    def test_corrupted_segment_detected(self, legacy):
+        meta = legacy.segments_for("executions")[0]
+        path = legacy.segments_dir / meta.log_filename
         path.write_text(path.read_text().replace("latency_ms", "latency_MS"))
+        with pytest.raises(StoreCorruptionError):
+            ResultStore(legacy.root).verify_integrity()
+        with pytest.raises(StoreCorruptionError):
+            ResultStore(legacy.root, verify=True).query(
+                "executions").objects()
+
+    def test_corrupted_row_appended_segment_detected(self, populated):
+        """The columnar twin: a renamed column in a row-appended .colseg."""
+        meta = populated.segments_for("executions")[0]
+        path = populated.segments_dir / meta.data_filename
+        payload = path.read_bytes()
+        assert b"latency_ms" in payload
+        path.write_bytes(payload.replace(b"latency_ms", b"latency_MS"))
         with pytest.raises(StoreCorruptionError):
             ResultStore(populated.root).verify_integrity()
         with pytest.raises(StoreCorruptionError):
             ResultStore(populated.root, verify=True).query(
                 "executions").objects()
+        # The header no longer covers the schema: caught without verify too.
+        with pytest.raises(StoreCorruptionError):
+            ResultStore(populated.root).query("executions").objects()
 
-    def test_missing_column_cache_rebuilt(self, populated, results):
-        for meta in populated.segments_for("executions"):
-            (populated.segments_dir / meta.cache_filename).unlink()
-        reopened = ResultStore(populated.root)
+    def test_missing_column_cache_rebuilt(self, legacy, results):
+        for meta in legacy.segments_for("executions"):
+            (legacy.segments_dir / meta.cache_filename).unlink()
+        reopened = ResultStore(legacy.root)
         assert reopened.query("executions").objects() == results
         # The rebuild also rewrote the caches.
         for meta in reopened.segments_for("executions"):
             assert (reopened.segments_dir / meta.cache_filename).exists()
 
-    def test_stale_column_cache_ignored(self, populated, results):
+    def test_stale_column_cache_ignored(self, legacy, results):
         # A cache from a different generation (checksum mismatch) is rebuilt
         # from the row log instead of being trusted.
-        segments = populated.segments_for("executions")
-        first = populated.segments_dir / segments[0].cache_filename
-        second = populated.segments_dir / segments[1].cache_filename
+        segments = legacy.segments_for("executions")
+        first = legacy.segments_dir / segments[0].cache_filename
+        second = legacy.segments_dir / segments[1].cache_filename
         first.write_bytes(second.read_bytes())
-        reopened = ResultStore(populated.root)
+        reopened = ResultStore(legacy.root)
         assert reopened.query("executions").objects() == results
 
 
@@ -576,9 +651,9 @@ class TestCompaction:
 
 
 class TestMmapColumns:
-    def test_queries_identical_to_in_memory(self, populated, results):
-        mapped = ResultStore(populated.root, mmap=True)
-        plain = ResultStore(populated.root)
+    def test_queries_identical_to_in_memory(self, legacy, results):
+        mapped = ResultStore(legacy.root, mmap=True)
+        plain = ResultStore(legacy.root)
         for meta in plain.segments:
             for name, array in plain.columns_for(meta).items():
                 mirrored = mapped.columns_for(meta)[name]
@@ -595,10 +670,10 @@ class TestMmapColumns:
                              .aggregate())
         assert agg(mapped) == agg(plain)
 
-    def test_sidecar_rebuilt_when_stale_or_missing(self, populated):
+    def test_sidecar_rebuilt_when_stale_or_missing(self, legacy):
         from repro.store.segment import mmap_sidecar_dir
 
-        mapped = ResultStore(populated.root, mmap=True)
+        mapped = ResultStore(legacy.root, mmap=True)
         meta = mapped.segments[0]
         before = {name: np.asarray(a).copy()
                   for name, a in mapped.columns_for(meta).items()}
@@ -607,7 +682,7 @@ class TestMmapColumns:
 
         # Corrupt the marker: the sidecar must be rebuilt, not trusted.
         (sidecar / "LOG_SHA256").write_text("bogus\n")
-        rebuilt = ResultStore(populated.root, mmap=True).columns_for(meta)
+        rebuilt = ResultStore(legacy.root, mmap=True).columns_for(meta)
         for name, array in before.items():
             assert np.array_equal(np.asarray(rebuilt[name]), array)
         assert (sidecar / "LOG_SHA256").read_text().strip() == meta.sha256
@@ -615,13 +690,13 @@ class TestMmapColumns:
         # Remove the sidecar entirely: same outcome.
         import shutil
         shutil.rmtree(sidecar)
-        again = ResultStore(populated.root, mmap=True).columns_for(meta)
+        again = ResultStore(legacy.root, mmap=True).columns_for(meta)
         for name, array in before.items():
             assert np.array_equal(np.asarray(again[name]), array)
 
-    def test_verify_checksums_log_even_with_valid_sidecar(self, populated):
+    def test_verify_checksums_log_even_with_valid_sidecar(self, legacy):
         """verify=True must not be bypassed by a trusted mmap sidecar."""
-        mapped = ResultStore(populated.root, mmap=True)
+        mapped = ResultStore(legacy.root, mmap=True)
         meta = mapped.segments[0]
         mapped.columns_for(meta)  # materialise the sidecar
 
@@ -630,24 +705,24 @@ class TestMmapColumns:
         payload[:10] = b"corrupted!"
         log_path.write_bytes(bytes(payload))
 
-        paranoid = ResultStore(populated.root, verify=True, mmap=True)
+        paranoid = ResultStore(legacy.root, verify=True, mmap=True)
         with pytest.raises(StoreCorruptionError):
             paranoid.columns_for(meta)
         # Without verify the (checksum-tagged, still valid) sidecar serves.
-        relaxed = ResultStore(populated.root, mmap=True)
+        relaxed = ResultStore(legacy.root, mmap=True)
         assert relaxed.columns_for(meta)
 
-    def test_compaction_sweeps_sidecars(self, populated):
+    def test_compaction_sweeps_sidecars(self, legacy):
         from repro.store import compact_store
         from repro.store.segment import MMAP_DIR_SUFFIX
 
-        mapped = ResultStore(populated.root, mmap=True)
+        mapped = ResultStore(legacy.root, mmap=True)
         for meta in mapped.segments:
             mapped.columns_for(meta)  # materialise every sidecar
         sidecars = [p for p in mapped.segments_dir.iterdir()
                     if p.name.endswith(MMAP_DIR_SUFFIX)]
         assert sidecars
-        compact_store(ResultStore(populated.root))
+        compact_store(ResultStore(legacy.root))
         remaining = [p for p in mapped.segments_dir.iterdir()
                      if p.name.endswith(MMAP_DIR_SUFFIX)]
         assert remaining == []
@@ -820,9 +895,9 @@ class TestColumnarSegments:
             assert not (columnar.segments_dir / meta.log_filename).exists()
         assert columnar.verify_integrity() == len(segments)
 
-    def test_queries_bit_identical_to_jsonl(self, populated, columnar, results):
+    def test_queries_bit_identical_to_jsonl(self, legacy, columnar, results):
         assert columnar.query("executions").rows() \
-            == populated.query("executions").rows()
+            == legacy.query("executions").rows()
         assert ResultStore(columnar.root).query("executions").objects() \
             == results
         agg = lambda s: (s.query("executions")  # noqa: E731
@@ -831,9 +906,9 @@ class TestColumnarSegments:
                               mean_ms=("latency_ms", "mean"),
                               p99=("latency_ms", "p99"))
                          .aggregate())
-        assert agg(columnar) == agg(populated)
+        assert agg(columnar) == agg(legacy)
         arrays_a = columnar.query("executions").arrays()
-        arrays_b = populated.query("executions").arrays()
+        arrays_b = legacy.query("executions").arrays()
         for name, array in arrays_a.items():
             assert np.array_equal(array, arrays_b[name])
             assert array.dtype == arrays_b[name].dtype
@@ -845,11 +920,11 @@ class TestColumnarSegments:
         assert query.objects() == []
         assert query.stats.segments_skipped == query.stats.segments_total
 
-    def test_serving_identical_across_formats(self, populated, columnar):
+    def test_serving_identical_across_formats(self, legacy, columnar):
         assert ReportServer(columnar).latency_ecdf_by_device() \
-            == ReportServer(populated).latency_ecdf_by_device()
+            == ReportServer(legacy).latency_ecdf_by_device()
         assert ReportServer(columnar).energy_distributions() \
-            == ReportServer(populated).energy_distributions()
+            == ReportServer(legacy).energy_distributions()
 
     def test_mixed_mode_appends_preserve_order(self, tmp_path, results):
         from repro.store.schema import (execution_result_to_row,
@@ -864,8 +939,10 @@ class TestColumnarSegments:
             writer.append_batch(
                 "executions", execution_results_to_columns(results[4:]))
         assert store.query("executions").objects() == results
+        # Buffered rows join the batch chunks in append order: one seal
+        # path, one segment, no mode-switch seals.
         formats = [m.format for m in store.segments_for("executions")]
-        assert formats == ["columnar", "jsonl", "columnar"]
+        assert formats == ["columnar"]
 
     def test_append_batch_validation(self, tmp_path, batch_columns):
         store = ResultStore(tmp_path / "v.store")
@@ -965,15 +1042,15 @@ class TestColumnarSegments:
             assert not mmap_sidecar_dir(mapped.segments_dir, meta).exists()
         assert mapped.query("executions").objects() == results
 
-    def test_v2_manifest_still_opens(self, populated, results):
+    def test_v2_manifest_still_opens(self, legacy, results):
         """A pre-columnar (format_version 2) manifest reads unchanged."""
-        manifest_path = populated.manifest_path
+        manifest_path = legacy.manifest_path
         data = json.loads(manifest_path.read_text())
         data["format_version"] = 2
         for entry in data["segments"]:
             entry.pop("format", None)  # v2 entries never carried the key
         manifest_path.write_text(json.dumps(data))
-        reopened = ResultStore(populated.root)
+        reopened = ResultStore(legacy.root)
         assert reopened.query("executions").objects() == results
         # The next commit rewrites the manifest at version 3.
         with reopened.writer() as writer:
@@ -988,13 +1065,16 @@ class TestColumnarSegments:
             ResultStore(populated.root)
 
     def test_format_summary(self, tmp_path, results, batch_columns):
+        from repro.store import compact_store
         from repro.store.schema import execution_result_to_row
 
         store = ResultStore(tmp_path / "s.store")
-        with store.writer(rows_per_segment=1000) as writer:
-            writer.append_batch("executions", batch_columns)
+        with store.writer() as writer:
             writer.append_row("executions",
                               execution_result_to_row(results[0]))
+        compact_store(store, output_format="jsonl")  # one legacy segment
+        with store.writer(rows_per_segment=1000) as writer:
+            writer.append_batch("executions", batch_columns)
         summary = store.format_summary()
         entry = summary["executions"]
         assert entry["segments"] == 2
@@ -1007,12 +1087,14 @@ class TestMixedFormatCompaction:
     @pytest.fixture()
     def mixed(self, tmp_path, results):
         """One kind split across several v2 JSONL and v3 columnar segments."""
+        from repro.store import compact_store
         from repro.store.schema import execution_results_to_columns
 
         store = ResultStore(tmp_path / "mixed.store")
         with store.writer(rows_per_segment=3) as writer:
             for result in results[:5]:
                 writer.append(result)
+        compact_store(store, rows_per_segment=3, output_format="jsonl")
         with store.writer(rows_per_segment=2) as writer:
             writer.append_batch("executions",
                                 execution_results_to_columns(results[5:]))
@@ -1051,24 +1133,24 @@ class TestMixedFormatCompaction:
         assert meta.format == "jsonl"
         assert ResultStore(mixed.root).query("executions").objects() == results
 
-    def test_pure_jsonl_kind_stays_jsonl(self, populated, results):
+    def test_pure_jsonl_kind_stays_jsonl(self, legacy, results):
         from repro.store import compact_store
 
-        compact_store(populated)
-        (meta,) = populated.segments_for("executions")
+        compact_store(legacy)
+        (meta,) = legacy.segments_for("executions")
         assert meta.format == "jsonl"
-        assert populated.query("executions").objects() == results
+        assert legacy.query("executions").objects() == results
 
-    def test_format_conversion_without_oversharding(self, populated, results):
+    def test_format_conversion_without_oversharding(self, legacy, results):
         """--format columnar rewrites even when segment counts are at target."""
         from repro.store import compact_store
 
-        compact_store(populated)  # one jsonl segment
-        stats = compact_store(populated, output_format="columnar")
+        compact_store(legacy)  # one jsonl segment
+        stats = compact_store(legacy, output_format="columnar")
         assert stats.kinds_compacted == ("executions",)
-        (meta,) = populated.segments_for("executions")
+        (meta,) = legacy.segments_for("executions")
         assert meta.format == "columnar"
-        assert populated.query("executions").objects() == results
+        assert legacy.query("executions").objects() == results
 
     def test_compact_rejects_unknown_format(self, mixed):
         from repro.store import compact_store
@@ -1130,39 +1212,39 @@ class TestExport:
 class TestCacheAudit:
     """Satellite: stale/truncated derived caches must never serve bad rows."""
 
-    def test_misshapen_npz_cache_rebuilt_not_served(self, populated, results):
+    def test_misshapen_npz_cache_rebuilt_not_served(self, legacy, results):
         from repro.store.segment import _write_cache
 
-        meta = populated.segments_for("executions")[0]
-        cache = populated.segments_dir / meta.cache_filename
-        good = ResultStore(populated.root).columns_for(meta)
+        meta = legacy.segments_for("executions")[0]
+        cache = legacy.segments_dir / meta.cache_filename
+        good = ResultStore(legacy.root).columns_for(meta)
         truncated = {name: np.asarray(a)[:-1] for name, a in good.items()}
         _write_cache(cache, meta.sha256, truncated)  # valid tag, wrong shape
-        reopened = ResultStore(populated.root)
+        reopened = ResultStore(legacy.root)
         loaded = reopened.columns_for(meta)
         for name, array in good.items():
             assert np.array_equal(loaded[name], np.asarray(array))
         assert reopened.query("executions").objects() == results
 
-    def test_truncated_log_raises_not_silently_rebuilds(self, populated):
+    def test_truncated_log_raises_not_silently_rebuilds(self, legacy):
         """A cacheless segment whose log lost rows is corruption, not data."""
-        meta = populated.segments_for("executions")[0]
-        log = populated.segments_dir / meta.log_filename
+        meta = legacy.segments_for("executions")[0]
+        log = legacy.segments_dir / meta.log_filename
         lines = log.read_bytes().splitlines()
         log.write_bytes(b"\n".join(lines[:-1]) + b"\n")
-        (populated.segments_dir / meta.cache_filename).unlink()
+        (legacy.segments_dir / meta.cache_filename).unlink()
         with pytest.raises(StoreCorruptionError, match="rows"):
-            ResultStore(populated.root).columns_for(meta)
+            ResultStore(legacy.root).columns_for(meta)
         with pytest.raises(StoreCorruptionError):
-            ResultStore(populated.root, mmap=True).columns_for(meta)
+            ResultStore(legacy.root, mmap=True).columns_for(meta)
 
-    def test_truncated_mmap_sidecar_with_valid_marker_rebuilt(self, populated,
+    def test_truncated_mmap_sidecar_with_valid_marker_rebuilt(self, legacy,
                                                               results):
         import io as io_module
 
         from repro.store.segment import atomic_write_bytes, mmap_sidecar_dir
 
-        mapped = ResultStore(populated.root, mmap=True)
+        mapped = ResultStore(legacy.root, mmap=True)
         meta = mapped.segments[0]
         good = {name: np.asarray(a).copy()
                 for name, a in mapped.columns_for(meta).items()}
@@ -1175,7 +1257,7 @@ class TestCacheAudit:
         atomic_write_bytes(sidecar / "latency_ms.npy", buffer.getvalue())
         assert (sidecar / "LOG_SHA256").read_text() == marker
 
-        reopened = ResultStore(populated.root, mmap=True)
+        reopened = ResultStore(legacy.root, mmap=True)
         loaded = reopened.columns_for(meta)
         for name, array in good.items():
             assert loaded[name].shape == (meta.rows,)
@@ -1441,13 +1523,13 @@ class TestCompressedColumns:
 class TestStoreByteAccounting:
     """`store info` separates durable bytes from derived mmap sidecars."""
 
-    def test_sidecar_bytes_reported_for_jsonl_segments(self, populated):
-        summary = populated.format_summary()
+    def test_sidecar_bytes_reported_for_jsonl_segments(self, legacy):
+        summary = legacy.format_summary()
         assert summary["executions"]["sidecar_bytes"] == 0
-        mapped = ResultStore(populated.root, mmap=True)
+        mapped = ResultStore(legacy.root, mmap=True)
         for meta in mapped.segments:
             mapped.columns_for(meta)  # materialises the .cols sidecar
-        after = ResultStore(populated.root).format_summary()
+        after = ResultStore(legacy.root).format_summary()
         assert after["executions"]["sidecar_bytes"] > 0
         assert after["executions"]["bytes"] \
             == summary["executions"]["bytes"]  # durable bytes unchanged
@@ -1465,10 +1547,10 @@ class TestStoreByteAccounting:
         summary = ResultStore(store.root).format_summary()
         assert summary["executions"]["sidecar_bytes"] == 0
 
-    def test_compact_reports_bytes_reclaimed(self, populated):
+    def test_compact_reports_bytes_reclaimed(self, legacy):
         from repro.store import compact_store
 
-        mapped = ResultStore(populated.root, mmap=True)
+        mapped = ResultStore(legacy.root, mmap=True)
         for meta in mapped.segments:
             mapped.columns_for(meta)  # sidecars the compaction removes
 
@@ -1479,16 +1561,16 @@ class TestStoreByteAccounting:
                     total += path.stat().st_size
             return total
 
-        before = du(populated)
-        stats = compact_store(populated.root, rows_per_segment=10 ** 6)
-        after = du(ResultStore(populated.root))
+        before = du(legacy)
+        stats = compact_store(legacy.root, rows_per_segment=10 ** 6)
+        after = du(ResultStore(legacy.root))
         assert stats.bytes_reclaimed == before - after
 
     def test_export_reports_source_and_output_bytes(self, tmp_path,
-                                                    populated):
+                                                    legacy):
         from repro.store import export_store
 
-        stats = export_store(populated, tmp_path / "out.store",
+        stats = export_store(legacy, tmp_path / "out.store",
                              output_format="columnar")
         exported = ResultStore(tmp_path / "out.store")
         measured = sum((exported.segments_dir / f).stat().st_size

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from legacy_segments import append_jsonl, jsonl_store
 
 from repro.store import (DIFF_SPECS, DiffSpec, MetricSpec, ResultStore,
                          diff_kind, diff_kind_reference, diff_stores)
@@ -151,14 +152,11 @@ class TestDiffEngine:
 
         batch = fleet_batch(60, 3)
         columnar = make_store(tmp_path / "v3.store", batch)
-        # The same rows written through the row-oriented JSONL path.
-        jsonl = ResultStore(tmp_path / "v2.store")
+        # The same rows as legacy row-oriented JSONL segments.
         names = [column.name for column in kind_for("fleet_events").columns]
-        with jsonl.writer(rows_per_segment=16) as writer:
-            for i in range(60):
-                writer.append_row("fleet_events",
-                                  {name: batch[name][i].item()
-                                   for name in names})
+        jsonl = jsonl_store(tmp_path / "v2.store", "fleet_events",
+                            [{name: batch[name][i].item() for name in names}
+                             for i in range(60)], rows_per_segment=16)
         formats = {meta.format for meta in jsonl.segments_for("fleet_events")}
         assert formats == {"jsonl"}
         assert diff_stores(columnar, jsonl).identical
@@ -168,10 +166,9 @@ class TestDiffEngine:
             writer.append_batch(
                 "fleet_events",
                 {name: array[:30] for name, array in batch.items()})
-            for i in range(30, 60):
-                writer.append_row("fleet_events",
-                                  {name: batch[name][i].item()
-                                   for name in names})
+        append_jsonl(mixed, "fleet_events",
+                     [{name: batch[name][i].item() for name in names}
+                      for i in range(30, 60)], rows_per_segment=4096)
         assert sorted({meta.format
                        for meta in mixed.segments_for("fleet_events")}) == \
             ["columnar", "jsonl"]
@@ -325,13 +322,14 @@ def write_layout(path, batch, layout):
         return store
     split = {"columnar": n, "jsonl": 0, "mixed": n // 2}[layout]
     names = [column.name for column in kind_for("fleet_events").columns]
-    with store.writer(rows_per_segment=8) as writer:
-        if split:
+    if split:
+        with store.writer(rows_per_segment=8) as writer:
             writer.append_batch("fleet_events", {
                 name: array[:split] for name, array in batch.items()})
-        for i in range(split, n):
-            writer.append_row("fleet_events",
-                              {name: batch[name][i].item() for name in names})
+    # The row-path tail as legacy JSONL segments.
+    append_jsonl(store, "fleet_events",
+                 [{name: batch[name][i].item() for name in names}
+                  for i in range(split, n)], rows_per_segment=8)
     return store
 
 
