@@ -12,14 +12,23 @@ __all__ = ["Ecdf"]
 
 @dataclass(frozen=True)
 class Ecdf:
-    """An empirical CDF over a sample of values."""
+    """An empirical CDF over a sample of values.
+
+    ``values`` holds the sample as ascending Python floats.  The
+    constructor sorts with a stable NumPy sort over float64, which orders
+    NaN-free samples exactly like ``sorted`` (equal values, ``-0.0`` and
+    ``0.0`` included, keep their input order); NaN sorts last, as in
+    NumPy, and propagates into :meth:`quantile`/:meth:`quantiles`.
+    """
 
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.values:
+        values = np.asarray(self.values, dtype=np.float64)
+        if not values.size:
             raise ValueError("Ecdf requires at least one value")
-        object.__setattr__(self, "values", tuple(sorted(float(v) for v in self.values)))
+        object.__setattr__(self, "values",
+                           tuple(np.sort(values, kind="stable").tolist()))
 
     @classmethod
     def from_samples(cls, samples: Iterable[float]) -> "Ecdf":
@@ -32,10 +41,13 @@ class Ecdf:
 
         Trusts the caller and skips the constructor's re-sort — the fast path
         for the vectorised results store, whose column scans hand over
-        ``np.sort``-ed arrays.  Equal inputs produce an ECDF equal to the
-        :meth:`from_samples` one.
+        ``np.sort``-ed arrays (converted with one ``tolist()``).  Equal
+        inputs produce an ECDF equal to the :meth:`from_samples` one.
         """
-        values = tuple(float(v) for v in samples)
+        if isinstance(samples, np.ndarray):
+            values = tuple(samples.astype(np.float64, copy=False).tolist())
+        else:
+            values = tuple(float(v) for v in samples)
         if not values:
             raise ValueError("Ecdf requires at least one value")
         ecdf = object.__new__(cls)
@@ -85,5 +97,5 @@ class Ecdf:
         if num_points <= 1:
             raise ValueError("num_points must be greater than 1")
         xs = np.linspace(self.values[0], self.values[-1], num_points)
-        ys = [self(x) for x in xs]
-        return tuple(float(x) for x in xs), tuple(ys)
+        ys = np.searchsorted(self.values, xs, side="right") / len(self.values)
+        return tuple(xs.tolist()), tuple(ys.tolist())

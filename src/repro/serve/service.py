@@ -22,6 +22,7 @@ from typing import Any, Optional, Sequence
 
 from repro.store.query import AGGREGATIONS, parse_agg_expr, parse_predicate
 from repro.store.schema import ROW_KINDS
+from repro.store.store import ResultStore
 
 __all__ = ["QuerySpec", "QueryService", "REPORT_TABLES", "report_payload"]
 
@@ -143,17 +144,25 @@ def report_payload(source, table: str, *, device: Optional[str] = None,
                    min_apps: int = 0, server=None) -> dict:
     """One report table of a store (or snapshot) as a JSON-able payload.
 
-    ``source`` is anything with the store read protocol — a live
-    :class:`~repro.store.store.ResultStore` (the offline CLI path) or a
-    pinned :class:`~repro.store.store.StoreSnapshot` (the served path);
-    either way the same expressions produce the same values, so the two
-    paths are bit-identical at the same generation.  ``server`` optionally
-    supplies an existing :class:`~repro.store.serving.ReportServer` over
-    ``source`` so the serve layer reuses its per-generation extracts.
+    ``source`` is a live :class:`~repro.store.store.ResultStore` (the
+    offline CLI path) or a pinned :class:`~repro.store.store.StoreSnapshot`
+    (the served path).  Every table reads exactly one generation, the one
+    written into ``payload["generation"]``: a live store is pinned once,
+    with :meth:`~repro.store.store.ResultStore.open_snapshot` at the
+    generation the handle has loaded, and a snapshot is used as given —
+    so commits landing mid-payload are never mixed in, and the two paths
+    are bit-identical at the same generation.  ``server`` optionally
+    supplies an existing :class:`~repro.store.serving.ReportServer` over a
+    snapshot ``source`` so the serve layer reuses its per-generation
+    extracts.
     """
     if table not in REPORT_TABLES:
         raise KeyError(
             f"unknown report table {table!r} (have {', '.join(REPORT_TABLES)})")
+    if isinstance(source, ResultStore):
+        if server is not None:
+            raise ValueError("a ReportServer needs a pinned snapshot source")
+        source = source.open_snapshot()
     payload: dict[str, Any] = {"table": table,
                                "generation": int(source.generation)}
 

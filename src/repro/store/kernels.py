@@ -176,7 +176,8 @@ class GroupedReducer:
     reductions over the same column, so ``p50,p90,p99`` of one column
     cost one ``lexsort``, not three.
 
-    Every ``reduce`` result is bit-identical to applying the matching
+    Every reduction — :meth:`reduce_array`, or :meth:`reduce` as native
+    scalars — is bit-identical to applying the matching
     :data:`REFERENCE_REDUCERS` entry to each group's rows in original
     row order (enforced by tests and the benchmark gate).
     """
@@ -290,6 +291,40 @@ class GroupedReducer:
         return np.where(counts % 2, high, even)
 
     # -- dispatch ---------------------------------------------------------- #
+    def reduce_array(self, name: str, values: np.ndarray,
+                     fn: str) -> np.ndarray:
+        """Per-group results of one reduction as an array, ascending group order.
+
+        Dtypes: ``count`` is int64; ``sum`` is int64 over integer/bool
+        columns and float64 otherwise; ``min``/``max`` keep the column's
+        dtype; everything else is float64.  ``tolist()`` of the result
+        yields the per-group reference's native scalars (see
+        :meth:`reduce`).
+        """
+        if fn == "count":
+            return self._counts.copy()
+        if fn == "sum":
+            return self._sums(name, values)
+        if fn == "mean":
+            return self._float_sums(values) / self._counts
+        if fn == "std":
+            means = self._float_sums(values) / self._counts
+            deviations = values - means[self.key_inverse]
+            squares = np.bincount(self.key_inverse,
+                                  weights=deviations * deviations,
+                                  minlength=self.num_groups)
+            return np.sqrt(squares / self._counts)
+        if fn == "min":
+            return self._extremum(name, values, np.minimum, end=False)
+        if fn == "max":
+            return self._extremum(name, values, np.maximum, end=True)
+        if fn == "median":
+            return self._median(name, values)
+        quantile = _QUANTILES.get(fn)
+        if quantile is None:
+            raise ValueError(f"unknown grouped reduction {fn!r}")
+        return self._quantile(name, values, quantile)
+
     def reduce(self, name: str, values: np.ndarray, fn: str) -> list:
         """Per-group scalars of one reduction, ascending group order.
 
@@ -297,26 +332,4 @@ class GroupedReducer:
         ``int``, ``sum``/``min``/``max`` keep the column's native scalar
         type, everything else is ``float``.
         """
-        if fn == "count":
-            return self._counts.tolist()
-        if fn == "sum":
-            return self._sums(name, values).tolist()
-        if fn == "mean":
-            return (self._float_sums(values) / self._counts).tolist()
-        if fn == "std":
-            means = self._float_sums(values) / self._counts
-            deviations = values - means[self.key_inverse]
-            squares = np.bincount(self.key_inverse,
-                                  weights=deviations * deviations,
-                                  minlength=self.num_groups)
-            return np.sqrt(squares / self._counts).tolist()
-        if fn == "min":
-            return self._extremum(name, values, np.minimum, end=False).tolist()
-        if fn == "max":
-            return self._extremum(name, values, np.maximum, end=True).tolist()
-        if fn == "median":
-            return self._median(name, values).tolist()
-        quantile = _QUANTILES.get(fn)
-        if quantile is None:
-            raise ValueError(f"unknown grouped reduction {fn!r}")
-        return self._quantile(name, values, quantile).tolist()
+        return self.reduce_array(name, values, fn).tolist()

@@ -36,6 +36,20 @@ bit-identical to the sequential/decoded/per-group semantics it replaces:
   enforced semantic reference (see that module for the row-order float
   discipline both paths share).
 
+**Columnar results.**  :meth:`Query.aggregate_arrays` is the grouped
+terminal: one array per group key and per reduction, in ascending
+group-key order, straight from the kernels.  :meth:`Query.aggregate` is
+that result zipped into row dicts (one ``tolist()`` per column), so row
+dicts exist only where a caller wants rows — the JSON edge; consumers that
+sort, cumulate or reduce further (``battery_drain_ecdf``) read the arrays.
+
+**Pinned reads.**  A query reads the segment list its source holds when
+the terminal runs: a live :class:`~repro.store.store.ResultStore` at the
+generation it last loaded, a :class:`~repro.store.store.StoreSnapshot` at
+its pin.  A result assembled from several queries (a report payload) must
+pin once — ``store.open_snapshot()`` — and run every query over that
+snapshot, so all of its parts read the one generation it reports.
+
 Execution statistics (segments skipped vs scanned, rows matched) are exposed
 on :attr:`Query.stats` after any terminal call, so tests and the CLI can
 assert pushdown actually happened.
@@ -616,16 +630,83 @@ class Query:
         per group (group key columns + reductions), ordered by group key.
 
         ``engine`` selects the grouped execution path: ``"kernel"`` (the
-        default) runs the vectorised reductions of
-        :mod:`repro.store.kernels`; ``"reference"`` runs the per-group
-        Python loop those kernels are held bit-identical to (the slow
-        path the benchmark gate measures against).  Ungrouped
-        aggregation is identical under both.
+        default) is :meth:`aggregate_arrays` zipped into dicts — one
+        ``tolist()`` per column, so every value is a native Python
+        scalar; ``"reference"`` runs the per-group Python loop the
+        kernels are held bit-identical to (the slow path the benchmark
+        gate measures against).  Ungrouped aggregation is identical under
+        both.
         """
         if engine not in ("kernel", "reference"):
             raise ValueError(
                 f"unknown aggregate engine {engine!r} "
                 f"(have 'kernel', 'reference')")
+        if self._group_by and engine == "kernel":
+            columns = self.aggregate_arrays()
+            names = list(columns)
+            values = [array.tolist() for array in columns.values()]
+            return [dict(zip(names, row)) for row in zip(*values)]
+        arrays, coded, length = self._aggregate_inputs(engine)
+        if not self._group_by:
+            # Zero matching rows: counts are 0, every other reduction has no
+            # defined value — report None instead of raising/propagating NaN.
+            return {
+                out: (AGGREGATIONS[fn](arrays[column]) if length
+                      else (0 if fn == "count" else None))
+                for out, (column, fn) in self._aggregations.items()
+            }
+        if length == 0:
+            return []
+        _uniques, group_keys, key_inverse = self._group_index(arrays, coded,
+                                                              length)
+        return self._aggregate_reference(arrays, group_keys, key_inverse,
+                                         length)
+
+    def aggregate_arrays(self) -> dict[str, np.ndarray]:
+        """Grouped aggregation as columns: ``{name: array}``, no row dicts.
+
+        One array per group key column (in ``group_by`` order), then one
+        per declared reduction, all of length "number of groups" and in
+        ascending group-key order — exactly the columns :meth:`aggregate`
+        zips into its dicts, through the same gather, factorize and
+        :class:`~repro.store.kernels.GroupedReducer` path.  Consumers that
+        want arrays (ECDFs, sorts, further arithmetic) read these directly;
+        row dicts are built only at the JSON edge.
+
+        Dtypes: a group key keeps its column's dtype (int64 for ``bin``
+        keys; strings as ``<U`` arrays); ``count`` is int64; ``sum`` is
+        int64 over integer/bool columns and float64 otherwise;
+        ``min``/``max`` keep the column's dtype; every other reduction is
+        float64.  A query with no matching rows returns empty arrays of
+        exactly these dtypes (string columns as ``np.str_``).
+
+        Grouped queries only: ungrouped reductions are scalars, so call
+        :meth:`aggregate` for those.
+        """
+        if not self._group_by:
+            raise ValueError(
+                "aggregate_arrays() needs group_by(...); use aggregate() "
+                "for ungrouped reductions")
+        arrays, coded, length = self._aggregate_inputs("kernel")
+        if length == 0:
+            return self._empty_columns()
+        uniques, group_keys, key_inverse = self._group_index(arrays, coded,
+                                                             length)
+        reducer = kernels.GroupedReducer(key_inverse, len(group_keys))
+        label_indices = kernels.decompose_keys(group_keys,
+                                               [len(u) for u in uniques])
+        columns = {name: u[indices] for name, u, indices
+                   in zip(self._group_by, uniques, label_indices)}
+        for out, (column, fn) in self._aggregations.items():
+            columns[out] = reducer.reduce_array(column, arrays[column], fn)
+        return columns
+
+    def _aggregate_inputs(self, engine: str) -> tuple[dict, frozenset, int]:
+        """Gather every column an aggregation reads: ``(arrays, coded, rows)``.
+
+        Declared bins are derived here, so ``arrays`` holds every group
+        key and reduced column of the matching rows.
+        """
         if not self._aggregations:
             raise ValueError("no aggregations declared; call agg(...) first")
         agg_columns = {column for column, _ in self._aggregations.values()}
@@ -646,20 +727,16 @@ class Query:
             source, width = self._bins[name]
             arrays[name] = (arrays[source] // width).astype(np.int64)
         plain = next(name for name in needed if name not in coded)
-        length = len(arrays[plain])
+        return arrays, coded, len(arrays[plain])
 
-        if not self._group_by:
-            # Zero matching rows: counts are 0, every other reduction has no
-            # defined value — report None instead of raising/propagating NaN.
-            return {
-                out: (AGGREGATIONS[fn](arrays[column]) if length
-                      else (0 if fn == "count" else None))
-                for out, (column, fn) in self._aggregations.items()
-            }
+    def _group_index(self, arrays: dict, coded: frozenset, length: int
+                     ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Encode the group key: ``(per-column uniques, group keys, inverse)``.
 
-        if length == 0:
-            return []
-        # Encode the (possibly multi-column) group key as one int64 vector.
+        The (possibly multi-column) key is folded into one int64 vector;
+        ``group_keys`` are its sorted distinct values and ``key_inverse``
+        maps each matching row to its 0-based group.
+        """
         key = np.zeros(length, dtype=np.int64)
         uniques: list[np.ndarray] = []
         space = 1
@@ -676,23 +753,27 @@ class Query:
                     f"exceeds the int64 group-key space")
             key = key * len(u) + inverse
         group_keys, key_inverse = np.unique(key, return_inverse=True)
+        return uniques, group_keys, key_inverse
 
-        if engine == "reference":
-            return self._aggregate_reference(arrays, group_keys, key_inverse,
-                                             length)
+    def _empty_columns(self) -> dict[str, np.ndarray]:
+        """The zero-group result of :meth:`aggregate_arrays`."""
+        def column_dtype(name: str):
+            if name in self._bins:
+                return np.int64
+            return self.kind.column(name).numpy_dtype
 
-        reducer = kernels.GroupedReducer(key_inverse, len(group_keys))
-        label_indices = kernels.decompose_keys(group_keys,
-                                               [len(u) for u in uniques])
-        # Column-wise: one tolist() per group key (native str/int/float/
-        # bool scalars), the reducers' lists as they are, one zip into
-        # dicts — no per-group NumPy indexing.
-        names = [*self._group_by, *self._aggregations]
-        columns = [u[indices].tolist()
-                   for u, indices in zip(uniques, label_indices)]
-        columns += [reducer.reduce(column, arrays[column], fn)
-                    for column, fn in self._aggregations.values()]
-        return [dict(zip(names, values)) for values in zip(*columns)]
+        columns = {name: np.empty(0, dtype=column_dtype(name))
+                   for name in self._group_by}
+        for out, (column, fn) in self._aggregations.items():
+            if fn in ("min", "max"):
+                dtype = column_dtype(column)
+            elif fn == "count" or (fn == "sum" and self.kind.column(
+                    column).dtype in ("i8", "bool")):
+                dtype = np.int64
+            else:
+                dtype = np.float64
+            columns[out] = np.empty(0, dtype=dtype)
+        return columns
 
     def _aggregate_reference(self, arrays: dict, group_keys: np.ndarray,
                              key_inverse: np.ndarray,

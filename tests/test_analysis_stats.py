@@ -1,7 +1,10 @@
 """Unit tests for the ECDF and statistics helpers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import (Ecdf, exponential_decay_scan, geometric_mean,
                             kernel_density, remove_outliers_iqr,
@@ -34,6 +37,51 @@ class TestEcdf:
             Ecdf(())
         with pytest.raises(ValueError):
             Ecdf.from_samples([1.0]).curve(num_points=1)
+
+
+#: NaN-free samples: signed zeros, infinities, subnormals, repeats, ints.
+_SAMPLES = st.lists(
+    st.one_of(st.sampled_from((0.0, -0.0, math.inf, -math.inf, 5e-324,
+                               1.5, -1.5)),
+              st.floats(allow_nan=False),
+              st.integers(-2 ** 60, 2 ** 60)),
+    min_size=1, max_size=40)
+
+
+def _bits(values) -> list:
+    """Value and sign of every float (``-0.0 == 0.0`` would hide a swap)."""
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+class TestEcdfNumpySort:
+    @settings(max_examples=200, deadline=None)
+    @given(_SAMPLES)
+    @example([0.0, -0.0, 0.0, -0.0])
+    @example([-0.0, math.inf, 0.0, -math.inf, 0.0])
+    def test_sort_equals_python_sorted(self, xs):
+        ecdf = Ecdf.from_samples(xs)
+        expected = tuple(sorted(map(float, xs)))
+        assert all(type(v) is float for v in ecdf.values)
+        assert _bits(ecdf.values) == _bits(expected)
+        array = np.asarray(xs, dtype=np.float64)
+        assert _bits(Ecdf.from_sorted(np.sort(array, kind="stable")).values) \
+            == _bits(ecdf.values)
+        assert Ecdf.from_sorted(np.sort(array, kind="stable")) == ecdf
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40),
+           st.integers(2, 50))
+    def test_curve_matches_pointwise_calls(self, xs, num_points):
+        ecdf = Ecdf.from_samples(xs)
+        grid, ys = ecdf.curve(num_points=num_points)
+        assert ys == tuple(ecdf(x) for x in grid)
+        assert all(type(y) is float for y in ys)
+
+    def test_nan_sorts_last_and_propagates(self):
+        ecdf = Ecdf.from_samples([2.0, math.nan, -1.0, math.nan, 0.5])
+        assert ecdf.values[:3] == (-1.0, 0.5, 2.0)
+        assert all(math.isnan(v) for v in ecdf.values[3:])
+        assert all(math.isnan(q) for q in ecdf.quantiles((0.0, 0.5, 1.0)))
 
 
 class TestSummaryStatistics:

@@ -12,7 +12,10 @@ engine promises bit-identity, not closeness):
   single-row segments;
 * **coded == decoded** — dictionary-coded predicate evaluation and late
   materialisation return exactly what masking decoded arrays returns
-  (a JSONL twin of the same rows is the oracle).
+  (a JSONL twin of the same rows is the oracle);
+* **columns == rows** — ``aggregate_arrays()`` zipped through
+  ``tolist()`` is the reference engine's rows, value, order and scalar
+  type, and :meth:`GroupedReducer.reduce_array` is ``reduce()``.
 
 Plus the satellite fixes: the ``in`` textual grammar, numeric ``!=``
 pushdown, vectorised ``rows()``, and the cached-query hook.
@@ -20,8 +23,12 @@ pushdown, vectorised ``rows()``, and the cached-query hook.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from legacy_segments import append_jsonl, jsonl_store
 
 from repro.campaign import synthetic_fleet_batch
@@ -162,6 +169,164 @@ class TestKernelVsReference:
             np.concatenate(decoded), return_inverse=True)
         assert np.array_equal(values, expected_values)
         assert np.array_equal(inverse, expected_inverse)
+
+
+# --------------------------------------------------------------------------- #
+# Columnar results: aggregate_arrays() and GroupedReducer.reduce_array()
+# --------------------------------------------------------------------------- #
+#: Group keys of the ``models`` kind, one per key type.
+MODEL_KEYS = ("category", "num_layers", "int8_weight_fraction",
+              "has_dequantize_layer", "size_bytes_bin")
+#: Every reduction over a float and an int column; the reductions the
+#: reference defines over bool columns; string extrema.
+MODEL_AGGS = {
+    **{f"near_{fn}": ("near_zero_weight_fraction", fn) for fn in ALL_FNS},
+    **{f"params_{fn}": ("parameters", fn) for fn in ALL_FNS},
+    **{f"dq_{fn}": ("has_cluster_prefix", fn)
+       for fn in ("count", "sum", "mean", "std", "median", "min", "max")},
+    "name_min": ("name", "min"),
+    "name_max": ("name", "max"),
+}
+
+_FLOATS = st.one_of(st.sampled_from((0.0, -0.0, 0.25, 1.0, 5e-324)),
+                    st.floats(-1e6, 1e6))
+
+
+@st.composite
+def _model_rows(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        rows.append({
+            "name": draw(st.sampled_from(("", "a", "mobilenet", "ü-名前"))),
+            "checksum": "c", "app_package": "p",
+            "category": draw(st.sampled_from(("", "tools", "photo"))),
+            "source": "s", "framework": "tflite", "file_names": "f",
+            "size_bytes": draw(st.integers(0, 10 ** 7)),
+            "num_layers": draw(st.integers(-3, 3)),
+            "flops": 0,
+            "parameters": draw(st.one_of(st.integers(-10 ** 9, 10 ** 9),
+                                         st.sampled_from((0, 1, -1)))),
+            "modality": "image", "task": "t",
+            "has_dequantize_layer": draw(st.booleans()),
+            "int8_weight_fraction": draw(st.sampled_from((0.0, -0.0, 0.5))),
+            "int8_activation_fraction": 0.0,
+            "has_cluster_prefix": draw(st.booleans()),
+            "has_prune_prefix": False,
+            "near_zero_weight_fraction": draw(_FLOATS),
+        })
+    return rows
+
+
+def _model_store(root: Path, chunks) -> ResultStore:
+    """Commit each ``(jsonl, rows)`` chunk as columnar or JSONL segments."""
+    kind = kind_for("models")
+    store = ResultStore(root)
+    for jsonl, rows in chunks:
+        if jsonl:
+            append_jsonl(store, "models", rows, rows_per_segment=7)
+        else:
+            with store.writer(rows_per_segment=7) as writer:
+                writer.append_batch("models", {
+                    c.name: np.array([row[c.name] for row in rows],
+                                     dtype=c.numpy_dtype)
+                    for c in kind.columns})
+        store.refresh()
+    return store
+
+
+def _zip_columns(columns: dict) -> list[dict]:
+    names = list(columns)
+    values = [array.tolist() for array in columns.values()]
+    return [dict(zip(names, row)) for row in zip(*values)]
+
+
+def _typed(rows: list[dict]) -> list[list]:
+    return [[(name, value, type(value)) for name, value in row.items()]
+            for row in rows]
+
+
+class TestColumnarResults:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), _model_rows()), min_size=1,
+                    max_size=3),
+           st.lists(st.sampled_from(MODEL_KEYS), min_size=1, max_size=3,
+                    unique=True),
+           st.sampled_from((None, 0.25, 0.5)))
+    def test_arrays_zip_to_reference_rows(self, chunks, keys, threshold):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = _model_store(Path(tmp) / "s", chunks)
+
+            def build():
+                query = store.query("models")
+                if threshold is not None:
+                    query.where("near_zero_weight_fraction", "<", threshold)
+                return (query.bin("size_bytes", 2 ** 21)
+                        .group_by(*keys).agg(**MODEL_AGGS))
+
+            columns = build().aggregate_arrays()
+            assert list(columns) == [*keys, *MODEL_AGGS]
+            assert len({array.size for array in columns.values()}) == 1
+            zipped = _zip_columns(columns)
+            reference = build().aggregate(engine="reference")
+            assert _typed(zipped) == _typed(reference)
+            assert _typed(build().aggregate()) == _typed(zipped)
+
+    def test_zero_matches_give_typed_empty_arrays(self, tmp_path):
+        store = _model_store(tmp_path / "s", [(False, [dict(
+            name="m", checksum="c", app_package="p", category="tools",
+            source="s", framework="tflite", file_names="f", size_bytes=1,
+            num_layers=2, flops=0, parameters=3, modality="image", task="t",
+            has_dequantize_layer=True, int8_weight_fraction=0.0,
+            int8_activation_fraction=0.0, has_cluster_prefix=False,
+            has_prune_prefix=False, near_zero_weight_fraction=0.5)])])
+        columns = (store.query("models").where("parameters", ">", 10)
+                   .bin("size_bytes", 2 ** 21).group_by(*MODEL_KEYS)
+                   .agg(**MODEL_AGGS).aggregate_arrays())
+        assert list(columns) == [*MODEL_KEYS, *MODEL_AGGS]
+        assert all(array.size == 0 for array in columns.values())
+        dtypes = {name: array.dtype.kind for name, array in columns.items()}
+        assert [dtypes[key] for key in MODEL_KEYS] == ["U", "i", "f", "b", "i"]
+        assert dtypes["near_sum"] == "f" and dtypes["params_sum"] == "i"
+        assert dtypes["dq_sum"] == "i" and dtypes["dq_min"] == "b"
+        assert dtypes["params_min"] == "i" and dtypes["params_mean"] == "f"
+        assert dtypes["near_count"] == "i" and dtypes["name_max"] == "U"
+        assert columns["params_count"].dtype == np.int64
+        assert (store.query("models").where("parameters", ">", 10)
+                .group_by("category").agg(n=("parameters", "count"))
+                .aggregate()) == []
+
+    def test_ungrouped_is_rejected(self, tmp_path):
+        store = mixed_store(tmp_path / "s")
+        with pytest.raises(ValueError, match="group_by"):
+            (store.query("fleet_events").agg(n=("latency_ms", "count"))
+             .aggregate_arrays())
+
+    @pytest.mark.parametrize("column", ["latency_ms", "cloud_bytes",
+                                        "model_name"])
+    def test_reduce_array_equals_reduce(self, tmp_path, column):
+        store = mixed_store(tmp_path / "s")
+        arrays = store.query("fleet_events").arrays("device_name", column)
+        uniques, inverse = np.unique(arrays["device_name"],
+                                     return_inverse=True)
+        values = arrays[column]
+        fns = ALL_FNS if values.dtype.kind != "U" else ("count", "min", "max")
+        for fn in fns:
+            as_array = kernels.GroupedReducer(
+                inverse, uniques.size).reduce_array(column, values, fn)
+            as_list = kernels.GroupedReducer(
+                inverse, uniques.size).reduce(column, values, fn)
+            assert isinstance(as_array, np.ndarray)
+            assert as_array.shape == (uniques.size,)
+            assert _typed([dict(enumerate(as_array.tolist()))]) == \
+                _typed([dict(enumerate(as_list))])
+
+    def test_count_arrays_are_independent(self, tmp_path):
+        store = mixed_store(tmp_path / "s")
+        columns = (store.query("fleet_events").group_by("region")
+                   .agg(a=("latency_ms", "count"), b=("latency_ms", "count"))
+                   .aggregate_arrays())
+        columns["a"][:] = 0
+        assert columns["b"].min() > 0
 
 
 def _coded(vocab, codes):

@@ -212,6 +212,32 @@ class TestConcurrentWriterReader:
         assert reopened.generation == snapshot.generation
         assert dumps(report_payload(reopened, "tail_latency")) == served
 
+    def test_live_handle_payload_reads_its_own_generation(self, tmp_path):
+        # Regression: a payload over a live handle used to let the
+        # ReportServer refresh the handle mid-payload, so "summary"
+        # labelled generation N carried generation N+1 rows, and every
+        # later table on the handle reported N+1.
+        root = tmp_path / "live.store"
+        ingest_fleet_batches(root, 2, rows_per_batch=300,
+                             rows_per_segment=128)
+        reader = ResultStore(root)
+        pinned = reader.generation
+        with ResultStore(root).writer(rows_per_segment=128) as writer:
+            writer.append_batch("fleet_events",
+                                synthetic_fleet_batch(2, 300))
+        assert ResultStore(root).generation > pinned
+        for table in ("summary", "tail_latency", "drain"):
+            expected = report_payload(
+                ResultStore(root).open_snapshot(generation=pinned), table)
+            assert expected["generation"] == pinned
+            assert dumps(report_payload(reader, table)) == dumps(expected)
+        assert reader.generation == pinned
+
+    def test_report_server_needs_a_snapshot_source(self, fleet_store):
+        server = ReportServer(fleet_store.open_snapshot())
+        with pytest.raises(ValueError, match="snapshot"):
+            report_payload(fleet_store, "summary", server=server)
+
 
 # --------------------------------------------------------------------------- #
 # Satellite: ReportServer staleness across replacement commits
