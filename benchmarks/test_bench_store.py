@@ -146,8 +146,9 @@ def test_bench_query_vs_recompute(benchmark, sweep_spec, store_path,
     cold = cold_store_tables()
     cold_seconds = time.perf_counter() - cold_start
 
-    # Warm path: the server already holds every segment extract in memory —
-    # the regime of repeated report generation over a long campaign.
+    # Warm path: the handle has read its manifest, and the store caches each
+    # segment's decoded columns on first read — the regime of repeated
+    # report generation over a long campaign.
     server = ReportServer(ResultStore(store_path))
     server.refresh()
     warm_start = time.perf_counter()

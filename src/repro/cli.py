@@ -94,7 +94,7 @@ from repro.core.uniqueness import analyze_finetuning, analyze_uniqueness
 from repro.devices.device import DEVICE_FLEET, DEV_BOARDS, device_by_name
 from repro.devices.scheduler import ThreadConfig
 from repro.runtime import Backend, SweepRunner, SweepSpec
-from repro.store import ReportServer, ResultStore, compact_store
+from repro.store import ResultStore, compact_store
 from repro.store.schema import ROW_KINDS, TELEMETRY_KINDS
 
 __all__ = ["main", "build_parser"]
@@ -363,74 +363,56 @@ def cmd_store_query(args: argparse.Namespace) -> int:
 
 
 def cmd_store_report(args: argparse.Namespace) -> int:
-    """Serve the paper's figure tables from a persisted campaign."""
+    """Serve the paper's figure tables from a persisted campaign.
+
+    Text and ``--json`` render the same :func:`repro.serve.report_payload`,
+    so both read one pinned generation through one definition per table.
+    """
+    from repro.serve import report_payload
+
+    payload = report_payload(ResultStore(args.path), args.table,
+                             device=args.device, min_apps=args.min_apps)
     if args.json:
         import json
 
-        from repro.serve import report_payload
-
-        payload = report_payload(ResultStore(args.path), args.table,
-                                 device=args.device, min_apps=args.min_apps)
         print(json.dumps(payload, indent=2, sort_keys=False))
         return 0
     if args.table == "tail_latency":
-        from repro.fleet import tail_latency_table
-
-        store = ResultStore(args.path)
-        if not store.num_rows("fleet_events"):
+        if not payload["rows"]:
             print("store holds no fleet_events rows")
             return 0
-        rows = tail_latency_table(store, group_by="device_name")
         print(f"{'device':<16}{'events':>9}{'p50 ms':>9}{'p90 ms':>9}"
               f"{'p99 ms':>9}{'p999 ms':>9}")
-        for row in rows:
+        for row in payload["rows"]:
             print(f"{row['device_name']:<16}{row['events']:>9}"
                   f"{row['p50_ms']:>9.1f}{row['p90_ms']:>9.1f}"
                   f"{row['p99_ms']:>9.1f}{row['p999_ms']:>9.1f}")
-        return 0
-    if args.table == "drain":
-        from repro.fleet import battery_drain_ecdf
-
-        store = ResultStore(args.path)
-        if not store.num_rows("fleet_events"):
+    elif args.table == "drain":
+        if payload["median_mah"] is None:
             print("store holds no fleet_events rows")
             return 0
-        ecdf = battery_drain_ecdf(store)
-        median_mah, p90_mah = ecdf.quantiles((0.5, 0.9))
-        print(f"users: {len(ecdf.values)}")
-        print(f"median drain: {median_mah:.2f} mAh")
-        print(f"p90 drain   : {p90_mah:.2f} mAh")
-        return 0
-    if args.table == "latency_flops":
-        server = ReportServer(ResultStore(args.path))
-        devices = ([args.device] if args.device
-                   else server.summary()["devices"])
-        for device in devices:
-            points = server.latency_vs_flops(device)
+        print(f"users: {payload['users']}")
+        print(f"median drain: {payload['median_mah']:.2f} mAh")
+        print(f"p90 drain   : {payload['p90_mah']:.2f} mAh")
+    elif args.table == "latency_flops":
+        for device, points in payload["points"].items():
             print(f"{device}: {len(points)} points")
             for latency_ms, flops in points[:10]:
                 print(f"  {latency_ms:>10.2f} ms  {flops:>14.0f} FLOPs")
             if len(points) > 10:
                 print(f"  ... {len(points) - 10} more")
-        return 0
-    if args.table == "cloud_load":
-        from repro.cloud import load_report
-
-        store = ResultStore(args.path)
-        rows = load_report(store)
-        if not rows:
+    elif args.table == "cloud_load":
+        if not payload["rows"]:
             print("store holds no fleet_load rows")
             return 0
         print(f"{'region':<12}{'API':<28}{'requests':>10}{'peak rps':>10}"
               f"{'MB':>8}{'bins':>6}")
-        for row in rows:
+        for row in payload["rows"]:
             print(f"{row['region']:<12}{row['cloud_api']:<28}"
                   f"{row['requests']:>10}{row['peak_rps']:>10.2f}"
                   f"{row['payload_bytes'] / 1e6:>8.1f}{row['active_bins']:>6}")
-        return 0
-    server = ReportServer(ResultStore(args.path))
-    if args.table == "summary":
-        summary = server.summary()
+    elif args.table == "summary":
+        summary = payload["summary"]
         print(f"segments: {summary['segments']}")
         for kind, count in summary["rows"].items():
             print(f"  {kind:<12} {count} rows")
@@ -438,20 +420,20 @@ def cmd_store_report(args: argparse.Namespace) -> int:
         print(f"backends: {', '.join(summary['backends']) or '-'}")
     elif args.table == "latency_ecdf":
         print(f"{'device':<8}{'models':>8}{'median ms':>12}{'p90 ms':>10}{'p99 ms':>10}")
-        for device, ecdf in server.latency_ecdf_by_device().items():
-            print(f"{device:<8}{len(ecdf.values):>8}{ecdf.median:>12.1f}"
-                  f"{ecdf.quantile(0.9):>10.1f}{ecdf.quantile(0.99):>10.1f}")
+        for row in payload["rows"]:
+            print(f"{row['device']:<8}{row['models']:>8}{row['median_ms']:>12.1f}"
+                  f"{row['p90_ms']:>10.1f}{row['p99_ms']:>10.1f}")
     elif args.table == "energy":
         print(f"{'device':<8}{'median mJ':>12}{'mean mJ':>10}{'median W':>10}"
               f"{'MFLOP/sW':>10}")
-        for device, row in server.energy_distributions().items():
-            print(f"{device:<8}{row['energy_median_mj']:>12.1f}"
+        for row in payload["rows"]:
+            print(f"{row['device']:<8}{row['energy_median_mj']:>12.1f}"
                   f"{row['energy_mean_mj']:>10.1f}{row['power_median_w']:>10.2f}"
                   f"{row['efficiency_median_mflops_per_sw']:>10.1f}")
     else:  # cloud
         print(f"{'API':<28}{'provider':<12}{'apps':>6}")
-        for api, entry in server.cloud_api_usage().items():
-            print(f"{api:<28}{entry['provider']:<12}{entry['apps']:>6}")
+        for row in payload["rows"]:
+            print(f"{row['api']:<28}{row['provider']:<12}{row['apps']:>6}")
     return 0
 
 

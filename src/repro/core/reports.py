@@ -7,10 +7,12 @@ and EXPERIMENTS.md can record paper-vs-measured values side by side.
 
 The benchmark-derived figures (latency ECDFs, energy distributions,
 latency-vs-FLOPs, cloud-API usage) also accept a persistent
-:class:`~repro.store.store.ResultStore` in place of their in-memory inputs;
-they then delegate to the store's incremental
-:class:`~repro.store.serving.ReportServer`, which produces bit-for-bit the
-same tables from the persisted campaign without re-running anything.
+:class:`~repro.store.store.ResultStore` or a pinned
+:class:`~repro.store.store.StoreSnapshot` in place of their in-memory
+inputs; they then delegate to :class:`~repro.store.serving.ReportServer`,
+which produces bit-for-bit the same tables from the persisted campaign
+without re-running anything.  The in-memory path stays the semantic
+reference the store path is tested against.
 """
 
 from __future__ import annotations
@@ -181,11 +183,11 @@ def flops_and_parameters_by_task(
 # Figs. 8 and 9
 # --------------------------------------------------------------------------- #
 def _report_server(source):
-    """The serving layer of a results store, or ``None`` for in-memory input."""
+    """A ReportServer over a store or snapshot; ``None`` for in-memory input."""
     from repro.store.serving import ReportServer
-    from repro.store.store import ResultStore
+    from repro.store.store import ResultStore, StoreSnapshot
 
-    if isinstance(source, ResultStore):
+    if isinstance(source, (ResultStore, StoreSnapshot)):
         return ReportServer(source)
     if isinstance(source, ReportServer):
         return source
@@ -197,7 +199,8 @@ def latency_vs_flops(results, device: Optional[str] = None
     """Fig. 8: (latency_ms, flops) points for one device.
 
     ``results`` is either that device's result sequence, or a results store
-    plus the ``device`` name to serve the points from persisted rows.
+    (or snapshot) plus the ``device`` name to serve the points from
+    persisted rows.
     """
     server = _report_server(results)
     if server is not None:
@@ -210,7 +213,8 @@ def latency_vs_flops(results, device: Optional[str] = None
 def latency_ecdf_by_device(results_by_device) -> dict[str, Ecdf]:
     """Fig. 9: latency ECDF per device.
 
-    Accepts the in-memory ``{device: results}`` mapping or a results store.
+    Accepts the in-memory ``{device: results}`` mapping or a results store
+    (or snapshot).
     """
     server = _report_server(results_by_device)
     if server is not None:
@@ -231,7 +235,8 @@ def energy_distributions(
 ) -> dict[str, dict[str, float]]:
     """Fig. 10: per-device energy / power / efficiency distribution summaries.
 
-    Accepts the in-memory ``{device: results}`` mapping or a results store.
+    Accepts the in-memory ``{device: results}`` mapping or a results store
+    (or snapshot).
     """
     server = _report_server(results_by_device)
     if server is not None:
@@ -262,8 +267,8 @@ def cloud_api_usage(analysis,
                     min_apps: int = 0) -> dict[str, dict[str, object]]:
     """Fig. 15: number of apps invoking each cloud ML API category.
 
-    Accepts a :class:`SnapshotAnalysis` or a results store holding the
-    snapshot's ingested ``apps`` rows.
+    Accepts a :class:`SnapshotAnalysis` or a results store (or snapshot)
+    holding the snapshot's ingested ``apps`` rows.
     """
     server = _report_server(analysis)
     if server is not None:

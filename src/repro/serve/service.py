@@ -141,7 +141,7 @@ class QuerySpec:
 # Report payloads (shared with `store report --json`)
 # --------------------------------------------------------------------------- #
 def report_payload(source, table: str, *, device: Optional[str] = None,
-                   min_apps: int = 0, server=None) -> dict:
+                   min_apps: int = 0) -> dict:
     """One report table of a store (or snapshot) as a JSON-able payload.
 
     ``source`` is a live :class:`~repro.store.store.ResultStore` (the
@@ -151,17 +151,12 @@ def report_payload(source, table: str, *, device: Optional[str] = None,
     with :meth:`~repro.store.store.ResultStore.open_snapshot` at the
     generation the handle has loaded, and a snapshot is used as given —
     so commits landing mid-payload are never mixed in, and the two paths
-    are bit-identical at the same generation.  ``server`` optionally
-    supplies an existing :class:`~repro.store.serving.ReportServer` over a
-    snapshot ``source`` so the serve layer reuses its per-generation
-    extracts.
+    are bit-identical at the same generation.
     """
     if table not in REPORT_TABLES:
         raise KeyError(
             f"unknown report table {table!r} (have {', '.join(REPORT_TABLES)})")
     if isinstance(source, ResultStore):
-        if server is not None:
-            raise ValueError("a ReportServer needs a pinned snapshot source")
         source = source.open_snapshot()
     payload: dict[str, Any] = {"table": table,
                                "generation": int(source.generation)}
@@ -192,8 +187,7 @@ def report_payload(source, table: str, *, device: Optional[str] = None,
 
     from repro.store.serving import ReportServer
 
-    if server is None:
-        server = ReportServer(source)
+    server = ReportServer(source)
     if table == "summary":
         payload["summary"] = server.summary()
     elif table == "latency_ecdf":
@@ -244,21 +238,21 @@ class QueryService:
     # ------------------------------------------------------------------ #
     def health(self) -> dict:
         """Liveness + the generation currently served."""
-        snapshot, _ = self.manager.current()
+        snapshot = self.manager.current()
         return {"status": "ok", "generation": snapshot.generation,
                 "segments": len(snapshot.segments),
                 "rows": snapshot.num_rows()}
 
     def kinds(self) -> dict:
         """Row kinds and their committed row counts at the served generation."""
-        snapshot, _ = self.manager.current()
+        snapshot = self.manager.current()
         return {"generation": snapshot.generation,
                 "kinds": {kind: snapshot.num_rows(kind)
                           for kind in snapshot.kinds()}}
 
     def stats(self) -> dict:
         """Store layout (``store info --json`` shape) + serve-side counters."""
-        snapshot, _ = self.manager.current()
+        snapshot = self.manager.current()
         payload = self.manager.store.info_payload()
         payload["served_generation"] = snapshot.generation
         payload["cache"] = (self.cache.stats() if self.cache is not None
@@ -286,7 +280,7 @@ class QueryService:
 
     def query(self, spec: QuerySpec) -> dict:
         """Execute one query spec at the served generation (result-cached)."""
-        snapshot, _ = self.manager.current()
+        snapshot = self.manager.current()
         fragment = "query:" + spec.fragment()
         if self.cache is not None:
             cached = self.cache.get_result(snapshot.generation, fragment)
@@ -322,14 +316,14 @@ class QueryService:
     def report(self, table: str, *, device: Optional[str] = None,
                min_apps: int = 0) -> dict:
         """One report table at the served generation (result-cached)."""
-        snapshot, server = self.manager.current()
+        snapshot = self.manager.current()
         fragment = f"report:{table}|device={device}|min_apps={min_apps}"
         if self.cache is not None:
             cached = self.cache.get_result(snapshot.generation, fragment)
             if cached is not None:
                 return cached
         payload = report_payload(snapshot, table, device=device,
-                                 min_apps=min_apps, server=server)
+                                 min_apps=min_apps)
         if self.cache is not None:
             self.cache.put_result(snapshot.generation, fragment, payload)
         return payload

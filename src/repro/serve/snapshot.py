@@ -1,38 +1,34 @@
 """Generation management: which snapshot the service is serving right now.
 
 :class:`SnapshotManager` owns the live :class:`~repro.store.store.
-ResultStore` and publishes one immutable ``(StoreSnapshot, ReportServer)``
-pair at a time.  Every request reads that pair once and evaluates entirely
-against it, so a request never observes a half-committed manifest even
-while a :class:`~repro.store.writer.StoreWriter` seals segments into the
-same directory — the store's committed-prefix contract makes the swap a
+ResultStore` and publishes one immutable, generation-pinned
+:class:`~repro.store.store.StoreSnapshot` at a time.  Every request reads
+that snapshot once and evaluates entirely against it, so a request never
+observes a half-committed manifest even while a
+:class:`~repro.store.writer.StoreWriter` seals segments into the same
+directory — the store's committed-prefix contract makes the swap a
 pure pointer exchange.
 
 :meth:`SnapshotManager.poll` (driven by the :class:`~repro.serve.worker.
 RefreshWorker`) re-reads the manifest and, when the generation advanced,
-pins a fresh snapshot, builds its report server (reusing the previous
-one's per-segment extracts when the new segment list extends the old —
-the common append-only case), and trims the result cache to the new
-generation.  A replacement commit (compaction) is detected as the served
-segment list no longer being a prefix of the new one; that clears both
-cache tiers and discards the extract state, because segment files were
-rewritten.
+pins a fresh snapshot and trims the result cache to the new generation.
+A replacement commit (compaction) is detected as the served segment list
+no longer being a prefix of the new one; that clears both cache tiers,
+because segment files were rewritten.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional
 
 from repro import obs
-from repro.store.serving import ReportServer
 from repro.store.store import ResultStore, StoreSnapshot
 
 __all__ = ["SnapshotManager"]
 
 
 class SnapshotManager:
-    """Publishes one pinned (snapshot, report server) pair per generation."""
+    """Publishes one pinned snapshot per generation."""
 
     def __init__(self, store: ResultStore, *, cache=None) -> None:
         self.store = store
@@ -40,7 +36,6 @@ class SnapshotManager:
         self._lock = threading.Lock()
         store.refresh()
         self._snapshot = store.open_snapshot()
-        self._server = ReportServer(self._snapshot)
         self.polls = 0
         self.advances = 0
         #: Replacement commits observed (each one cleared both cache tiers).
@@ -51,18 +46,18 @@ class SnapshotManager:
         """Generation currently served."""
         return self._snapshot.generation
 
-    def current(self) -> tuple[StoreSnapshot, ReportServer]:
-        """The pinned pair; callers hold it for the whole request."""
+    def current(self) -> StoreSnapshot:
+        """The pinned snapshot; callers hold it for the whole request."""
         with self._lock:
-            return self._snapshot, self._server
+            return self._snapshot
 
     def poll(self) -> bool:
         """Re-read the manifest; swap in the new generation if it advanced.
 
         Returns ``True`` when the served generation changed.  Safe to call
         from the refresh worker while reader threads execute requests: the
-        readers keep whatever pair they already took from :meth:`current`,
-        and pinned snapshots stay valid across append commits because the
+        readers keep whatever snapshot they already took from
+        :meth:`current`, and pinned snapshots stay valid across append commits because the
         old segment list is a committed prefix of the new one.
         """
         self.polls += 1
@@ -74,12 +69,6 @@ class SnapshotManager:
         snapshot = self.store.open_snapshot()
         new_names = [meta.name for meta in snapshot.segments]
         replaced = new_names[:len(old_names)] != old_names
-        server = ReportServer(snapshot)
-        if not replaced:
-            # Append-only advance: the previous extracts all describe live
-            # segments, so the new server inherits them instead of re-reading.
-            server._execution_extracts = dict(self._server._execution_extracts)
-            server._cloud_extracts = dict(self._server._cloud_extracts)
         if self.cache is not None:
             if replaced:
                 self.cache.clear()
@@ -89,7 +78,6 @@ class SnapshotManager:
                 self.cache.evict_generations(snapshot.generation)
         with self._lock:
             self._snapshot = snapshot
-            self._server = server
         self.advances += 1
         obs.count("serve.generation_advances")
         return True

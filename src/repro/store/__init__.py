@@ -17,8 +17,8 @@ the process that measured them.  This package is that durability layer:
   bit-identically;
 * :class:`~repro.store.query.Query` — vectorised filters/aggregations with
   per-segment predicate pushdown;
-* :class:`~repro.store.serving.ReportServer` — incremental, store-backed
-  versions of the reports-layer figure tables.
+* :class:`~repro.store.serving.ReportServer` — store-backed versions of
+  the reports-layer figure tables, read through :class:`Query`.
 
 See the README's "Results store" section for the on-disk layout and usage.
 """

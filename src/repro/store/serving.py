@@ -1,95 +1,80 @@
-"""Store-backed figure tables: incremental serving for the reports layer.
+"""Store-backed figure tables for the reports layer.
 
 :class:`ReportServer` produces the same figure tables as
 :mod:`repro.core.reports` — latency ECDFs (Fig. 9), energy distributions
 (Fig. 10), latency-vs-FLOPs points (Fig. 8), cloud-API usage (Fig. 15) —
-but reads from a :class:`~repro.store.store.ResultStore` instead of
-in-memory result lists, and it reads *incrementally*: per-segment partial
-extracts (per-device metric arrays, cloud-API rows) are cached the first
-time a segment is seen, so regenerating a report after more results stream
-in only touches the newly committed segments.  Over a long campaign this
-turns "rebuild every figure" from a full recompute into a cheap merge.
+but reads from a :class:`~repro.store.store.ResultStore` or a pinned
+:class:`~repro.store.store.StoreSnapshot` instead of in-memory result
+lists.  It holds no state but its source: every table reads the columns it
+needs through :meth:`~repro.store.store.ResultStore.query`, and decoded
+segments are cached once, by the store.
 
 Numerical fidelity: every table is computed with the same expressions, the
 same outlier filter and the same orderings as the in-memory reports
-functions, and floats round-trip exactly through the store — so the served
-tables compare bit-for-bit equal to the in-memory path for the same seeds
-(asserted by ``benchmarks/test_bench_store.py``).
+functions — devices in first-appearance order, rows in ingestion order
+within a device — and floats round-trip exactly through the store, so the
+served tables compare bit-for-bit equal to the in-memory path for the same
+seeds (asserted by ``benchmarks/test_bench_store.py`` and
+``tests/test_report_oracle.py``).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.analysis.ecdf import Ecdf
 from repro.analysis.stats import remove_outliers_iqr
 from repro.store.schema import unpack_strings
-from repro.store.store import ResultStore
 
 __all__ = ["ReportServer"]
 
-#: Metric columns extracted per device from every executions segment.
-_METRICS = ("latency_ms", "energy_mj", "power_watts", "efficiency", "flops")
+
+def _split_by_device(devices: np.ndarray, **metrics: np.ndarray
+                     ) -> dict[str, dict[str, np.ndarray]]:
+    """Split metric arrays per device: first-appearance device order,
+    ingestion row order within each device."""
+    names, first, codes = np.unique(devices, return_index=True,
+                                    return_inverse=True)
+    rows = np.split(np.argsort(codes, kind="stable"),
+                    np.cumsum(np.bincount(codes, minlength=names.size))[:-1])
+    return {str(names[i]): {metric: values[rows[i]]
+                            for metric, values in metrics.items()}
+            for i in np.argsort(first)}
 
 
 class ReportServer:
-    """Incremental figure-table server over one results store."""
+    """Figure tables over one results store or pinned snapshot."""
 
-    def __init__(self, store: ResultStore) -> None:
+    def __init__(self, store) -> None:
         self.store = store
-        #: segment name -> device -> metric -> array (segment-row order).
-        self._execution_extracts: dict[str, dict[str, dict[str, np.ndarray]]] = {}
-        #: segment name -> cloud-API tuples of that segment's apps (row order).
-        self._cloud_extracts: dict[str, list[tuple[str, ...]]] = {}
-        #: metric -> device -> concatenated array over all loaded segments;
-        #: invalidated whenever refresh() observes a new manifest generation.
-        self._metric_cache: dict[str, dict[str, np.ndarray]] = {}
-        #: Manifest generation the caches were built against.  ``None``
-        #: forces the first refresh to initialise it.
-        self._generation: Optional[int] = None
 
-    # ------------------------------------------------------------------ #
-    # Incremental extraction
-    # ------------------------------------------------------------------ #
-    def refresh(self) -> int:
-        """Pick up newly committed segments; returns how many were loaded.
-
-        Invalidation keys on the manifest **generation**, not on whether new
-        segments appeared: an external replacement commit (compaction, a
-        retention trim) can *drop* segments without adding any, and the old
-        "clear when something loaded" rule kept serving the dropped rows
-        from the concatenated metric cache.  A generation change evicts
-        extracts of dead segments and clears the metric cache; extracts of
-        still-live segments survive, so append-only growth stays
-        incremental.  Generation-pinned :class:`StoreSnapshot` sources never
-        change generation, so a server over one never re-extracts.
-        """
+    def refresh(self) -> None:
+        """Pick up newly committed segments (a no-op on a snapshot)."""
         self.store.refresh()
-        generation = self.store.generation
-        if generation != self._generation:
-            live = {meta.name for meta in self.store.segments}
-            for cache in (self._execution_extracts, self._cloud_extracts):
-                for name in [n for n in cache if n not in live]:
-                    del cache[name]
-            self._metric_cache.clear()
-            self._generation = generation
-        loaded = 0
-        for meta in self.store.segments_for("executions"):
-            if meta.name not in self._execution_extracts:
-                self._execution_extracts[meta.name] = self._extract_executions(meta)
-                loaded += 1
-        for meta in self.store.segments_for("apps"):
-            if meta.name not in self._cloud_extracts:
-                self._cloud_extracts[meta.name] = self._extract_cloud(meta)
-                loaded += 1
-        return loaded
 
-    def _extract_executions(self, meta) -> dict[str, dict[str, np.ndarray]]:
-        """Split one segment's metric columns per device, appearance-ordered."""
-        columns = self.store.columns_for(meta)
-        devices = columns["device_name"]
+    def _executions(self, *columns: str) -> dict[str, np.ndarray]:
+        self.refresh()
+        return self.store.query("executions").arrays(*columns)
+
+    # ------------------------------------------------------------------ #
+    # Figure tables (shapes match repro.core.reports)
+    # ------------------------------------------------------------------ #
+    def latency_ecdf_by_device(self) -> dict[str, Ecdf]:
+        """Fig. 9: latency ECDF per device, from the store."""
+        columns = self._executions("device_name", "latency_ms")
+        return {
+            device: Ecdf.from_sorted(np.sort(split["latency_ms"],
+                                             kind="stable"))
+            for device, split in _split_by_device(
+                columns["device_name"],
+                latency_ms=columns["latency_ms"]).items()
+        }
+
+    def energy_distributions(self, drop_outliers: bool = True
+                             ) -> dict[str, dict[str, float]]:
+        """Fig. 10: per-device energy / power / efficiency summaries."""
+        columns = self._executions("device_name", "energy_mj", "power_watts",
+                                   "flops", "batch_size")
         # Derived efficiency, vectorised with the exact expression sequence of
         # ExecutionResult.efficiency_mflops_per_sw so values match bit-for-bit.
         energy_joules = columns["energy_mj"] / 1e3
@@ -97,91 +82,41 @@ class ReportServer:
             efficiency = columns["flops"] * columns["batch_size"] \
                 / energy_joules / 1e6
         efficiency = np.where(energy_joules <= 0, 0.0, efficiency)
-
-        unique, first_index = np.unique(devices, return_index=True)
-        extract: dict[str, dict[str, np.ndarray]] = {}
-        for device in unique[np.argsort(first_index)]:
-            mask = devices == device
-            extract[str(device)] = {
-                "latency_ms": columns["latency_ms"][mask],
-                "energy_mj": columns["energy_mj"][mask],
-                "power_watts": columns["power_watts"][mask],
-                "efficiency": efficiency[mask],
-                "flops": columns["flops"][mask],
-            }
-        return extract
-
-    def _extract_cloud(self, meta) -> list[tuple[str, ...]]:
-        """Cloud-API tuples of one apps segment, ingestion-ordered."""
-        columns = self.store.columns_for(meta)
-        return [unpack_strings(packed) for packed in columns["cloud_apis"]
-                if packed]
-
-    def _device_metric(self, metric: str) -> dict[str, np.ndarray]:
-        """Concatenate one metric per device across all segments (cached)."""
-        self.refresh()
-        cached = self._metric_cache.get(metric)
-        if cached is None:
-            parts: dict[str, list[np.ndarray]] = {}
-            for meta in self.store.segments_for("executions"):
-                for device, arrays in self._execution_extracts[meta.name].items():
-                    parts.setdefault(device, []).append(arrays[metric])
-            cached = {device: np.concatenate(chunks)
-                      for device, chunks in parts.items()}
-            self._metric_cache[metric] = cached
-        return cached
-
-    # ------------------------------------------------------------------ #
-    # Figure tables (shapes match repro.core.reports)
-    # ------------------------------------------------------------------ #
-    def latency_ecdf_by_device(self) -> dict[str, Ecdf]:
-        """Fig. 9: latency ECDF per device, from the store."""
-        return {
-            device: Ecdf.from_sorted(np.sort(latencies, kind="stable"))
-            for device, latencies in self._device_metric("latency_ms").items()
-            if latencies.size
-        }
-
-    def energy_distributions(self, drop_outliers: bool = True
-                             ) -> dict[str, dict[str, float]]:
-        """Fig. 10: per-device energy / power / efficiency summaries."""
-        energies = self._device_metric("energy_mj")
-        powers = self._device_metric("power_watts")
-        efficiencies = self._device_metric("efficiency")
         table: dict[str, dict[str, float]] = {}
-        for device, energy in energies.items():
-            if not energy.size:
-                continue
-            efficiency = efficiencies[device].tolist()
+        for device, split in _split_by_device(
+                columns["device_name"], energy=columns["energy_mj"],
+                power=columns["power_watts"], efficiency=efficiency).items():
+            efficiencies = split["efficiency"].tolist()
             if drop_outliers:
-                efficiency = remove_outliers_iqr(efficiency) or efficiency
+                efficiencies = remove_outliers_iqr(efficiencies) or efficiencies
             table[device] = {
-                "energy_median_mj": float(np.median(energy)),
-                "energy_mean_mj": float(np.mean(energy)),
-                "power_median_w": float(np.median(powers[device])),
-                "power_mean_w": float(np.mean(powers[device])),
-                "efficiency_median_mflops_per_sw": float(np.median(efficiency)),
+                "energy_median_mj": float(np.median(split["energy"])),
+                "energy_mean_mj": float(np.mean(split["energy"])),
+                "power_median_w": float(np.median(split["power"])),
+                "power_mean_w": float(np.mean(split["power"])),
+                "efficiency_median_mflops_per_sw":
+                    float(np.median(efficiencies)),
             }
         return table
 
     def latency_vs_flops(self, device: str) -> list[tuple[float, float]]:
         """Fig. 8: (latency_ms, flops) points of one device, ingestion order."""
-        latencies = self._device_metric("latency_ms").get(device)
-        flops = self._device_metric("flops").get(device)
-        if latencies is None:
-            return []
-        return [(float(l), float(f)) for l, f in zip(latencies, flops)]
+        self.refresh()
+        columns = (self.store.query("executions").where(device_name=device)
+                   .arrays("latency_ms", "flops"))
+        return [(float(latency), float(flops)) for latency, flops
+                in zip(columns["latency_ms"].tolist(),
+                       columns["flops"].tolist())]
 
     def cloud_api_usage(self, min_apps: int = 0) -> dict[str, dict[str, object]]:
         """Fig. 15: apps per cloud ML API, from the store's app rows."""
-        self.refresh()
         from repro.android.cloud_apis import tabulate_api_usage
 
+        self.refresh()
+        packed = self.store.query("apps").arrays("cloud_apis")["cloud_apis"]
         return tabulate_api_usage(
-            (api_name
-             for meta in self.store.segments_for("apps")
-             for apis in self._cloud_extracts[meta.name]
-             for api_name in apis),
+            (api_name for apis in packed if apis
+             for api_name in unpack_strings(apis)),
             min_apps)
 
     # ------------------------------------------------------------------ #
@@ -189,16 +124,12 @@ class ReportServer:
     # ------------------------------------------------------------------ #
     def summary(self) -> dict[str, object]:
         """Row counts and device/backend coverage of the stored campaign."""
-        self.refresh()
-        per_kind = {kind: self.store.num_rows(kind)
-                    for kind in self.store.kinds()}
-        devices = sorted({device
-                          for meta in self.store.segments_for("executions")
-                          for device in self._execution_extracts[meta.name]})
+        devices = self._executions("device_name")["device_name"]
         backends: set[str] = set()
         for meta in self.store.segments_for("executions"):
-            stats = meta.stats.get("backend", {})
-            backends.update(stats.get("values", ()))
-        return {"rows": per_kind, "devices": devices,
+            backends.update(meta.stats.get("backend", {}).get("values", ()))
+        return {"rows": {kind: self.store.num_rows(kind)
+                         for kind in self.store.kinds()},
+                "devices": [str(device) for device in np.unique(devices)],
                 "backends": sorted(backends),
                 "segments": len(self.store.segments)}

@@ -97,10 +97,31 @@ class TestStoreCommands:
         for table, marker in (("summary", "segments"),
                               ("latency_ecdf", "median ms"),
                               ("energy", "median mJ"),
-                              ("cloud", "provider")):
+                              ("cloud", "provider"),
+                              ("latency_flops", "S21: "),
+                              ("cloud_load", "store holds no fleet_load rows"),
+                              ("tail_latency",
+                               "store holds no fleet_events rows"),
+                              ("drain", "store holds no fleet_events rows")):
             assert main(["store", "report", str(store_path),
                          "--table", table]) == 0
             assert marker in capsys.readouterr().out
+
+    def test_store_report_cloud_text_honours_min_apps(self, store_path,
+                                                      capsys):
+        # Regression: text mode printed every API whatever --min-apps said.
+        import json
+
+        args = ["store", "report", str(store_path), "--table", "cloud"]
+        assert main(args + ["--json"]) == 0
+        every = json.loads(capsys.readouterr().out)["rows"]
+        assert main(args + ["--json", "--min-apps", "3"]) == 0
+        kept = json.loads(capsys.readouterr().out)["rows"]
+        assert 0 < len(kept) < len(every)
+        assert main(args + ["--min-apps", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [f"{row['api']:<28}{row['provider']:<12}"
+                             f"{row['apps']:>6}" for row in kept]
 
     def test_store_info_verifies(self, store_path, capsys):
         assert main(["store", "info", str(store_path), "--verify"]) == 0

