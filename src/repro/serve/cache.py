@@ -8,8 +8,16 @@ the cache has two tiers with different lifetimes:
 * **segment tier** — keyed ``(segment name, query fragment)``, holding
   the masked column arrays one query evaluated over one segment.  Sealed
   segments never change, so these entries *cannot* go stale within a
-  generation history; they survive generation advances and make a query
-  re-run after new seals touch only the newly committed segments.
+  generation history, and they survive generation advances.  A query
+  re-run after new seals reuses them only while they are still in the
+  LRU: every cold query inserts one entry per segment it scans, so the
+  tier helps only when (distinct cold queries x segments) fits in
+  ``max_segment_entries``.  When it does not, the older segments'
+  entries are evicted before they are asked for again and a re-run
+  rescans every segment.  The ``serve_live`` benchmark mix is such a
+  case: ~78 distinct cold queries per generation over 48-68 segments
+  insert ~4.5k entries per generation against the default 1,024, for a
+  hit ratio near 0.01.
 * **result tier** — keyed ``(generation, query fragment)``, holding the
   final JSON payload of a request.  A generation advance orphans these
   (the segment list they summarise is no longer the served one); the

@@ -15,10 +15,19 @@ set at once:
   squared deviations);
 * ``min``/``max``  — ``ufunc.reduceat`` over the group-gathered array
   (lexicographic segment endpoints for string columns);
-* ``median``/``p50``/``p90``/``p99``/``p999`` — one ``lexsort`` per
-  column, then a vectorised replica of NumPy's linear-interpolation
-  quantile (virtual index, gamma, and the ``gamma >= 0.5`` lerp branch),
-  bit-identical to ``np.quantile`` per group.
+* ``median``/``p50``/``p90``/``p99``/``p999`` — one in-place sort of
+  each group's slice of the gathered column (shared by every order
+  statistic of that column), then a vectorised replica of NumPy's
+  linear-interpolation quantile (virtual index, gamma, and the
+  ``gamma >= 0.5`` lerp branch), bit-identical to ``np.quantile`` per
+  group.
+
+The group index itself is built by counting, not sorting: group keys
+are small dense integers, so :func:`dense_unique` replaces
+``np.unique`` with ``bincount`` + rank lookup, and
+:class:`GroupedReducer` derives its group starts from a ``bincount``
+prefix sum and its group-contiguous row order from a stable argsort
+(a 16-bit radix sort up to 65,536 groups).
 
 **The reference defines the semantics.**  :data:`REFERENCE_REDUCERS` is
 the per-group slow path the kernels are held bit-identical to (the
@@ -29,7 +38,11 @@ accumulation — not NumPy's pairwise summation — because row-order sums
 are the one float discipline that survives vectorisation, chunking and
 re-segmentation unchanged; every other reduction keeps its original
 NumPy definition (``np.quantile``, ``np.median``, ``min``/``max``, exact
-integer sums).  Ungrouped aggregation is untouched by all of this: with
+integer sums).  Order statistics over floats (``min``/``max``/``median``/
+percentiles) are returned with a canonical zero sign (``+ 0.0``): NumPy
+picks between ``-0.0`` and ``0.0`` by element order, which no sorted or
+regrouped evaluation can reproduce, so both sides normalise to ``0.0``.
+Ungrouped aggregation is untouched by all of this: with
 no per-group loop to replace it still evaluates the plain
 :data:`repro.store.query.AGGREGATIONS` lambdas.
 """
@@ -41,12 +54,16 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-__all__ = ["GroupedReducer", "REFERENCE_REDUCERS", "factorize_parts",
-           "decompose_keys"]
+__all__ = ["GroupedReducer", "REFERENCE_REDUCERS", "dense_unique",
+           "factorize_parts", "decompose_keys"]
 
 #: Quantile per percentile-named reduction.
 _QUANTILES = {"p50": 0.50, "p90": 0.90, "p99": 0.99, "p999": 0.999,
               "median": 0.5}
+
+#: Groups whose indices fit in ``uint16``: up to this many, the reducer's
+#: row order is NumPy's stable radix argsort over 16-bit keys.
+_RADIX_GROUPS = 2 ** 16
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -72,16 +89,29 @@ def _reference_mean(values: np.ndarray) -> float:
     return _sequential_sum(values) / values.size
 
 
+def _unsigned_zero(result):
+    """``result`` with ``-0.0`` made ``0.0`` (floats only; ints untouched).
+
+    The zero sign of a float ``min``/``max``/quantile depends on which
+    of tied ``±0.0`` elements NumPy met first — ``[0., -0.] * 5`` has
+    ``min()`` ``-0.0``, reversed ``0.0`` — so order statistics are
+    defined with the sign dropped.
+    """
+    if result.dtype.kind == "f":
+        return result + 0.0
+    return result
+
+
 def _reference_min(values: np.ndarray):
     if values.dtype.kind == "U":
         return min(values.tolist())  # no min ufunc loop for unicode
-    return values.min().item()
+    return _unsigned_zero(values.min()).item()
 
 
 def _reference_max(values: np.ndarray):
     if values.dtype.kind == "U":
         return max(values.tolist())
-    return values.max().item()
+    return _unsigned_zero(values.max()).item()
 
 
 def _reference_std(values: np.ndarray) -> float:
@@ -101,15 +131,31 @@ REFERENCE_REDUCERS: dict[str, Callable[[np.ndarray], object]] = {
     "count": lambda a: int(a.size),
     "sum": _reference_sum,
     "mean": _reference_mean,
-    "median": lambda a: np.median(a).item(),
+    "median": lambda a: np.median(a).item() + 0.0,
     "min": _reference_min,
     "max": _reference_max,
     "std": _reference_std,
-    "p50": lambda a: np.quantile(a, 0.50).item(),
-    "p90": lambda a: np.quantile(a, 0.90).item(),
-    "p99": lambda a: np.quantile(a, 0.99).item(),
-    "p999": lambda a: np.quantile(a, 0.999).item(),
+    "p50": lambda a: np.quantile(a, 0.50).item() + 0.0,
+    "p90": lambda a: np.quantile(a, 0.90).item() + 0.0,
+    "p99": lambda a: np.quantile(a, 0.99).item() + 0.0,
+    "p999": lambda a: np.quantile(a, 0.999).item() + 0.0,
 }
+
+
+def dense_unique(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for integers in ``[0, size)``.
+
+    Counting instead of sorting: one ``bincount`` marks which codes are
+    present, ``flatnonzero`` lists them in ascending order, and a prefix
+    count over the presence marks ranks every code, so the inverse is a
+    single lookup.  O(rows + size) rather than O(rows log rows); callers
+    use it only where ``size`` is bounded by the data (a vocabulary, or a
+    key space no larger than ``max(rows, 65536)``).  Both results are
+    int64, whatever the dtype of ``codes``.
+    """
+    present = np.bincount(codes, minlength=size) != 0
+    rank = np.cumsum(present) - 1
+    return np.flatnonzero(present), rank[codes]
 
 
 def factorize_parts(parts: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -126,24 +172,26 @@ def factorize_parts(parts: Sequence) -> tuple[np.ndarray, np.ndarray]:
     decoded concatenation would return: the sorted distinct values
     actually present, and an int64 inverse mapping each row to them.
     """
-    vocabularies = []
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            vocabularies.append(np.unique(part))
-        else:
-            vocabularies.append(part.values)
+    vocabularies = [np.unique(part) if isinstance(part, np.ndarray)
+                    else part.values for part in parts]
     if not vocabularies:
         empty = np.empty(0, dtype=np.str_)
         return empty, np.empty(0, dtype=np.int64)
-    vocabulary = np.unique(np.concatenate(vocabularies))
+    stacked = np.concatenate(vocabularies)
+    vocabulary = np.unique(stacked)
+    # Every local vocabulary entry's position in the unified one, in one
+    # call; part i's slice starts at the sum of the earlier sizes.
+    lookup = np.searchsorted(vocabulary, stacked)
     remapped = []
+    start = 0
     for part, local in zip(parts, vocabularies):
-        lookup = np.searchsorted(vocabulary, local)
+        local_lookup = lookup[start:start + local.size]
+        start += local.size
         if isinstance(part, np.ndarray):
-            remapped.append(lookup[np.searchsorted(local, part)])
+            remapped.append(local_lookup[np.searchsorted(local, part)])
         else:
-            remapped.append(lookup[part.codes])
-    present, inverse = np.unique(np.concatenate(remapped), return_inverse=True)
+            remapped.append(local_lookup[part.codes])
+    present, inverse = dense_unique(np.concatenate(remapped), vocabulary.size)
     return vocabulary[present], inverse
 
 
@@ -174,7 +222,14 @@ class GroupedReducer:
     the group-gathered view for ``reduceat`` and the within-group sorted
     view for order statistics — are computed lazily and shared between
     reductions over the same column, so ``p50,p90,p99`` of one column
-    cost one ``lexsort``, not three.
+    cost one sort of each group's slice, not three.
+
+    The group layout is counted, not sorted: ``counts`` is one
+    ``bincount`` of ``key_inverse`` and ``starts`` its exclusive prefix
+    sum.  The group-contiguous row order is a stable argsort — with at
+    most 65,536 groups over ``key_inverse`` cast to ``uint16``, which
+    NumPy sorts with an O(n) radix sort; above that a stable sort of the
+    int64 indices — so each group's rows keep their original order.
 
     Every reduction — :meth:`reduce_array`, or :meth:`reduce` as native
     scalars — is bit-identical to applying the matching
@@ -185,21 +240,26 @@ class GroupedReducer:
     def __init__(self, key_inverse: np.ndarray, num_groups: int) -> None:
         self.key_inverse = key_inverse
         self.num_groups = int(num_groups)
-        # Plain (unstable) argsort: no kernel depends on within-group row
-        # order — integer sums are exact in any order, extrema and sorted
-        # order statistics are order-free, and float sums go through
-        # ``bincount`` over the *original* row order, not this gather.
-        order = np.argsort(key_inverse)
-        starts = np.searchsorted(key_inverse[order], np.arange(num_groups))
+        counts = np.bincount(key_inverse, minlength=self.num_groups)
+        if self.num_groups <= _RADIX_GROUPS:
+            order = np.argsort(key_inverse.astype(np.uint16), kind="stable")
+        else:
+            order = np.argsort(key_inverse, kind="stable")
         self._order = order
-        self._starts = starts
-        self._counts = np.bincount(key_inverse, minlength=num_groups)
+        self._starts = np.cumsum(counts) - counts
+        self._counts = counts
         self._gathered: dict[str, np.ndarray] = {}
         self._sorted: dict[str, np.ndarray] = {}
 
     # -- derived views --------------------------------------------------- #
     def _gather(self, name: str, values: np.ndarray) -> np.ndarray:
-        """``values`` re-ordered group-contiguous, row order kept per group."""
+        """``values`` re-ordered group-contiguous, row order kept per group.
+
+        Row order within a group is kept because the reducer's order is
+        a stable argsort; no kernel relies on it (integer sums are exact
+        in any order, extrema and sorted order statistics are order-free,
+        and float sums go through ``bincount`` over the original rows).
+        """
         gathered = self._gathered.get(name)
         if gathered is None:
             gathered = values[self._order]
@@ -254,7 +314,8 @@ class GroupedReducer:
                 ends = np.append(self._starts[1:], self.key_inverse.size)
                 return ordered[ends - 1]
             return ordered[self._starts]
-        return ufunc.reduceat(self._gather(name, values), self._starts)
+        return _unsigned_zero(
+            ufunc.reduceat(self._gather(name, values), self._starts))
 
     def _quantile(self, name: str, values: np.ndarray,
                   q: float) -> np.ndarray:
@@ -263,7 +324,8 @@ class GroupedReducer:
         Replicates NumPy's arithmetic step for step — virtual index over
         ``n - 1``, floor/gamma split, and the two-branch lerp that
         switches at ``gamma >= 0.5`` — so each group's value equals the
-        scalar ``np.quantile`` of its rows to the last bit.
+        scalar ``np.quantile`` of its rows to the last bit (zero sign
+        canonicalised, as in the reference).
         """
         ordered = self._sort(name, values).astype(np.float64, copy=False)
         counts = self._counts
@@ -278,7 +340,7 @@ class GroupedReducer:
         diff = high - low
         return np.where(gamma >= 0.5,
                         high - diff * (1 - gamma),
-                        low + diff * gamma)
+                        low + diff * gamma) + 0.0
 
     def _median(self, name: str, values: np.ndarray) -> np.ndarray:
         """Per-group ``np.median``: mean of the two middle sorted values."""
@@ -288,7 +350,7 @@ class GroupedReducer:
         high = ordered[self._starts + counts // 2]
         with np.errstate(over="ignore"):
             even = (low + high) / 2.0
-        return np.where(counts % 2, high, even)
+        return np.where(counts % 2, high, even) + 0.0
 
     # -- dispatch ---------------------------------------------------------- #
     def reduce_array(self, name: str, values: np.ndarray,

@@ -98,6 +98,10 @@ AGGREGATIONS: dict[str, Callable[[np.ndarray], float]] = {
 #: once the product of the group columns' cardinalities exceeds this.
 _MAX_KEY_SPACE = 2 ** 62
 
+#: Group-key spaces up to ``max(rows, this)`` are indexed by counting
+#: (:func:`repro.store.kernels.dense_unique`) instead of ``np.unique``.
+_DENSE_KEY_SPACE = 2 ** 16
+
 
 @dataclass(frozen=True)
 class Predicate:
@@ -733,9 +737,18 @@ class Query:
                      ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """Encode the group key: ``(per-column uniques, group keys, inverse)``.
 
-        The (possibly multi-column) key is folded into one int64 vector;
-        ``group_keys`` are its sorted distinct values and ``key_inverse``
-        maps each matching row to its 0-based group.
+        The (possibly multi-column) key is folded into one int64 mixed-radix
+        vector in ``[0, space)``, ``space`` being the product of the
+        columns' cardinalities; ``group_keys`` are its sorted distinct
+        values and ``key_inverse`` maps each matching row to its 0-based
+        group.  The index is counted, not sorted, wherever the key space
+        is small: dictionary-coded columns factorize through
+        :func:`~repro.store.kernels.factorize_parts`, and when ``space``
+        is at most ``max(rows, 65536)`` the folded key goes through
+        :func:`~repro.store.kernels.dense_unique` (``bincount`` + rank
+        lookup, O(rows + space)).  A sparser key space — several fine
+        columns, say — keeps ``np.unique``, whose sort is then cheaper
+        than a count array larger than the data.
         """
         key = np.zeros(length, dtype=np.int64)
         uniques: list[np.ndarray] = []
@@ -752,7 +765,10 @@ class Query:
                     f"group_by over {self._group_by}: key cardinality "
                     f"exceeds the int64 group-key space")
             key = key * len(u) + inverse
-        group_keys, key_inverse = np.unique(key, return_inverse=True)
+        if space <= max(length, _DENSE_KEY_SPACE):
+            group_keys, key_inverse = kernels.dense_unique(key, space)
+        else:
+            group_keys, key_inverse = np.unique(key, return_inverse=True)
         return uniques, group_keys, key_inverse
 
     def _empty_columns(self) -> dict[str, np.ndarray]:

@@ -15,7 +15,12 @@ engine promises bit-identity, not closeness):
   (a JSONL twin of the same rows is the oracle);
 * **columns == rows** — ``aggregate_arrays()`` zipped through
   ``tolist()`` is the reference engine's rows, value, order and scalar
-  type, and :meth:`GroupedReducer.reduce_array` is ``reduce()``.
+  type, and :meth:`GroupedReducer.reduce_array` is ``reduce()``;
+* **counting == sorting** — :func:`kernels.dense_unique` and
+  :func:`kernels.factorize_parts` equal ``np.unique(...,
+  return_inverse=True)``, and grouped queries on either side of the
+  dense-key-space and 65,536-group cutoffs equal the reference and a
+  plain Python grouping; order statistics agree on the zero sign.
 
 Plus the satellite fixes: the ``in`` textual grammar, numeric ``!=``
 pushdown, vectorised ``rows()``, and the cached-query hook.
@@ -23,17 +28,20 @@ pushdown, vectorised ``rows()``, and the cached-query hook.
 
 from __future__ import annotations
 
+import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from legacy_segments import append_jsonl, jsonl_store
 
 from repro.campaign import synthetic_fleet_batch
 from repro.store import ResultStore
 from repro.store import kernels
+from repro.store.columnar import CodedColumn
 from repro.store.query import Predicate, QueryStats, parse_predicate
 from repro.store.schema import kind_for
 
@@ -169,6 +177,184 @@ class TestKernelVsReference:
             np.concatenate(decoded), return_inverse=True)
         assert np.array_equal(values, expected_values)
         assert np.array_equal(inverse, expected_inverse)
+
+
+# --------------------------------------------------------------------------- #
+# Counting group index: dense_unique, factorize_parts and the cutoffs
+# --------------------------------------------------------------------------- #
+@st.composite
+def _dense_codes(draw):
+    dtype = draw(st.sampled_from((np.uint8, np.uint16, np.int64)))
+    size = draw(st.integers(0, 256 if dtype == np.uint8 else 1000))
+    codes = (draw(st.lists(st.integers(0, size - 1), max_size=80))
+             if size else [])
+    return np.array(codes, dtype=dtype), size
+
+
+_WORDS = ("", "a", "b", "mobilenet", "ü-名前", "zz")
+
+
+@st.composite
+def _string_parts(draw):
+    """Per-segment parts: coded (u1/u2/u4 codes) or plain, plus decodings."""
+    parts, decoded = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            vocab = np.array(sorted(set(draw(st.lists(
+                st.sampled_from(_WORDS), min_size=1)))))
+            dtype = draw(st.sampled_from((np.uint8, np.uint16, np.uint32)))
+            codes = np.array(draw(st.lists(
+                st.integers(0, vocab.size - 1), max_size=20)), dtype=dtype)
+            parts.append(CodedColumn(codes, vocab))
+            decoded.append(vocab[codes])
+        else:
+            plain = np.array(draw(st.lists(st.sampled_from(_WORDS),
+                                           max_size=20)), dtype=np.str_)
+            parts.append(plain)
+            decoded.append(plain)
+    return parts, decoded
+
+
+def _key_space_spy(monkeypatch) -> list:
+    """Record ``(rows, size)`` of every :func:`kernels.dense_unique` call."""
+    calls = []
+    original = kernels.dense_unique
+
+    def spy(codes, size):
+        calls.append((codes.size, size))
+        return original(codes, size)
+
+    monkeypatch.setattr(kernels, "dense_unique", spy)
+    return calls
+
+
+def _python_group_counts(columns: list) -> list:
+    """Sorted ``(*key, count)`` tuples of a plain Python grouping."""
+    counts = Counter(zip(*(column.tolist() for column in columns)))
+    return [(*key, count) for key, count in sorted(counts.items())]
+
+
+ORDER_FNS = ("min", "max", "median", "p50", "p90", "p99", "p999")
+
+
+class TestCountingGroupIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(_dense_codes())
+    @example((np.array([], dtype=np.uint8), 0))
+    @example((np.array([], dtype=np.int64), 5))
+    @example((np.array([3, 3, 3], dtype=np.uint16), 4))
+    def test_dense_unique_matches_np_unique(self, case):
+        codes, size = case
+        values, inverse = kernels.dense_unique(codes, size)
+        expected_values, expected_inverse = np.unique(codes,
+                                                      return_inverse=True)
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(inverse, expected_inverse)
+        assert values.dtype == np.int64 and inverse.dtype == np.int64
+
+    @settings(max_examples=200, deadline=None)
+    @given(_string_parts())
+    @example(([], []))
+    @example(([CodedColumn(np.array([0], dtype=np.uint8), np.array(["a"]))],
+              [np.array(["a"])]))
+    def test_factorize_parts_matches_np_unique(self, case):
+        parts, decoded = case
+        values, inverse = kernels.factorize_parts(parts)
+        if decoded:
+            expected_values, expected_inverse = np.unique(
+                np.concatenate(decoded), return_inverse=True)
+        else:
+            expected_values = np.empty(0, dtype=np.str_)
+            expected_inverse = np.empty(0, dtype=np.int64)
+        assert values.tolist() == expected_values.tolist()
+        assert np.array_equal(inverse, expected_inverse)
+        assert inverse.dtype == np.int64
+
+    def test_dense_key_space(self, tmp_path, monkeypatch):
+        store = mixed_store(tmp_path / "s")
+        keys = ("device_name", "target", "backend")
+        build = lambda: (store.query("fleet_events").group_by(*keys)
+                         .agg(**{fn: ("latency_ms", fn) for fn in ALL_FNS}))
+        arrays = store.query("fleet_events").arrays(*keys)
+        rows = len(arrays[keys[0]])
+        space = math.prod(np.unique(arrays[k]).size for k in keys)
+        calls = _key_space_spy(monkeypatch)
+        kernel = build().aggregate(engine="kernel")
+        assert (rows, space) in calls  # the counting branch ran
+        assert kernel == build().aggregate(engine="reference")
+        assert [(*(row[k] for k in keys), row["count"]) for row in kernel] \
+            == _python_group_counts([arrays[k] for k in keys])
+
+    def test_sparse_key_space_falls_back_to_np_unique(self, tmp_path,
+                                                       monkeypatch):
+        store = mixed_store(tmp_path / "s")
+        keys = ("time_s_bin", "user_id", "backend", "model_name")
+        build = lambda: (store.query("fleet_events").bin("time_s", 1.0)
+                         .group_by(*keys)
+                         .agg(**{fn: ("latency_ms", fn) for fn in ALL_FNS},
+                              model_max=("model_name", "max")))
+        arrays = store.query("fleet_events").arrays(
+            "time_s", *keys[1:])
+        arrays["time_s_bin"] = (arrays["time_s"] // 1.0).astype(np.int64)
+        rows = len(arrays["time_s"])
+        space = math.prod(np.unique(arrays[k]).size for k in keys)
+        assert space > max(rows, 2 ** 16)
+        calls = _key_space_spy(monkeypatch)
+        kernel = build().aggregate(engine="kernel")
+        assert all(size < space for _rows, size in calls)
+        assert kernel == build().aggregate(engine="reference")
+        assert [(*(row[k] for k in keys), row["count"]) for row in kernel] \
+            == _python_group_counts([arrays[k] for k in keys])
+
+    def test_more_groups_than_the_radix_sort_takes(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        with store.writer(rows_per_segment=20_000) as writer:
+            writer.append_batch("fleet_events",
+                                synthetic_fleet_batch(0, 70_000, seed=3))
+        build = lambda: (store.query("fleet_events").bin("time_s", 0.001)
+                         .group_by("time_s_bin")
+                         .agg(n=("latency_ms", "count"),
+                              b=("cloud_bytes", "sum"),
+                              mean=("latency_ms", "mean"),
+                              low=("latency_ms", "min"),
+                              p90=("latency_ms", "p90"),
+                              model=("model_name", "max")))
+        kernel = build().aggregate(engine="kernel")
+        assert len(kernel) > 2 ** 16
+        assert kernel == build().aggregate(engine="reference")
+        times = store.query("fleet_events").arrays("time_s")["time_s"]
+        assert [(row["time_s_bin"], row["n"]) for row in kernel] == \
+            _python_group_counts([(times // 0.001).astype(np.int64)])
+
+
+class TestSignedZero:
+    """Order statistics drop the zero sign on both engines alike."""
+
+    def test_tied_zeros_in_either_order(self):
+        for values in (np.array([0.0, -0.0] * 5), np.array([-0.0, 0.0] * 5)):
+            inverse = np.zeros(values.size, dtype=np.int64)
+            reducer = kernels.GroupedReducer(inverse, 1)
+            for fn in ORDER_FNS:
+                result = reducer.reduce("v", values, fn)[0]
+                reference = kernels.REFERENCE_REDUCERS[fn](values)
+                assert math.copysign(1.0, result) == 1.0, fn
+                assert math.copysign(1.0, reference) == 1.0, fn
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5),
+                              st.sampled_from((-1.0, -0.0, 0.0, 1.0))),
+                    min_size=1, max_size=60))
+    def test_kernels_match_reference_zero_sign(self, rows):
+        groups = np.array([group for group, _ in rows])
+        values = np.array([value for _, value in rows])
+        uniques, inverse = np.unique(groups, return_inverse=True)
+        reducer = kernels.GroupedReducer(inverse, uniques.size)
+        for fn in ORDER_FNS:
+            kernel = reducer.reduce("v", values, fn)
+            reference = [kernels.REFERENCE_REDUCERS[fn](values[inverse == g])
+                         for g in range(uniques.size)]
+            assert [repr(v) for v in kernel] == [repr(v) for v in reference]
+            assert "-0.0" not in map(repr, kernel)
 
 
 # --------------------------------------------------------------------------- #
@@ -330,7 +516,6 @@ class TestColumnarResults:
 
 
 def _coded(vocab, codes):
-    from repro.store.columnar import CodedColumn
     return CodedColumn(codes, np.asarray(vocab))
 
 
