@@ -1,9 +1,27 @@
-"""Setuptools shim so editable installs work without the ``wheel`` package.
+"""Setuptools metadata of the ``repro`` package (sources under ``src/``).
 
-All project metadata lives in ``pyproject.toml``; this file only enables
-``pip install -e . --no-use-pep517`` in offline environments.
+All project metadata lives here; there is no ``pyproject.toml``.  With no
+``wheel`` package, ``pip install -e . --no-use-pep517`` installs it offline.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+HERE = Path(__file__).resolve().parent
+# Read, not imported: importing ``repro`` would need its dependencies.
+VERSION = re.search(r'^__version__ = "([^"]+)"',
+                    (HERE / "src" / "repro" / "__init__.py").read_text(),
+                    re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description=("Reproduction of 'Smart at what cost? Characterising "
+                 "Mobile DNNs in the wild' (IMC 2021)"),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy", "scipy", "networkx"],
+)

@@ -11,12 +11,14 @@ fleet results are bit-identical for every worker count, chunking and pool
 kind.
 
 Users are materialised a block at a time
-(:meth:`FleetSpec.materialize_block`): only the RNG draws run per user, in
-the per-user order; the rest of every plan is array code over the whole
-block.  On 1,200 sparse Ambient users that is ~47 µs per user against
-~108 µs for the one-user-at-a-time reference
-(:func:`~repro.fleet.reference.materialize_reference`; median of 8
-trials, each best of 5 interleaved runs, 2-vCPU Intel Xeon container).
+(:meth:`FleetSpec.materialize_block`): the block's seeds are hashed in one
+vectorised pass (:func:`seed_states`), only the RNG draws run per user, in
+the per-user order, and the rest of every plan is array code over the
+whole block.  On 1,200 sparse Ambient users that is ~16 µs per user
+against ~60 µs for the one-user-at-a-time reference
+(:func:`~repro.fleet.reference.materialize_reference`), and against
+~25 µs with one ``default_rng`` per user (median of 8 trials, each best of
+5 interleaved runs, 2-vCPU Intel Xeon container).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.core.scenarios import STANDARD_SCENARIOS, Scenario
 from repro.devices.battery import RechargeSchedule
@@ -36,9 +39,9 @@ from repro.fleet.arrivals import (MIN_SESSION_S, DiurnalProfile,
 from repro.fleet.router import RoutingPolicy
 from repro.runtime.backends import Backend, profile_for
 
-__all__ = ["derive_user_seed", "derive_user_region", "VirtualUser", "UserPlan",
-           "FleetSpec", "zoo_population", "congested_population",
-           "preferred_backend"]
+__all__ = ["derive_user_seed", "seed_states", "derive_user_region",
+           "VirtualUser", "UserPlan", "FleetSpec", "zoo_population",
+           "congested_population", "preferred_backend"]
 
 #: Device-tier market weights for assigning phones to users (low tiers are
 #: the volume segment — the paper's motivation for measuring the A20).
@@ -136,6 +139,96 @@ def derive_user_seed(base_seed: int, user_id: int) -> int:
     material = f"{base_seed}|fleet-user|{user_id}"
     digest = hashlib.sha256(material.encode()).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+# NumPy's SeedSequence hash (``numpy/random/bit_generator.pyx``): pool size
+# 4, 32-bit words.  The constant each hash call xors in and multiplies by
+# depends on the call count only, never on the data, so both are fixed.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, count: int
+                    ) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor operand, multiplier) of each of ``count`` successive hash calls:
+    a call xors in the running constant, then multiplies by its next value."""
+    constants, value = [], init
+    for _ in range(count):
+        following = value * mult & _MASK32
+        constants.append((np.uint32(value), np.uint32(following)))
+        value = following
+    return constants
+
+
+#: ``hashmix`` calls: 4 pool words, then 12 cross-mixes; 8 output words.
+_HASHMIX = _hash_constants(_INIT_A, _MULT_A, 16)
+_OUTPUT = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hash(value: np.ndarray, constants: tuple[np.uint32, np.uint32]
+          ) -> np.ndarray:
+    xor, mult = constants
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def seed_states(seeds: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed.
+
+    Returns an ``(n, 4)`` uint64 array, row ``i`` for ``seeds[i]`` (each in
+    ``[0, 2**64)``), from one pass of uint32 array operations over the
+    whole block instead of one ``SeedSequence`` per seed.  A 64-bit seed
+    is one or two 32-bit entropy words, and a pool slot without an entropy
+    word hashes 0, so a seed below ``2**32`` is exactly its zero-padded
+    two-word case: one two-word path covers every seed.  These four words
+    are what ``np.random.PCG64(seed)`` seeds itself from.
+    """
+    words = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    zero = np.zeros(len(words), dtype=np.uint32)
+    # uint32 array arithmetic wraps modulo 2**32, as the C hash does.
+    pool = [_hash(words.astype(np.uint32), _HASHMIX[0]),  # low word
+            _hash((words >> np.uint64(32)).astype(np.uint32), _HASHMIX[1]),
+            _hash(zero, _HASHMIX[2]),
+            _hash(zero, _HASHMIX[3])]
+    call = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _HASHMIX[call]))
+                call += 1
+    state = np.empty((len(words), 8), dtype=np.uint32)
+    for out in range(8):
+        state[:, out] = _hash(pool[out % 4], _OUTPUT[out])
+    # Little-endian word pairs, as SeedSequence assembles them.
+    return state.astype("<u4", copy=False).view("<u8").astype(
+        np.uint64, copy=False)
+
+
+class _PrecomputedState(ISeedSequence):
+    """One row of :func:`seed_states`, handed to ``np.random.PCG64``.
+
+    PCG64 seeds itself from ``generate_state(4, np.uint64)``; this returns
+    the precomputed row so the generator equals ``default_rng(seed)``
+    without building a ``SeedSequence``.  It cannot spawn.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("only PCG64's 4 uint64 seeding words are held")
+        return self._state
 
 
 def derive_user_region(base_seed: int, user_id: int,
@@ -373,7 +466,10 @@ class FleetSpec:
 
         Equal, field for field and byte for byte, to
         :func:`~repro.fleet.reference.materialize_reference` of each id.
-        Only the RNG draws stay per user: seed, scenario, device, model,
+        Seeding is one pass over the block: :func:`seed_states` hashes
+        every user's seed at once, and each user's generator is a PCG64
+        seeded from its row — the same state as ``default_rng(seed)``.
+        Only the RNG draws stay per user: scenario, device, model,
         battery level, session count, starts and durations (pass 1), then
         the two per-event normal draws from the same generator (pass 2) —
         the per-user order of every stream is unchanged.  Everything in
@@ -395,11 +491,15 @@ class FleetSpec:
         rates: list[float] = []
         start_draws: list[np.ndarray] = []
         duration_draws: list[np.ndarray] = []
+        seeds: list[int] = []
         for user_id in user_ids:
             if not 0 <= user_id < self.num_users:
                 raise ValueError(f"user_id must be in [0, {self.num_users})")
-            seed = derive_user_seed(self.seed, user_id)
-            rng = np.random.default_rng(seed)
+            seeds.append(derive_user_seed(self.seed, user_id))
+        for user_id, seed, state in zip(user_ids, seeds, seed_states(seeds)):
+            # Equal to default_rng(seed): PCG64 seeded from the same words.
+            rng = np.random.Generator(np.random.PCG64(
+                _PrecomputedState(state)))
             # integers(1) draws nothing, so a single choice is skipped.
             scenario = (eligible[int(rng.integers(len(eligible)))]
                         if len(eligible) > 1 else eligible[0])

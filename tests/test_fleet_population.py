@@ -8,6 +8,8 @@ one user at a time) on generated specs and generated blocks of user ids.
 Every :class:`VirtualUser` field and the bytes of every plan array must
 match.  Plan digests of fixed (spec, seed) inputs are pinned to the values
 the per-user population produced before block materialisation existed.
+The block's seeding (:func:`~repro.fleet.population.seed_states`) is held
+to NumPy's own ``SeedSequence`` the same way.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -25,6 +28,7 @@ from repro.devices.battery import RechargeSchedule
 from repro.devices.device import PHONES
 from repro.dnn.graph import Modality
 from repro.fleet import DiurnalProfile, FleetSpec, VirtualUser, zoo_population
+from repro.fleet.population import _PrecomputedState, seed_states
 from repro.fleet.reference import materialize_reference
 
 HOUR = 3600.0
@@ -177,3 +181,44 @@ def test_out_of_range_id_raises(user_ids):
     for user_id in (-1, 5):
         with pytest.raises(ValueError, match="user_id"):
             spec.materialize(user_id)
+
+
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+seed_lists = st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                      max_size=50)
+
+
+@given(seeds=seed_lists)
+@example(seeds=[])
+@example(seeds=[0])
+@example(seeds=[1])
+@example(seeds=[2**32 - 1])
+@example(seeds=[2**32])
+@example(seeds=[2**64 - 1])
+@example(seeds=SEED_EDGES)
+@settings(max_examples=200, deadline=None)
+def test_seed_states_match_seed_sequence(seeds):
+    states = seed_states(seeds)
+    assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+    for seed, row in zip(seeds, states, strict=True):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert row.tobytes() == expected.tobytes(), seed
+
+
+@given(seeds=seed_lists)
+@example(seeds=SEED_EDGES)
+@settings(max_examples=50, deadline=None)
+def test_generator_from_row_is_default_rng(seeds):
+    for seed, row in zip(seeds, seed_states(seeds), strict=True):
+        rng = np.random.Generator(np.random.PCG64(_PrecomputedState(row)))
+        reference = np.random.default_rng(seed)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.random(3).tobytes() == reference.random(3).tobytes()
+
+
+def test_precomputed_state_holds_only_pcg64_seeding_words():
+    state = _PrecomputedState(seed_states([7])[0])
+    with pytest.raises(ValueError):
+        state.generate_state(8, np.uint64)
+    with pytest.raises(ValueError):
+        state.generate_state(4, np.uint32)
