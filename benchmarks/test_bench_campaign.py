@@ -5,7 +5,8 @@ into contiguous user ranges, simulates each shard into its own store,
 and merges by **segment adoption** — hard links plus one manifest
 commit — instead of rewriting rows.  The read side maps v3 columnar
 payloads directly (``mmap`` + per-column ``frombuffer`` views) instead
-of materialising ``.npy`` sidecars.  This module measures and enforces:
+of materialising per-column ``.npy`` mirrors.  This module measures and
+enforces:
 
 * **adoption merge speedup** — merging the shard stores by segment
   adoption must beat the row-rewrite alternative (read every shard's
@@ -35,9 +36,9 @@ other ``BENCH_*.json`` baselines.
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import shutil
 import time
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from conftest import (BENCH_SCALE, assert_speedup,
 from repro.campaign import ambient_spec, run_campaign
 from repro.fleet import FleetSimulator
 from repro.store import ResultStore, kind_for, merge_stores
-from repro.store.segment import materialise_sidecar, mmap_sidecar_dir
+from repro.store.segment import atomic_write_bytes, load_columns
 
 #: Where the machine-readable baseline lands (repo root, BENCH_* trajectory).
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
@@ -188,7 +189,31 @@ def test_bench_adoption_merge_vs_reingest(campaign, tmp_path_factory):
     assert_speedup(speedup, MIN_MERGE_SPEEDUP, "adoption merge")
 
 
-def test_bench_zero_copy_reads(campaign):
+def _materialise_sidecar(directory, meta, kind, sidecar):
+    """Columns as read-only memmaps of a per-column ``.npy`` mirror.
+
+    The sidecar-materialisation baseline: decode every column resident,
+    write each to its own ``.npy`` file (tmp-file + fsync + rename) behind
+    a checksum marker, then serve ``np.load(mmap_mode="r")`` views of the
+    mirror — the only way to memory-map a segment whose payload cannot be
+    mapped in place.
+    """
+    columns = load_columns(directory, meta, kind)
+    sidecar.mkdir(parents=True, exist_ok=True)
+    for name, array in columns.items():
+        buffer = io.BytesIO()
+        np.save(buffer, array)
+        atomic_write_bytes(sidecar / f"{name}.npy", buffer.getvalue())
+    atomic_write_bytes(sidecar / "LOG_SHA256",
+                       (meta.sha256 + "\n").encode("utf-8"))
+    mapped = {column.name: np.load(sidecar / f"{column.name}.npy",
+                                   mmap_mode="r")
+              for column in kind.columns}
+    assert all(array.shape == (meta.rows,) for array in mapped.values())
+    return mapped
+
+
+def test_bench_zero_copy_reads(campaign, tmp_path):
     """Acceptance: mmap columnar reads >= 5x sidecar materialisation, cold."""
     merged = campaign.store
     metas = merged.segments_for("fleet_events")
@@ -201,23 +226,17 @@ def test_bench_zero_copy_reads(campaign):
             total += array.size
         return total
 
-    def clear_sidecars():
-        for meta in metas:
-            sidecar = mmap_sidecar_dir(merged.segments_dir, meta)
-            if sidecar.is_dir():
-                shutil.rmtree(sidecar)
+    def materialise(meta, round_):
+        return _materialise_sidecar(merged.segments_dir, meta, kind,
+                                    tmp_path / f"{round_}" / meta.name)
 
-    # Baseline: the pre-PR mmap story — decode all columns, mirror them to
-    # .npy sidecar files, serve memmaps of the mirror.  Cold every round.
+    # Baseline: decode all columns, mirror them to .npy sidecar files,
+    # serve memmaps of the mirror.  Cold every round (fresh mirror dirs).
     sidecar_seconds = []
-    for _ in range(3):
-        clear_sidecars()
+    for round_ in range(3):
         started = time.perf_counter()
-        rows = sum(
-            touch(materialise_sidecar(merged.segments_dir, meta, kind))
-            for meta in metas)
+        rows = sum(touch(materialise(meta, round_)) for meta in metas)
         sidecar_seconds.append(time.perf_counter() - started)
-    clear_sidecars()
 
     # Zero-copy: map the .colseg payload, expose frombuffer views.
     mmap_seconds = []
@@ -231,12 +250,11 @@ def test_bench_zero_copy_reads(campaign):
     # Identity: both paths serve the same values.
     mapped_store = ResultStore(merged.root, mmap=True)
     for meta in metas[:2]:
-        mirrored = materialise_sidecar(merged.segments_dir, meta, kind)
+        mirrored = materialise(meta, "identity")
         mapped = mapped_store.columns_for(meta)
         for column in kind.columns:
             assert np.array_equal(np.asarray(mapped[column.name]),
                                   np.asarray(mirrored[column.name]))
-    clear_sidecars()
 
     speedup = min(sidecar_seconds) / min(mmap_seconds)
     RESULTS["zero_copy_reads"] = {

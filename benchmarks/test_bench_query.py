@@ -212,12 +212,11 @@ class TestQueryBench:
 
     def test_c_parallel_scan_identity_and_speedup(self, compressed_store,
                                                   payload):
-        def cold_query(max_workers, use_processes=False):
+        def cold_query(max_workers):
             # Fresh store object = empty column cache: every segment pays
             # its read + decompress + decode, the work threads overlap.
             fresh = ResultStore(compressed_store.root)
-            query = (fresh.query("fleet_events", max_workers=max_workers,
-                                 use_processes=use_processes)
+            query = (fresh.query("fleet_events", max_workers=max_workers)
                      .where("target", "==", "device")
                      .where("latency_ms", "<", 200.0))
             arrays = query.arrays("latency_ms", "energy_mj", "device_name",
@@ -225,48 +224,43 @@ class TestQueryBench:
             return arrays, query.stats
 
         expected, expected_stats = cold_query(1)
-        for workers, processes in ((2, False), (8, False), (2, True)):
-            actual, stats = cold_query(workers, processes)
-            label = f"workers={workers} processes={processes}"
+        for workers in (2, 8):
+            actual, stats = cold_query(workers)
+            label = f"workers={workers}"
             for name in expected:
                 assert expected[name].dtype == actual[name].dtype, label
                 assert np.array_equal(expected[name], actual[name]), label
             assert stats == expected_stats, label
 
-        def grouped_at(workers, processes=False):
+        def grouped_at(workers):
             fresh = ResultStore(compressed_store.root)
-            return (fresh.query("fleet_events", max_workers=workers,
-                                use_processes=processes)
+            return (fresh.query("fleet_events", max_workers=workers)
                     .group_by("device_name")
                     .agg(p99=("latency_ms", "p99"),
                          total=("energy_mj", "sum")).aggregate())
 
-        assert grouped_at(1) == grouped_at(8) == grouped_at(2, True)
+        assert grouped_at(1) == grouped_at(2) == grouped_at(8)
 
-        def cold_scan(max_workers, use_processes=False):
+        def cold_scan(max_workers):
             # Timed variant without predicates: the per-segment work is
             # read + decompress + decode (all GIL-releasing), which is
             # what thread fan-out can actually overlap.
             fresh = ResultStore(compressed_store.root)
-            return (fresh.query("fleet_events", max_workers=max_workers,
-                                use_processes=use_processes)
+            return (fresh.query("fleet_events", max_workers=max_workers)
                     .arrays("latency_ms", "energy_mj", "device_name",
                             "model_name"))
 
         _, sequential_s = best_of(3, cold_scan, 1)
         _, threads2_s = best_of(3, cold_scan, 2)
         _, threads8_s = best_of(3, cold_scan, 8)
-        _, processes2_s = best_of(2, cold_scan, 2, True)
         payload["parallel_scans"] = {
             "segments": len(compressed_store.segments_for("fleet_events")),
             "rows": compressed_store.num_rows("fleet_events"),
             "sequential_s": sequential_s,
             "threads2_s": threads2_s,
             "threads8_s": threads8_s,
-            "processes2_s": processes2_s,
             "threads2_speedup": sequential_s / threads2_s,
             "threads8_speedup": sequential_s / threads8_s,
-            "processes2_speedup": sequential_s / processes2_s,
         }
         # Recorded, not gated: thread wins ride on GIL-releasing
         # decompress/decode work and vary with segment size and core count.

@@ -321,8 +321,8 @@ def cmd_store_query(args: argparse.Namespace) -> int:
     if args.workers < 0:
         print("error: --workers must be >= 0", file=sys.stderr)
         return 2
-    if args.processes or args.workers != 1:
-        query.parallel(args.workers or None, use_processes=args.processes)
+    if args.workers != 1:
+        query.parallel(args.workers or None)
     try:
         for column, op, value in args.where:
             query.where(column, op, value)
@@ -439,13 +439,12 @@ def cmd_store_report(args: argparse.Namespace) -> int:
 
 def _print_summary_table(summary: dict) -> None:
     print(f"\n{'kind':<18}{'segments':>9}{'rows':>10}{'on-disk':>12}"
-          f"{'sidecars':>12}  formats")
+          "  formats")
     for kind_name, entry in summary.items():
         mix = ", ".join(f"{count} {fmt}" for fmt, count
                         in sorted(entry["formats"].items()))
         print(f"{kind_name:<18}{entry['segments']:>9}{entry['rows']:>10}"
-              f"{entry['bytes'] / 1e6:>10.2f}MB"
-              f"{entry['sidecar_bytes'] / 1e6:>10.2f}MB  {mix}")
+              f"{entry['bytes'] / 1e6:>10.2f}MB  {mix}")
 
 
 def cmd_store_info(args: argparse.Namespace) -> int:
@@ -1149,9 +1148,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parallel segment-scan workers (1 = sequential, "
                             "0 = one per CPU; results are bit-identical "
                             "for any worker count)")
-    query.add_argument("--processes", action="store_true",
-                       help="scan segments on a process pool instead of "
-                            "threads")
     query.set_defaults(func=cmd_store_query)
 
     report = store_sub.add_parser(
@@ -1365,7 +1361,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="background-compact a kind once it exceeds N "
                             "committed segments (invalidates serve caches)")
     serve.add_argument("--mmap", action="store_true",
-                       help="serve column caches as read-only memory maps")
+                       help="map columnar segments read-only in place "
+                            "(JSONL segments read resident)")
     serve.add_argument("--scan-workers", type=_positive_int, default=None,
                        metavar="N",
                        help="thread fan-out for per-request segment scans "

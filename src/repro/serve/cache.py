@@ -158,8 +158,7 @@ class CachedQuery(Query):
     :attr:`stats` differs (``segments_cached`` instead of
     ``segments_scanned``).  Because the hook is the one override, the
     cache composes with parallel thread scans unchanged (the tiers are
-    lock-protected); process scans bypass it — workers cannot see the
-    coordinator's cache — and simply scan.
+    lock-protected).
     """
 
     def __init__(self, store, kind, *, cache: ServeCache,

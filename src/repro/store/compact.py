@@ -32,7 +32,6 @@ the sequence counter.
 
 from __future__ import annotations
 
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -40,8 +39,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.store.schema import kind_for
-from repro.store.segment import (FORMAT_COLUMNAR, FORMAT_JSONL,
-                                 MMAP_DIR_SUFFIX, SegmentMeta,
+from repro.store.segment import (FORMAT_COLUMNAR, FORMAT_JSONL, SegmentMeta,
                                  write_columnar_segment, write_segment)
 from repro.store.store import ResultStore
 
@@ -60,8 +58,8 @@ class CompactionStats:
     rows_rewritten: int
     kinds_compacted: tuple[str, ...]
     files_removed: int
-    #: Old segment bytes removed (files + mmap sidecars) minus new segment
-    #: bytes written.  Negative when compaction grew the store (e.g. a
+    #: Old segment bytes removed (data files + npz caches) minus new
+    #: segment bytes written.  Negative when compaction grew the store (e.g. a
     #: JSONL -> columnar conversion of incompressible data).
     bytes_reclaimed: int = 0
 
@@ -198,7 +196,6 @@ def compact_store(store: Union[ResultStore, str, Path], *,
     # kind's new segments where its first old segment sat (preserving the
     # per-kind scan order queries rely on).
     old_files: list[str] = []
-    old_mmap_dirs: list[str] = []
     new_manifest: list[SegmentMeta] = []
     spliced: set[str] = set()
     for meta in store.segments:
@@ -206,7 +203,6 @@ def compact_store(store: Union[ResultStore, str, Path], *,
             new_manifest.append(meta)
             continue
         old_files.extend(meta.filenames)
-        old_mmap_dirs.append(f"{meta.name}{MMAP_DIR_SUFFIX}")
         if meta.kind not in spliced:
             spliced.add(meta.kind)
             new_manifest.extend(replacements[meta.kind])
@@ -222,17 +218,6 @@ def compact_store(store: Union[ResultStore, str, Path], *,
             files_removed += 1
         except FileNotFoundError:  # pragma: no cover - cache never written
             pass
-    # Memory-map sidecar directories of dropped segments are derived state;
-    # sweep them so a compacted store leaves no orphaned files behind.
-    for dirname in old_mmap_dirs:
-        sidecar = store.segments_dir / dirname
-        if sidecar.is_dir():
-            for path in sidecar.iterdir():
-                try:
-                    old_bytes += path.stat().st_size
-                except FileNotFoundError:  # pragma: no cover - race
-                    pass
-            shutil.rmtree(sidecar, ignore_errors=True)
 
     return CompactionStats(
         segments_before=segments_before,

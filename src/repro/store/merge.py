@@ -22,7 +22,7 @@ Crash safety inherits the store's single-commit-point design:
   therefore re-allocates the *same* target names, so ``os.replace``
   converges the orphans instead of leaking duplicates.
 
-Derived state (``.npz`` caches, ``.cols`` mmap sidecars) is never
+Derived state (``.npz`` column caches of JSONL segments) is never
 adopted — the destination rebuilds it lazily on first read, exactly as
 after a crash that lost a cache.
 """

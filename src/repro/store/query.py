@@ -17,11 +17,10 @@ bit-identical to the sequential/decoded/per-group semantics it replaces:
 
 * **parallel segment scans** — segments are independent, so
   :meth:`Query.parallel` fans the per-segment scan/mask work across
-  :func:`repro.runtime.pool.iter_mapped` (threads by default: the work
-  releases the GIL inside NumPy kernels; ``use_processes`` ships a
-  picklable :class:`_SegmentScanTask` instead).  Results stream back in
-  manifest order and :class:`QueryStats` merges by exact addition, so
-  every terminal is bit-identical for any worker count or pool kind;
+  :func:`repro.runtime.pool.iter_mapped` on threads (the work releases
+  the GIL inside NumPy kernels).  Results stream back in manifest order
+  and :class:`QueryStats` merges by exact addition, so every terminal is
+  bit-identical for any worker count;
 * **dictionary-coded predicates + late materialisation** — for
   dict-encoded string columns of columnar segments, predicates evaluate
   once against the (tiny) vocabulary and mask the integer codes;
@@ -58,7 +57,6 @@ assert pushdown actually happened.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (Any, Callable, Iterator, Mapping, Optional, Sequence,
                     Union)
 
@@ -277,7 +275,7 @@ def _coded_view(loaded: Mapping, name: str) -> Optional[CodedColumn]:
 
     Only columnar segment mappings expose ``.coded`` (see
     :meth:`repro.store.columnar.LazyColumns.coded`); plain dict mappings
-    (JSONL caches, npz/sidecar loads) and raw-encoded columns answer
+    (JSONL segments' npz caches) and raw-encoded columns answer
     ``None`` and callers fall back to the decoded array.
     """
     coded = getattr(loaded, "coded", None)
@@ -293,8 +291,8 @@ def _evaluate_segment(loaded: Mapping, meta: SegmentMeta,
     """Mask one loaded segment and materialise its surviving rows.
 
     A pure function of the loaded columns — the single evaluation point
-    shared by the sequential scan, the thread pool and the process-pool
-    :class:`_SegmentScanTask`, so the paths cannot diverge.  Dict-encoded
+    shared by the sequential scan and the thread pool, so the paths
+    cannot diverge.  Dict-encoded
     columns evaluate predicates against their vocabulary and mask the
     integer codes; only rows surviving *all* masks are ever decoded
     (columns named in ``coded`` are not decoded at all — they come back
@@ -326,55 +324,11 @@ def _evaluate_segment(loaded: Mapping, meta: SegmentMeta,
     return payload, matched
 
 
-class _SegmentScanTask:
-    """Picklable per-segment scan job for process-pool fan-out.
-
-    A snapshot of everything a worker needs to evaluate segments without
-    the coordinator's store object: segments directory, row-kind name,
-    the (frozen, picklable) predicates and the requested/coded column
-    sets.  Workers load columns through the same
-    :func:`repro.store.segment.load_columns` path the store's column
-    cache uses, so results are bit-identical to the in-process scan.
-    """
-
-    __slots__ = ("segments_dir", "kind_name", "predicates", "columns",
-                 "coded", "verify", "mmap")
-
-    def __init__(self, query: "Query", columns: tuple,
-                 coded: frozenset) -> None:
-        store = query.store
-        self.segments_dir = str(store.segments_dir)
-        self.kind_name = query.kind.name
-        self.predicates = tuple(query._predicates)
-        self.columns = columns
-        self.coded = coded
-        self.verify = bool(getattr(store, "verify", False))
-        self.mmap = bool(getattr(store, "mmap", False))
-
-    def __call__(self, meta: SegmentMeta):
-        from repro.store import segment as segment_io
-        from repro.store.schema import kind_for
-
-        kind = kind_for(self.kind_name)
-        if not all(p.may_match(meta, kind.column(p.column))
-                   for p in self.predicates):
-            return None, 0, QueryStats(segments_total=1, segments_skipped=1)
-        loaded = segment_io.load_columns(
-            Path(self.segments_dir), meta, kind,
-            verify=self.verify, mmap=self.mmap)
-        payload, matched = _evaluate_segment(loaded, meta, self.predicates,
-                                             self.columns, self.coded)
-        return payload, matched, QueryStats(
-            segments_total=1, segments_scanned=1,
-            rows_scanned=meta.rows, rows_matched=matched)
-
-
 class Query:
     """Filter / group / aggregate builder over one row kind of a store."""
 
     def __init__(self, store, kind: RowKind, *,
-                 max_workers: Optional[int] = 1,
-                 use_processes: bool = False) -> None:
+                 max_workers: Optional[int] = 1) -> None:
         self.store = store
         self.kind = kind
         self._predicates: list[Predicate] = []
@@ -385,7 +339,6 @@ class Query:
         #: Scan fan-out: 1 = sequential (the default), ``None`` = one
         #: worker per CPU; see :meth:`parallel`.
         self._max_workers = max_workers
-        self._use_processes = bool(use_processes)
         #: Populated by the terminal methods.
         self.stats = QueryStats()
 
@@ -403,25 +356,19 @@ class Query:
                 Predicate(name, "==", self._coerce(name, "==", wanted)))
         return self
 
-    def parallel(self, max_workers: Optional[int] = None, *,
-                 use_processes: bool = False) -> "Query":
-        """Builder step: fan the per-segment scans across a worker pool.
+    def parallel(self, max_workers: Optional[int] = None) -> "Query":
+        """Builder step: fan the per-segment scans across a thread pool.
 
         ``max_workers=None`` sizes the pool to the machine (one worker
-        per CPU, capped by the segment count); threads are the default —
-        segment scanning releases the GIL inside NumPy kernels — and
-        ``use_processes`` ships picklable scan tasks to a process pool
-        instead (each worker re-opens segment files itself, bypassing
-        the coordinator's column cache — and, for a
-        :class:`~repro.serve.cache.CachedQuery`, its fragment cache).
-        Results reassemble in manifest order and :class:`QueryStats`
-        merges by exact addition, so every terminal returns bit-identical
-        output for any worker count and either pool kind.
+        per CPU, capped by the segment count); segment scanning releases
+        the GIL inside NumPy kernels, and every worker reads through the
+        store's column cache.  Results reassemble in manifest order and
+        :class:`QueryStats` merges by exact addition, so every terminal
+        returns bit-identical output for any worker count.
         """
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive when given")
         self._max_workers = max_workers
-        self._use_processes = bool(use_processes)
         return self
 
     def bin(self, column: str, width: float,
@@ -521,35 +468,28 @@ class Query:
             segments_total=1, segments_scanned=1,
             rows_scanned=meta.rows, rows_matched=matched)
 
-    def _pooled_results(self, metas: Sequence[SegmentMeta], columns: tuple,
-                        coded: frozenset) -> Iterator:
-        """Per-segment results via the shared fan-out point, in order."""
-        from repro.runtime.pool import iter_mapped
-
-        if self._use_processes:
-            run_item = _SegmentScanTask(self, columns, coded)
-        else:
-            def run_item(meta: SegmentMeta):
-                return self._segment_result(meta, columns, coded)
-        return iter_mapped(run_item, metas, max_workers=self._max_workers,
-                           use_processes=self._use_processes)
-
     def _results(self, columns: Sequence[str], coded: frozenset = frozenset()
                  ) -> Iterator[tuple[Optional[dict], int]]:
         """Evaluate every segment in manifest order; yields ``(payload, matched)``.
 
         Resets :attr:`stats` and merges each segment's accounting delta
         by exact addition — identical totals whether the segments were
-        scanned inline, by threads, or by processes.
+        scanned inline or by threads.
         """
+        from repro.runtime.pool import iter_mapped
+
         self.stats = QueryStats()
         columns = tuple(columns)
         metas = self.store.segments_for(self.kind)
-        if self._use_processes or self._max_workers != 1:
-            results = self._pooled_results(metas, columns, coded)
+
+        def run_item(meta: SegmentMeta):
+            return self._segment_result(meta, columns, coded)
+
+        if self._max_workers != 1:
+            results = iter_mapped(run_item, metas,
+                                  max_workers=self._max_workers)
         else:
-            results = (self._segment_result(meta, columns, coded)
-                       for meta in metas)
+            results = map(run_item, metas)
         for payload, matched, delta in results:
             self.stats.merge(delta)
             yield payload, matched

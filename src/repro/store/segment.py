@@ -48,8 +48,8 @@ from repro.store.schema import RowKind
 __all__ = ["SegmentMeta", "StoreCorruptionError", "write_segment",
            "write_columnar_segment", "load_rows", "load_columns",
            "build_columns", "rows_from_columns", "column_stats",
-           "verify_segment", "atomic_write_bytes", "mmap_sidecar_dir",
-           "materialise_sidecar", "FORMAT_JSONL", "FORMAT_COLUMNAR"]
+           "verify_segment", "atomic_write_bytes", "FORMAT_JSONL",
+           "FORMAT_COLUMNAR"]
 
 #: Segment format names recorded in the manifest.
 FORMAT_JSONL = "jsonl"
@@ -375,16 +375,15 @@ def load_columns(directory: Path, meta: SegmentMeta, kind: RowKind, *,
     is no row log to rebuild from; the checksummed file itself is the
     source of truth).
 
-    With ``mmap`` the columns come back memory-mapped read-only from a
-    per-column ``.npy`` sidecar directory (npz archives cannot be mapped):
-    the sidecar is materialised once per segment and checksum-tagged like
-    the npz cache, after which opening a segment costs page-table entries
-    instead of resident memory — the read path for >10M-row stores.
+    With ``mmap`` a columnar segment's payload is mapped read-only in
+    place (:func:`_map_columnar`), so opening it costs page-table entries
+    instead of resident memory — the read path for >10M-row stores.  A
+    JSONL segment has no mappable column payload and reads resident
+    either way; ``store compact --format columnar`` upgrades it.
     """
-    if mmap:
-        return _load_columns_mmap(directory, meta, kind, verify=verify)
     if meta.is_columnar:
-        payload = _read_payload(directory, meta, verify=verify)
+        read = _map_columnar if mmap else _read_payload
+        payload = read(directory, meta, verify=verify)
         try:
             lazy = columnar.open_columns(payload, kind,
                                          expected_rows=meta.rows)
@@ -416,21 +415,6 @@ def load_columns(directory: Path, meta: SegmentMeta, kind: RowKind, *,
     columns = build_columns(kind, rows)
     _write_cache(path, meta.sha256, columns)
     return columns
-
-
-# --------------------------------------------------------------------------- #
-# Memory-mapped column sidecars
-# --------------------------------------------------------------------------- #
-#: Directory suffix of a segment's per-column ``.npy`` sidecar.
-MMAP_DIR_SUFFIX = ".cols"
-
-#: Marker file tying a sidecar to its row log's checksum.
-MMAP_MARKER = "LOG_SHA256"
-
-
-def mmap_sidecar_dir(directory: Path, meta: SegmentMeta) -> Path:
-    """The per-column sidecar directory of one segment."""
-    return directory / f"{meta.name}{MMAP_DIR_SUFFIX}"
 
 
 class _SegmentColumns(Mapping):
@@ -481,25 +465,23 @@ class _SegmentColumns(Mapping):
         return len(self._lazy)
 
 
-def _map_columnar(directory: Path, meta: SegmentMeta, kind: RowKind, *,
-                  verify: bool = False) -> Mapping[str, np.ndarray]:
-    """Open a columnar segment's payload memory-mapped, zero-copy.
+def _map_columnar(directory: Path, meta: SegmentMeta, *,
+                  verify: bool) -> mmap_module.mmap:
+    """Map a columnar segment's payload read-only, zero-copy.
 
-    The ``.colseg`` file is mapped read-only and the header parsed in
-    place (:func:`repro.store.columnar.open_columns`); each raw column is
-    then a ``frombuffer`` view of the mapped pages — no ``.npy`` sidecar
-    to materialise, no second copy of the data on disk, and columns a
-    query never touches are never decoded.  Structural corruption
-    surfaces here; per-column decode errors surface on first access via
-    :class:`_SegmentColumns`.
+    The mapped counterpart of :func:`_read_payload`: the header is then
+    parsed in place (:func:`repro.store.columnar.open_columns`) and each
+    raw column is a ``frombuffer`` view of the mapped pages — no second
+    copy of the data on disk, and columns a query never touches are never
+    decoded.  ``verify`` checksums the file before it is mapped.
     """
-    path = directory / meta.data_filename
     if verify:
         _read_payload(directory, meta, verify=True)
+    path = directory / meta.data_filename
     try:
         with open(path, "rb") as handle:
-            buffer = mmap_module.mmap(handle.fileno(), 0,
-                                      access=mmap_module.ACCESS_READ)
+            return mmap_module.mmap(handle.fileno(), 0,
+                                    access=mmap_module.ACCESS_READ)
     except FileNotFoundError:
         raise StoreCorruptionError(
             f"segment {meta.name!r} is in the manifest but its "
@@ -508,84 +490,3 @@ def _map_columnar(directory: Path, meta: SegmentMeta, kind: RowKind, *,
         raise StoreCorruptionError(
             f"segment {meta.name!r} columnar payload cannot be mapped: "
             f"{error}") from None
-    try:
-        lazy = columnar.open_columns(buffer, kind, expected_rows=meta.rows)
-    except (ValueError, TypeError, KeyError) as error:
-        raise StoreCorruptionError(
-            f"segment {meta.name!r} columnar payload is corrupt: {error}"
-        ) from None
-    return _SegmentColumns(meta.name, lazy)
-
-
-def materialise_sidecar(directory: Path, meta: SegmentMeta, kind: RowKind, *,
-                        verify: bool = False) -> dict[str, np.ndarray]:
-    """Columns as read-only memory maps of a per-column ``.npy`` sidecar.
-
-    The marker file is written *last*, so a crash mid-materialisation leaves
-    a sidecar without a valid marker and the next open rebuilds it; a stale
-    sidecar (marker not matching the manifest checksum) is rebuilt the same
-    way, and so is one whose arrays do not all hold exactly ``meta.rows``
-    values (e.g. a sidecar truncated after its marker was written) — the
-    same row-count audit the in-memory cache path applies.  ``verify``
-    checksums the durable data file exactly like the in-memory path —
-    including when a valid sidecar lets the load skip it entirely.  The
-    arrays come back identical to the in-memory path — only their backing
-    store differs — which ``tests/test_store.py`` asserts query by query.
-
-    This is the mmap path for JSONL segments (their row log cannot be
-    mapped directly); columnar segments normally map their payload in
-    place instead (:func:`_map_columnar`) and only hit this function as
-    the explicit sidecar baseline in the campaign read benchmark.
-    """
-    if verify:
-        _read_payload(directory, meta, verify=True)
-    sidecar = mmap_sidecar_dir(directory, meta)
-    marker = sidecar / MMAP_MARKER
-    valid = False
-    try:
-        valid = marker.read_text().strip() == meta.sha256
-    except FileNotFoundError:
-        pass
-    if valid:
-        try:
-            columns = {
-                column.name: np.load(sidecar / f"{column.name}.npy",
-                                     mmap_mode="r")
-                for column in kind.columns
-            }
-            if all(a.shape == (meta.rows,) for a in columns.values()):
-                return columns
-        except (OSError, ValueError):
-            pass  # torn sidecar: fall through to a rebuild
-    columns = load_columns(directory, meta, kind)  # data verified above
-    sidecar.mkdir(parents=True, exist_ok=True)
-    for name, array in columns.items():
-        buffer = io.BytesIO()
-        np.save(buffer, array)
-        atomic_write_bytes(sidecar / f"{name}.npy", buffer.getvalue())
-    atomic_write_bytes(marker, (meta.sha256 + "\n").encode("utf-8"))
-    mapped = {
-        column.name: np.load(sidecar / f"{column.name}.npy", mmap_mode="r")
-        for column in kind.columns
-    }
-    for name, array in mapped.items():
-        if array.shape != (meta.rows,):
-            raise StoreCorruptionError(
-                f"segment {meta.name!r} sidecar column {name!r} holds "
-                f"{array.shape[0]} values after a rebuild, manifest says "
-                f"{meta.rows}")
-    return mapped
-
-
-def _load_columns_mmap(directory: Path, meta: SegmentMeta, kind: RowKind, *,
-                       verify: bool = False) -> Mapping[str, np.ndarray]:
-    """Dispatch a memory-mapped column load by segment format.
-
-    Columnar segments map their packed payload in place — zero extra
-    bytes on disk, lazy per-column decoding; JSONL segments materialise
-    (or reuse) the per-column ``.npy`` sidecar, the only way to serve
-    their row-log data without holding it resident.
-    """
-    if meta.is_columnar:
-        return _map_columnar(directory, meta, kind, verify=verify)
-    return materialise_sidecar(directory, meta, kind, verify=verify)

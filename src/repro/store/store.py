@@ -82,9 +82,9 @@ class ResultStore:
                  mmap: bool = False) -> None:
         self.root = Path(root)
         self.verify = verify
-        #: Serve column caches as read-only memory maps (per-column ``.npy``
-        #: sidecars) instead of resident arrays — the >10M-row read path.
-        #: Query results are identical either way.
+        #: Map columnar segments' ``.colseg`` payloads read-only in place
+        #: instead of reading them resident — the >10M-row read path.  JSONL
+        #: segments read resident either way.  Query results are identical.
         self.mmap = mmap
         self._manifest: dict = {"format_version": FORMAT_VERSION,
                                 "sequence": 0, "generation": 0,
@@ -279,21 +279,16 @@ class ResultStore:
         """Per-kind segment format mix, row counts and on-disk bytes.
 
         One entry per committed row kind:
-        ``{"segments": n, "rows": n, "bytes": n, "sidecar_bytes": n,
-        "formats": {fmt: count}}`` where ``bytes`` sums every file each
-        segment owns on disk (row log + column cache for JSONL segments,
-        the packed payload for columnar ones; missing derived files count
-        as 0) and ``sidecar_bytes`` separately sums each segment's mmap
-        sidecar directory (``<name>.cols``) when one has been
-        materialised — derived state the plain ``bytes`` figure would
-        otherwise hide.  The ``store info`` CLI prints this so operators
-        can see what a campaign actually wrote.
+        ``{"segments": n, "rows": n, "bytes": n, "formats": {fmt: count}}``
+        where ``bytes`` sums every file each segment owns on disk (row log
+        + column cache for JSONL segments, the packed payload for columnar
+        ones; missing derived files count as 0).  The ``store info`` CLI
+        prints this so operators can see what a campaign actually wrote.
         """
         summary: dict[str, dict] = {}
         for meta in self._segments:
             entry = summary.setdefault(meta.kind, {
-                "segments": 0, "rows": 0, "bytes": 0, "sidecar_bytes": 0,
-                "formats": {}})
+                "segments": 0, "rows": 0, "bytes": 0, "formats": {}})
             entry["segments"] += 1
             entry["rows"] += meta.rows
             entry["formats"][meta.format] = \
@@ -304,13 +299,6 @@ class ResultStore:
                                        ).stat().st_size
                 except FileNotFoundError:
                     pass  # derived caches may legitimately be absent
-            sidecar = segment_io.mmap_sidecar_dir(self.segments_dir, meta)
-            if sidecar.is_dir():
-                for path in sidecar.iterdir():
-                    try:
-                        entry["sidecar_bytes"] += path.stat().st_size
-                    except FileNotFoundError:  # pragma: no cover - race
-                        pass
         return summary
 
     # ------------------------------------------------------------------ #
@@ -339,18 +327,16 @@ class ResultStore:
         for meta in self.segments_for(kind):
             yield from self.rows_for(meta)
 
-    def query(self, kind: str, *, max_workers: Optional[int] = 1,
-              use_processes: bool = False) -> "Query":
+    def query(self, kind: str, *, max_workers: Optional[int] = 1) -> "Query":
         """Start a :class:`~repro.store.query.Query` over one row kind.
 
-        ``max_workers``/``use_processes`` preset the scan fan-out
-        (``1`` = sequential; see :meth:`~repro.store.query.Query.parallel`
-        for the semantics — results are bit-identical either way).
+        ``max_workers`` presets the scan's thread fan-out (``1`` =
+        sequential; see :meth:`~repro.store.query.Query.parallel` for the
+        semantics — results are bit-identical either way).
         """
         from repro.store.query import Query
 
-        return Query(self, kind_for(kind), max_workers=max_workers,
-                     use_processes=use_processes)
+        return Query(self, kind_for(kind), max_workers=max_workers)
 
     # ------------------------------------------------------------------ #
     # Writes / integrity
@@ -417,16 +403,6 @@ class StoreSnapshot:
     def segments(self) -> tuple[SegmentMeta, ...]:
         """The pinned committed segments, in commit order."""
         return self._segments
-
-    @property
-    def verify(self) -> bool:
-        """The parent store's checksum-on-read setting (process scans read it)."""
-        return self._store.verify
-
-    @property
-    def mmap(self) -> bool:
-        """The parent store's memory-mapping setting (process scans read it)."""
-        return self._store.mmap
 
     def refresh(self) -> None:
         """No-op: a snapshot never sees commits made after its pin."""

@@ -4,8 +4,8 @@ Three contracts, each asserted as exact equality (``==`` on floats — the
 engine promises bit-identity, not closeness):
 
 * **parallel == sequential** — ``arrays()``/``count()``/``aggregate()``
-  and the merged :class:`QueryStats` are identical for any worker count
-  and either pool kind, on randomized mixed JSONL/columnar stores;
+  and the merged :class:`QueryStats` are identical for any worker count,
+  resident or memory-mapped, on randomized mixed JSONL/columnar stores;
 * **kernel == reference** — every grouped reduction through the
   vectorised kernels equals the per-group reference loop, including
   string min/max, integer sums, empty groups, all-pruned queries and
@@ -80,8 +80,7 @@ def _rows_of(kind, batch) -> list[dict]:
 def full_query(store, **parallel):
     query = store.query("fleet_events")
     if parallel:
-        query.parallel(parallel.get("max_workers"),
-                       use_processes=parallel.get("use_processes", False))
+        query.parallel(parallel.get("max_workers"))
     return (query
             .where("latency_ms", "<", 120.0)
             .where("region", "in", ("eu-west", "us-east", "eu", "us"))
@@ -522,7 +521,85 @@ def _coded(vocab, codes):
 # --------------------------------------------------------------------------- #
 # Parallel vs sequential
 # --------------------------------------------------------------------------- #
+#: Segment formats a drawn store mixes: legacy JSONL, plain and compressed
+#: columnar.
+_SEGMENT_FORMATS = ("jsonl", "columnar", "compressed")
+
+_PREDICATES = st.one_of(
+    st.tuples(st.just("latency_ms"), st.sampled_from(("<", ">=")),
+              st.sampled_from((5.0, 20.0, 60.0, 150.0))),
+    st.tuples(st.just("region"), st.just("in"),
+              st.lists(st.sampled_from(("na", "eu", "apac", "mars")),
+                       min_size=1, max_size=3, unique=True).map(tuple)),
+    st.tuples(st.just("target"), st.sampled_from(("==", "!=")),
+              st.sampled_from(("device", "cloud"))),
+    st.tuples(st.just("cloud_bytes"), st.just(">"), st.just(0)),
+)
+
+
+def _drawn_store(root, chunks) -> ResultStore:
+    """Commit each ``(format, rows, seed)`` chunk as its own segments."""
+    store = ResultStore(root)
+    kind = kind_for("fleet_events")
+    for index, (fmt, rows, seed) in enumerate(chunks):
+        batch = synthetic_fleet_batch(index, rows, seed=seed)
+        if fmt == "jsonl":
+            append_jsonl(store, "fleet_events", _rows_of(kind, batch),
+                         rows_per_segment=32)
+            store.refresh()
+        else:
+            with store.writer(rows_per_segment=32,
+                              compress=fmt == "compressed") as writer:
+                writer.append_batch("fleet_events", batch)
+    return store
+
+
 class TestParallelBitIdentity:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_SEGMENT_FORMATS),
+                              st.integers(1, 80), st.integers(0, 3)),
+                    min_size=1, max_size=4),
+           st.lists(_PREDICATES, max_size=2),
+           st.lists(st.sampled_from(("device_name", "region", "target",
+                                     "backend", "cloud_api")),
+                    min_size=1, max_size=2, unique=True))
+    def test_mmap_and_fanout_identical(self, chunks, predicates, keys):
+        """mmap x worker count: same arrays, aggregates and stats."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = _drawn_store(Path(tmp) / "s", chunks).root
+            formats = {meta.format for meta in ResultStore(root).segments}
+            assert formats <= {"jsonl", "columnar"}
+
+            def run(mmap, workers):
+                store = ResultStore(root, mmap=mmap)  # cold column cache
+                scan = store.query("fleet_events", max_workers=workers)
+                grouped = store.query("fleet_events", max_workers=workers)
+                for column, op, value in predicates:
+                    scan.where(column, op, value)
+                    grouped.where(column, op, value)
+                arrays = scan.arrays()
+                aggregate = (grouped.group_by(*keys)
+                             .agg(n=("latency_ms", "count"),
+                                  mean=("latency_ms", "mean"),
+                                  p99=("latency_ms", "p99"),
+                                  energy=("energy_mj", "sum"),
+                                  bytes=("cloud_bytes", "sum"),
+                                  first=("model_name", "min"))
+                             .aggregate())
+                return arrays, aggregate, scan.stats, grouped.stats
+
+            expected = run(False, 1)
+            for mmap, workers in ((False, 2), (True, 1), (True, 2)):
+                arrays, aggregate, scan_stats, grouped_stats = run(mmap,
+                                                                   workers)
+                label = f"mmap={mmap} workers={workers}"
+                assert list(arrays) == list(expected[0]), label
+                for name, array in expected[0].items():
+                    assert arrays[name].dtype == array.dtype, (label, name)
+                    assert np.array_equal(arrays[name], array), (label, name)
+                assert _typed(aggregate) == _typed(expected[1]), label
+                assert (scan_stats, grouped_stats) == expected[2:], label
+
     @pytest.mark.parametrize("workers", [2, 8, None])
     def test_thread_scans_identical(self, tmp_path, workers):
         store = mixed_store(tmp_path / "s")
@@ -539,18 +616,6 @@ class TestParallelBitIdentity:
                 == full_query(store).aggregate())
         assert (full_query(store, max_workers=workers).count()
                 == full_query(store).count())
-
-    def test_process_scans_identical(self, tmp_path):
-        store = mixed_store(tmp_path / "s")
-        sequential = full_query(store)
-        expected = sequential.arrays()
-        parallel = full_query(store, max_workers=2, use_processes=True)
-        actual = parallel.arrays()
-        for name in expected:
-            assert np.array_equal(expected[name], actual[name])
-        assert parallel.stats == sequential.stats
-        assert (full_query(store, max_workers=2, use_processes=True)
-                .aggregate() == full_query(store).aggregate())
 
     def test_parallel_rejects_non_positive_workers(self, tmp_path):
         store = mixed_store(tmp_path / "s")

@@ -677,7 +677,6 @@ class TestMmapColumns:
         for meta in plain.segments:
             for name, array in plain.columns_for(meta).items():
                 mirrored = mapped.columns_for(meta)[name]
-                assert isinstance(mirrored, np.memmap)
                 assert not mirrored.flags.writeable
                 assert np.array_equal(np.asarray(mirrored), array)
         assert mapped.query("executions").rows() \
@@ -690,35 +689,11 @@ class TestMmapColumns:
                              .aggregate())
         assert agg(mapped) == agg(plain)
 
-    def test_sidecar_rebuilt_when_stale_or_missing(self, legacy):
-        from repro.store.segment import mmap_sidecar_dir
-
+    def test_verify_checksums_jsonl_log_under_mmap(self, legacy):
+        """verify=True must not be bypassed by a valid npz cache."""
         mapped = ResultStore(legacy.root, mmap=True)
         meta = mapped.segments[0]
-        before = {name: np.asarray(a).copy()
-                  for name, a in mapped.columns_for(meta).items()}
-        sidecar = mmap_sidecar_dir(mapped.segments_dir, meta)
-        assert sidecar.is_dir()
-
-        # Corrupt the marker: the sidecar must be rebuilt, not trusted.
-        (sidecar / "LOG_SHA256").write_text("bogus\n")
-        rebuilt = ResultStore(legacy.root, mmap=True).columns_for(meta)
-        for name, array in before.items():
-            assert np.array_equal(np.asarray(rebuilt[name]), array)
-        assert (sidecar / "LOG_SHA256").read_text().strip() == meta.sha256
-
-        # Remove the sidecar entirely: same outcome.
-        import shutil
-        shutil.rmtree(sidecar)
-        again = ResultStore(legacy.root, mmap=True).columns_for(meta)
-        for name, array in before.items():
-            assert np.array_equal(np.asarray(again[name]), array)
-
-    def test_verify_checksums_log_even_with_valid_sidecar(self, legacy):
-        """verify=True must not be bypassed by a trusted mmap sidecar."""
-        mapped = ResultStore(legacy.root, mmap=True)
-        meta = mapped.segments[0]
-        mapped.columns_for(meta)  # materialise the sidecar
+        assert (mapped.segments_dir / meta.cache_filename).exists()
 
         log_path = mapped.segments_dir / meta.log_filename
         payload = bytearray(log_path.read_bytes())
@@ -728,24 +703,25 @@ class TestMmapColumns:
         paranoid = ResultStore(legacy.root, verify=True, mmap=True)
         with pytest.raises(StoreCorruptionError):
             paranoid.columns_for(meta)
-        # Without verify the (checksum-tagged, still valid) sidecar serves.
+        # Without verify the (checksum-tagged, still valid) cache serves.
         relaxed = ResultStore(legacy.root, mmap=True)
         assert relaxed.columns_for(meta)
 
-    def test_compaction_sweeps_sidecars(self, legacy):
-        from repro.store import compact_store
-        from repro.store.segment import MMAP_DIR_SUFFIX
+    def test_verify_checksums_colseg_under_mmap(self, populated):
+        """verify=True checksums a columnar payload before mapping it."""
+        meta = populated.segments[0]
+        assert meta.is_columnar
+        path = populated.segments_dir / meta.data_filename
+        payload = bytearray(path.read_bytes())
+        payload[-3] ^= 0xFF  # flip a byte inside the last column buffer
+        path.write_bytes(bytes(payload))
 
-        mapped = ResultStore(legacy.root, mmap=True)
-        for meta in mapped.segments:
-            mapped.columns_for(meta)  # materialise every sidecar
-        sidecars = [p for p in mapped.segments_dir.iterdir()
-                    if p.name.endswith(MMAP_DIR_SUFFIX)]
-        assert sidecars
-        compact_store(ResultStore(legacy.root))
-        remaining = [p for p in mapped.segments_dir.iterdir()
-                     if p.name.endswith(MMAP_DIR_SUFFIX)]
-        assert remaining == []
+        paranoid = ResultStore(populated.root, verify=True, mmap=True)
+        with pytest.raises(StoreCorruptionError):
+            paranoid.columns_for(meta)
+        # Without verify the structurally intact payload still maps.
+        relaxed = ResultStore(populated.root, mmap=True)
+        assert relaxed.columns_for(meta)
 
 
 class TestQueryBin:
@@ -1039,10 +1015,8 @@ class TestColumnarSegments:
             ResultStore(columnar.root).query("executions").objects()
 
     def test_mmap_over_columnar_identical(self, columnar, results):
-        """Columnar segments map their payload in place — no .npy sidecar."""
+        """Columnar segments map their payload in place, zero-copy."""
         import mmap as mmap_module
-
-        from repro.store.segment import mmap_sidecar_dir
 
         mapped = ResultStore(columnar.root, mmap=True)
         for meta in columnar.segments:
@@ -1058,9 +1032,10 @@ class TestColumnarSegments:
                     if isinstance(base, memoryview):
                         base = base.obj
                     assert isinstance(base, mmap_module.mmap)
-            # The zero-copy path never materialises a sidecar directory.
-            assert not mmap_sidecar_dir(mapped.segments_dir, meta).exists()
         assert mapped.query("executions").objects() == results
+        # The zero-copy path writes nothing: segments/ holds only payloads.
+        assert {path.suffix for path in mapped.segments_dir.iterdir()} \
+            == {".colseg"}
 
     def test_v2_manifest_still_opens(self, legacy, results):
         """A pre-columnar (format_version 2) manifest reads unchanged."""
@@ -1257,33 +1232,6 @@ class TestCacheAudit:
             ResultStore(legacy.root).columns_for(meta)
         with pytest.raises(StoreCorruptionError):
             ResultStore(legacy.root, mmap=True).columns_for(meta)
-
-    def test_truncated_mmap_sidecar_with_valid_marker_rebuilt(self, legacy,
-                                                              results):
-        import io as io_module
-
-        from repro.store.segment import atomic_write_bytes, mmap_sidecar_dir
-
-        mapped = ResultStore(legacy.root, mmap=True)
-        meta = mapped.segments[0]
-        good = {name: np.asarray(a).copy()
-                for name, a in mapped.columns_for(meta).items()}
-        sidecar = mmap_sidecar_dir(mapped.segments_dir, meta)
-        marker = (sidecar / "LOG_SHA256").read_text()
-        # Truncate one column's sidecar while the marker stays valid — the
-        # stale-sidecar case the row-count audit exists for.
-        buffer = io_module.BytesIO()
-        np.save(buffer, good["latency_ms"][:-2])
-        atomic_write_bytes(sidecar / "latency_ms.npy", buffer.getvalue())
-        assert (sidecar / "LOG_SHA256").read_text() == marker
-
-        reopened = ResultStore(legacy.root, mmap=True)
-        loaded = reopened.columns_for(meta)
-        for name, array in good.items():
-            assert loaded[name].shape == (meta.rows,)
-            assert np.array_equal(np.asarray(loaded[name]), array)
-        assert reopened.query("executions").objects() == results
-
 
 class TestColumnarHardening:
     """Review follow-ups: header corruption and segment-size bounds."""
@@ -1541,18 +1489,7 @@ class TestCompressedColumns:
 
 
 class TestStoreByteAccounting:
-    """`store info` separates durable bytes from derived mmap sidecars."""
-
-    def test_sidecar_bytes_reported_for_jsonl_segments(self, legacy):
-        summary = legacy.format_summary()
-        assert summary["executions"]["sidecar_bytes"] == 0
-        mapped = ResultStore(legacy.root, mmap=True)
-        for meta in mapped.segments:
-            mapped.columns_for(meta)  # materialises the .cols sidecar
-        after = ResultStore(legacy.root).format_summary()
-        assert after["executions"]["sidecar_bytes"] > 0
-        assert after["executions"]["bytes"] \
-            == summary["executions"]["bytes"]  # durable bytes unchanged
+    """`store info` and compaction account every byte a segment owns."""
 
     def test_columnar_segments_never_grow_sidecars(self, tmp_path, results):
         from repro.store.schema import execution_results_to_columns
@@ -1561,18 +1498,20 @@ class TestStoreByteAccounting:
         with store.writer(rows_per_segment=4) as writer:
             writer.append_batch("executions",
                                 execution_results_to_columns(results))
+        before = ResultStore(store.root).format_summary()
+        listing = sorted(store.segments_dir.iterdir())
         mapped = ResultStore(store.root, mmap=True)
         for meta in mapped.segments:
             mapped.columns_for(meta)
-        summary = ResultStore(store.root).format_summary()
-        assert summary["executions"]["sidecar_bytes"] == 0
+        assert sorted(store.segments_dir.iterdir()) == listing
+        assert ResultStore(store.root).format_summary() == before
 
     def test_compact_reports_bytes_reclaimed(self, legacy):
         from repro.store import compact_store
 
         mapped = ResultStore(legacy.root, mmap=True)
         for meta in mapped.segments:
-            mapped.columns_for(meta)  # sidecars the compaction removes
+            mapped.columns_for(meta)  # mapped reads leave no extra files
 
         def du(store):
             total = 0
