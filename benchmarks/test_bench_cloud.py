@@ -10,7 +10,7 @@ zoo reference set and the queue-congesting segmentation variant:
   service times above the unloaded constant;
 * **determinism** — the acceptance gate: the *entire multi-pass run* (final
   service table, load profile, traces) must be **bit-identical** across
-  worker counts, chunk sizes and pool kinds;
+  worker counts and chunk sizes, inline and threaded;
 * **queue conservation** — ``arrived == device + cloud + shed + queued``
   holds exactly, per user and audited again through the results store;
 * **vectorised vs naive** — the vectorised event loop under a frozen
@@ -151,7 +151,6 @@ def test_bench_determinism_across_pool_kinds(cloud_spec, baseline_run):
     variants = {
         "threads_4": dict(max_workers=4),
         "threads_3_chunked": dict(max_workers=3, chunk_size=7),
-        "processes_2": dict(max_workers=2, use_processes=True),
     }
     timings = {}
     for name, kwargs in variants.items():

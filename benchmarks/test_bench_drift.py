@@ -182,7 +182,6 @@ def test_bench_counters_snapshot_exact_across_variants(tmp_path_factory):
     variants = {
         "serial": dict(max_workers=1),
         "threads_3_chunked": dict(max_workers=3, chunk_size=5),
-        "processes_2": dict(max_workers=2, use_processes=True),
     }
     snapshots = {}
     for name, kwargs in variants.items():

@@ -6,8 +6,8 @@ scenario-compatible models with the zoo reference set:
 * **event throughput** — the vectorised event loop's events/second, single
   worker and fanned out;
 * **determinism** — the acceptance gate: a >= 100k-event simulation must be
-  **bit-identical** across worker counts, chunk sizes and pool kinds
-  (threads vs processes), because every user derives from their own seed;
+  **bit-identical** across worker counts and chunk sizes (inline vs
+  threads), because every user derives from their own seed;
 * **vectorised vs naive** — the same users through the per-event reference
   loop (stateful thermal/battery objects, per-event roofline evaluation)
   versus the vectorised loop; equivalence within float tolerance and a
@@ -64,7 +64,7 @@ RESULTS: dict = {}
 
 
 def _user_key(user):
-    """User identity by coordinates (graph objects differ across processes)."""
+    """User identity by coordinates, not by object."""
     return (user.user_id, user.device.name, user.graph.name,
             user.scenario.name, user.backend, user.seed)
 
@@ -108,8 +108,6 @@ def test_bench_determinism_across_workers(fleet_spec, baseline_traces):
         "threads_4": FleetSimulator(fleet_spec, max_workers=4),
         "threads_3_chunked": FleetSimulator(fleet_spec, max_workers=3,
                                             chunk_size=7),
-        "processes_2": FleetSimulator(fleet_spec, max_workers=2,
-                                      use_processes=True),
     }
     timings = {}
     for name, simulator in variants.items():

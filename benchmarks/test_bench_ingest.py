@@ -29,8 +29,8 @@ the arrays columnar end to end.  This module measures and enforces:
   identical; both paths' µs per user are recorded;
 * **mixed-format identity** — the acceptance gate: queries and fleet report
   tables over a store mixing v2 JSONL and v3 columnar segments are
-  bit-identical to a pure-JSONL store, for any worker count, chunk size or
-  pool kind, and survive compaction unchanged.
+  bit-identical to a pure-JSONL store, for any worker count or chunk
+  size, and survive compaction unchanged.
 
 Results land in ``BENCH_ingest.json`` at the repo root, next to the other
 ``BENCH_*.json`` baselines.
@@ -403,8 +403,7 @@ def test_bench_materialize_block_vs_reference():
 def test_bench_mixed_store_identity(fleet_spec, traces, row_store,
                                     tmp_path_factory):
     """Acceptance: mixed v2+v3 stores query bit-identically to pure JSONL,
-    for any worker count, chunk size or pool kind, before and after
-    compaction."""
+    for any worker count or chunk size, before and after compaction."""
     base = tmp_path_factory.mktemp("bench_ingest_mixed")
     kind = kind_for("fleet_events")
 
@@ -447,12 +446,11 @@ def test_bench_mixed_store_identity(fleet_spec, traces, row_store,
 
     assert_identical(mixed, "mixed")
 
-    # Fan-out variants of the production path: every (workers, chunk, pool)
+    # Fan-out variants of the production path: every (workers, chunk)
     # combination must land the identical store.
     variants = {
         "threads_4": dict(max_workers=4),
         "threads_3_chunked": dict(max_workers=3, chunk_size=7),
-        "processes_2": dict(max_workers=2, use_processes=True),
     }
     for name, kwargs in variants.items():
         store_path = base / f"{name}.store"

@@ -12,7 +12,7 @@ hottest instrumented path):
   ``MAX_ENABLED_OVERHEAD`` of raw;
 * **bit-identity** — simulation output must be byte-identical with
   telemetry on vs off, and the deterministic counters must be
-  bit-identical across worker counts / chunk sizes / pool kinds.
+  bit-identical across worker counts / chunk sizes.
 
 Timings are best-of-``REPEATS`` to shave scheduler noise; the overhead
 gates are skipped (but still recorded) under ``REPRO_BENCH_NO_GATE=1``
@@ -151,7 +151,6 @@ def test_bench_bit_identity_with_telemetry(fleet_spec, baseline_traces):
     variants = {
         "serial": dict(max_workers=1),
         "threads_3_chunked": dict(max_workers=3, chunk_size=7),
-        "processes_2": dict(max_workers=2, use_processes=True),
     }
     counters = {}
     for name, kwargs in variants.items():

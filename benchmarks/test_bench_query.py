@@ -18,7 +18,7 @@ The PR 10 acceptance measurements, recorded in ``BENCH_query.json``:
     campaign store; speedups *recorded* (threads pay off with
     GIL-releasing decompression/decode work, but this is not gated), and
     ``arrays()``/``aggregate()``/``QueryStats`` asserted bit-identical
-    across 1/2/8 workers and both pool kinds.
+    across 1/2/8 workers.
 (d) **Served byte-identity** — ``/v1/query`` responses (including an
     ``in`` textual predicate) byte-equal to the offline engine at the
     same generation, the CLI grammar on both sides.

@@ -175,9 +175,10 @@ def run_campaign(spec: FleetSpec, root: Union[str, Path], *,
     shard plus the queryable ``merged.store``.  ``shards`` fixes the
     user-range split (output is bit-identical for any value);
     ``max_parallel`` caps concurrently running shard processes (default:
-    one per CPU).  Shard stores are left in place after the merge — their
-    event segments are hard links to the merged store's files, so they
-    cost directory entries, not data; delete them freely.
+    one per CPU; never more processes than shards).  Shard stores are
+    left in place after the merge — their event segments are hard links to
+    the merged store's files, so they cost directory entries, not data;
+    delete them freely.
     """
     root = Path(root)
     merged = ResultStore(root / "merged.store")

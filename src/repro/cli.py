@@ -686,8 +686,7 @@ def _fleet_body(args: argparse.Namespace) -> int:
         return _run_fleet_cloud(args, spec)
 
     simulator = FleetSimulator(spec, max_workers=args.workers,
-                               chunk_size=args.chunk_size,
-                               use_processes=args.processes)
+                               chunk_size=args.chunk_size)
     if args.fleet_store is None:
         # In-memory path: aggregate the trace stream directly.
         traces = simulator.collect()
@@ -751,8 +750,7 @@ def _run_fleet_cloud(args: argparse.Namespace, spec) -> int:
                                 max_passes=args.cloud_max_passes)
     simulator = InterferenceSimulator(spec, capacity, config=config,
                                       max_workers=args.workers,
-                                      chunk_size=args.chunk_size,
-                                      use_processes=args.processes)
+                                      chunk_size=args.chunk_size)
     print(f"cloud capacity: {len(capacity.regions)} regions, "
           f"{config.bin_seconds / 60:g} min bins, damping {config.damping:g}")
 
@@ -1266,12 +1264,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--battery-threshold", type=float, default=0.2,
                        help="battery fraction under which requests offload")
     fleet.add_argument("--workers", type=_positive_int, default=None,
-                       help="simulation worker count (results are identical "
-                            "for any value)")
+                       help="simulation worker threads (results are "
+                            "identical for any value)")
     fleet.add_argument("--chunk-size", type=_positive_int, default=None,
                        help="users per worker slice")
-    fleet.add_argument("--processes", action="store_true",
-                       help="fan out on a process pool instead of threads")
     fleet.add_argument("--store", dest="fleet_store", default=None,
                        metavar="PATH",
                        help="stream fleet_events into a results store at "
@@ -1336,7 +1332,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--max-parallel", type=_positive_int,
                               default=None,
                               help="concurrently running shard processes "
-                                   "(default: one per CPU)")
+                                   "(default: one per CPU; never more than "
+                                   "--shards)")
     campaign_run.add_argument("--telemetry", default=None, metavar="PATH",
                               help="run with telemetry enabled and persist "
                                    "the metrics/spans into a sidecar store "

@@ -24,7 +24,7 @@ point over frozen tables**:
 Every pass is a pure function of (spec, frozen table): users are
 materialised from their own derived seeds, profiles merge by exact integer
 addition, and the capacity curve is deterministic — so the entire multi-pass
-run is **bit-identical for any worker count, chunk size or pool kind**,
+run is **bit-identical for any worker count or chunk size**,
 which ``benchmarks/test_bench_cloud.py`` enforces together with the bounded
 iteration count.
 """
@@ -104,8 +104,7 @@ class InterferenceSimulator:
     def __init__(self, spec: FleetSpec, capacity: CapacityModel, *,
                  config: Optional[InterferenceConfig] = None,
                  max_workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
-                 use_processes: bool = False) -> None:
+                 chunk_size: Optional[int] = None) -> None:
         if spec.regions != capacity.region_names:
             # Align the population's region shards with the capacity model
             # rather than erroring: region assignment is a separate hash
@@ -116,7 +115,6 @@ class InterferenceSimulator:
         self.config = config or InterferenceConfig()
         self.max_workers = max_workers
         self.chunk_size = chunk_size
-        self.use_processes = use_processes
 
     # ------------------------------------------------------------------ #
     # Single passes
@@ -126,7 +124,6 @@ class InterferenceSimulator:
             self.spec,
             max_workers=self.max_workers,
             chunk_size=self.chunk_size,
-            use_processes=self.use_processes,
             service_table=table,
         )
 

@@ -4,7 +4,7 @@ A :class:`LoadProfile` counts the offloaded requests of a fleet simulation
 into a dense ``[region, API category, time bin]`` integer grid.  Counts are
 **mergeable by pure addition**: integer sums are exact and order-independent,
 so a profile built from per-user traces is bit-identical for any worker
-count, chunk size or pool kind — the property the two-pass interference
+count, chunk size or shard split — the property the two-pass interference
 simulator's determinism rests on.
 
 Profiles persist as ``fleet_load`` store rows (one :class:`LoadCell` per
@@ -229,8 +229,8 @@ class ServiceTable:
     The read side the event loops consume: built once per interference pass
     from a load profile and a capacity model, then treated as immutable —
     which is what makes a pass a pure function of (spec, table) and the
-    whole two-pass run deterministic.  Picklable (plain arrays), so process
-    pools ship it to workers unchanged.
+    whole two-pass run deterministic.  The simulator's worker threads
+    share one table read-only.
     """
 
     regions: tuple[str, ...]

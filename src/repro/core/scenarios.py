@@ -51,7 +51,7 @@ def _typing_inferences_for(graph: Graph) -> int:
     """Daily auto-complete inferences: one per typed word.
 
     A named function (not a lambda) so :class:`Scenario` values stay
-    picklable — fleet simulations ship them to process-pool workers.
+    picklable — campaign runs ship fleet specs to their shard processes.
     """
     return TYPING_WORDS_PER_DAY
 

@@ -342,8 +342,8 @@ class FleetSpec:
                     "_weights_cache", "_cdf_cache", "_arrival_cache")
 
     def __getstate__(self) -> dict:
-        # Process-pool workers rebuild the memos; the backend cache is keyed
-        # by graph identity, which does not survive pickling.
+        # Campaign shard processes rebuild the memos; the backend cache is
+        # keyed by graph identity, which does not survive pickling.
         state = dict(self.__dict__)
         for name in self._CACHE_ATTRS:
             state.pop(name, None)

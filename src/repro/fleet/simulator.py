@@ -37,13 +37,15 @@ The event loop is evaluated **vectorised over blocks of users**:
 
 Because every user is materialised from a seed derived from their own
 coordinates (:func:`~repro.fleet.population.derive_user_seed`), users are
-embarrassingly parallel: the simulator fans user shards out on the shared
-ordered pool (:func:`~repro.runtime.pool.iter_mapped_chunks`, thread or
-process based) and the resulting event stream is **bit-identical for any
-worker count, chunk size or pool kind**.  Streams ingest into a
-:class:`~repro.store.store.ResultStore` via :meth:`FleetSimulator.run_to_store`
-one column batch per block (:func:`append_traces`) with O(1) result
-retention — the memory-flat path for million-event fleets.
+embarrassingly parallel: the simulator fans user slices out on the shared
+ordered thread pool (:func:`~repro.runtime.pool.iter_mapped_chunks`) and
+the resulting event stream is **bit-identical for any worker count or
+chunk size**.  Process fan-out is the campaign coordinator's:
+:func:`repro.campaign.run_campaign` shards user ranges across processes.
+Streams ingest into a :class:`~repro.store.store.ResultStore` via
+:meth:`FleetSimulator.run_to_store` one column batch per block
+(:func:`append_traces`) with O(1) result retention — the memory-flat path
+for million-event fleets.
 
 The per-event reference loop in :mod:`repro.fleet.reference` implements the
 same semantics through the stateful device objects one event at a time; the
@@ -554,26 +556,16 @@ class FleetSimulator:
 
     def __init__(self, spec: FleetSpec, *, max_workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 use_processes: bool = False,
                  service_table=None) -> None:
         self.spec = spec
         self.max_workers = max_workers
         self.chunk_size = chunk_size
-        self.use_processes = use_processes
         self.service_table = service_table
         #: device.name -> (LatencyModel, EnergyModel).
         self._model_cache: dict = {}
         #: (device.name, backend, id(graph), scenario.name) -> _Constants.
         self._constants_cache: dict = {}
         self._boundaries: Optional[np.ndarray] = None
-
-    def __getstate__(self) -> dict:
-        # Process-pool workers rebuild the caches: the graph-identity keys of
-        # the parent process would be meaningless (or worse, collide) there.
-        state = dict(self.__dict__)
-        state["_model_cache"] = {}
-        state["_constants_cache"] = {}
-        return state
 
     # ------------------------------------------------------------------ #
     # Cached per-combo constants (the "batch through graph_latency_ms" hook)
@@ -764,7 +756,7 @@ class FleetSimulator:
             return self._simulate_blocks(user_ids, max_cells)
         with collector.span("fleet.simulate_chunk", items=len(user_ids)):
             traces = self._simulate_blocks(user_ids, max_cells)
-        # Per-trace totals sum exactly, so chunking/pool kind can't move
+        # Per-trace totals sum exactly, so chunking/worker count can't move
         # them — the deterministic class.
         collector.count("fleet.users_simulated", len(traces))
         collector.count("fleet.events_simulated",
@@ -785,7 +777,7 @@ class FleetSimulator:
         if self.chunk_size is not None:
             return self.chunk_size
         workers = resolve_workers(num_users, self.max_workers)
-        if workers <= 1 and not self.use_processes:
+        if workers <= 1:
             return BLOCK_USERS
         return max(1, min(BLOCK_USERS, -(-num_users // (workers * 4))))
 
@@ -797,8 +789,8 @@ class FleetSimulator:
         (``chunk_size`` users per slice, else :meth:`_slice_users`); each
         slice is simulated in blocks of at most ``max_cells`` padded cells.
         Per-user seeds and row-wise block evaluation make the stream
-        bit-identical for any worker count, chunk size, pool kind or block
-        budget.  Nothing is retained after the caller consumes a trace.
+        bit-identical for any worker count, chunk size or block budget.
+        Nothing is retained after the caller consumes a trace.
 
         ``user_range`` restricts the stream to the half-open id range
         ``[lo, hi)`` — the campaign coordinator's sharding hook.  Because
@@ -819,7 +811,6 @@ class FleetSimulator:
             range(lo, hi),
             max_workers=self.max_workers,
             chunk_size=self._slice_users(hi - lo),
-            use_processes=self.use_processes,
         )
 
     def iter_blocks(self, user_range: Optional[tuple[int, int]] = None, *,

@@ -20,8 +20,8 @@ Metric naming convention: dotted ``<subsystem>.<what>`` —
 ``fleet.events_simulated``, ``store.rows_committed``, ``sweep.jobs_pruned``.
 Span names are ``<subsystem>.<stage>`` — ``campaign.simulate``,
 ``cloud.pass``, ``store.flush``.  Deterministic counters
-(:func:`count`) are bit-identical for any worker count / chunk size /
-pool kind; wall-clock observations (:func:`observe`) and span durations
+(:func:`count`) are bit-identical for any worker count or chunk size;
+wall-clock observations (:func:`observe`) and span durations
 are not — see :mod:`repro.obs.metrics` for the contract.
 
 The store-facing pieces (:func:`write_telemetry` and the report tables)

@@ -9,7 +9,8 @@ nest their spans independently.
 Cross-boundary stitching mirrors how ``MergeStats`` flows out of shard
 workers today:
 
-- **process pools** — the worker installs a fresh collector, runs its
+- **process pools** (the campaign coordinator's shard processes, the
+  only process fan-out) — the worker installs a fresh collector, runs its
   chunk, and ships back a :class:`~repro.obs.metrics.TelemetrySnapshot`;
   the coordinator calls :meth:`absorb`, which adds counters, folds value
   stats, and grafts the worker's span tree under the coordinator span

@@ -7,8 +7,8 @@ is the core design decision of the subsystem:
   totals are exact sums of per-item contributions: events simulated,
   rows committed, segments sealed, bytes written, jobs pruned,
   fixed-point passes.  Integer addition is associative and commutative,
-  so these totals are **bit-identical for any worker count, chunk size,
-  or pool kind** — the repo's core determinism invariant extended to
+  so these totals are **bit-identical for any worker count or chunk
+  size** — the repo's core determinism invariant extended to
   telemetry itself, and pinned by ``benchmarks/test_bench_obs.py``.
 - :data:`WALLCLOCK` — observations (``Collector.observe``) of measured
   quantities: stage durations, rows/s, convergence deltas.  These are

@@ -1,21 +1,26 @@
 """Ordered, bounded fan-out over a thread or process pool.
 
-Both the fleet sweep (PR 1) and the fleet traffic simulator dispatch many
-small deterministic jobs and need the same streaming discipline:
+The fleet sweep, the fleet traffic simulator, the query engine's segment
+scans and the campaign coordinator all dispatch many deterministic jobs
+and need the same streaming discipline:
 
 * results come back **in submission order** regardless of completion order,
   so downstream consumers (store writers, reports) see a deterministic
   stream;
 * consecutive jobs are batched into **chunked slices** so tiny analytic jobs
-  amortise pool dispatch (and, for process pools, pickling/IPC);
+  amortise pool dispatch;
 * a **bounded submission window** keeps only a few chunks in flight per
   worker, so a slow consumer (e.g. a disk writer) exerts backpressure and
   completed results never pile up in undrained futures — the memory-flat
   property million-job streams rely on.
 
 :func:`iter_mapped_chunks` is that discipline, extracted once; callers
-provide a picklable per-chunk callable (for ``use_processes``) and consume a
-flat iterator of per-item results.
+provide a per-chunk callable and consume a flat iterator of per-item
+results.  The simulators and the query engine fan out on threads only:
+their slices are too small to repay a process pool's fork and pickling
+cost.  Process fan-out (``use_processes``, with a picklable chunk
+callable) belongs to the campaign coordinator's shard processes
+(:func:`repro.campaign.run_campaign`), whose per-shard work does.
 
 Being the single fan-out point also makes this the single telemetry
 stitch point (:mod:`repro.obs`): when a collector is enabled, process
@@ -38,32 +43,23 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from repro import obs
 
-__all__ = ["iter_mapped", "iter_mapped_chunks", "resolve_workers",
-           "default_chunk_size"]
+__all__ = ["iter_mapped", "iter_mapped_chunks", "resolve_workers"]
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
 
 def resolve_workers(num_items: int, max_workers: Optional[int]) -> int:
-    """Worker count for a job list: the explicit cap, else one per item up to the CPUs."""
-    if max_workers is not None:
-        if max_workers <= 0:
-            raise ValueError("max_workers must be positive when given")
-        return max_workers
-    return max(1, min(num_items, os.cpu_count() or 1))
+    """Worker count for a job list: one per item, up to the explicit cap
+    (else up to the CPUs).
 
-
-def default_chunk_size(num_items: int, workers: int, use_processes: bool) -> int:
-    """Chunk size when the caller does not pin one.
-
-    Process pools default to ~4 slices per worker: large enough to amortise
-    IPC and pickling, small enough to keep the pool load-balanced.  Thread
-    pools default to per-item dispatch (the pre-chunking behaviour).
+    Never more workers than items: a forking process pool starts every
+    worker it is sized for, even when fewer tasks arrive.
     """
-    if use_processes:
-        return max(1, num_items // (workers * 4))
-    return 1
+    if max_workers is not None and max_workers <= 0:
+        raise ValueError("max_workers must be positive when given")
+    cap = max_workers if max_workers is not None else os.cpu_count() or 1
+    return max(1, min(num_items, cap))
 
 
 def iter_mapped_chunks(
@@ -78,11 +74,11 @@ def iter_mapped_chunks(
 
     ``run_chunk`` receives a slice of consecutive items and returns one result
     per item, in slice order; the iterator yields the concatenation in the
-    original item order.  With one worker (and no process pool) everything
-    runs inline — no pool, no reordering risk, no pickling — in slices of
-    ``chunk_size`` items (one at a time when it is not given).  ``run_chunk``
-    must be picklable when ``use_processes`` is set (e.g. a bound method of a
-    picklable object).
+    original item order.  Slices hold ``chunk_size`` items (one when it is
+    not given) and the pool never gets more workers than slices.  With one
+    worker (and no process pool) everything runs inline — no pool, no
+    reordering risk, no pickling.  ``run_chunk`` must be picklable when
+    ``use_processes`` is set (e.g. a bound method of a picklable object).
     """
     if chunk_size is not None and chunk_size <= 0:
         raise ValueError("chunk_size must be positive when given")
@@ -92,14 +88,13 @@ def iter_mapped_chunks(
     if collector is not None:
         # Deterministic regardless of how the items end up chunked.
         collector.count("pool.items_mapped", len(items))
-    workers = resolve_workers(len(items), max_workers)
+    chunk = chunk_size or 1
+    workers = resolve_workers(-(-len(items) // chunk), max_workers)
     if workers <= 1 and not use_processes:
-        step = chunk_size or 1
-        for lo in range(0, len(items), step):
-            yield from run_chunk(items[lo:lo + step])
+        for lo in range(0, len(items), chunk):
+            yield from run_chunk(items[lo:lo + chunk])
         return
 
-    chunk = chunk_size or default_chunk_size(len(items), workers, use_processes)
     chunk_iter = (items[i:i + chunk] for i in range(0, len(items), chunk))
 
     stitch_parent: Optional[int] = None
@@ -133,34 +128,18 @@ def iter_mapped(
     items: Sequence[ItemT],
     *,
     max_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    use_processes: bool = False,
 ) -> Iterator[ResultT]:
-    """Per-item convenience over :func:`iter_mapped_chunks`.
+    """Per-item thread fan-out over :func:`iter_mapped_chunks`.
 
     Same streaming/ordering/backpressure discipline, but the caller
-    provides a one-item callable instead of a chunk callable (wrapped in
-    a picklable :class:`_ItemChunk`, so ``use_processes`` works whenever
-    ``run_item`` itself pickles).  This is the fan-out point the query
-    engine's parallel segment scans use: one segment per item, results
-    reassembled in manifest order.
+    provides a one-item callable instead of a chunk callable, dispatched
+    one item per task.  This is the fan-out point the query engine's
+    parallel segment scans use: one segment per item, results reassembled
+    in manifest order.
     """
     return iter_mapped_chunks(
-        _ItemChunk(run_item), items,
-        max_workers=max_workers, chunk_size=chunk_size,
-        use_processes=use_processes)
-
-
-class _ItemChunk:
-    """Adapt a per-item callable to the per-chunk fan-out interface."""
-
-    __slots__ = ("run_item",)
-
-    def __init__(self, run_item: Callable) -> None:
-        self.run_item = run_item
-
-    def __call__(self, items: Sequence) -> list:
-        return [self.run_item(item) for item in items]
+        lambda chunk: [run_item(item) for item in chunk], items,
+        max_workers=max_workers)
 
 
 class _CollectingChunk:

@@ -14,7 +14,7 @@ gives the sweep a first-class shape:
 * :class:`SweepRunner` prunes incompatible combinations up front with cheap
   cached checks (device-level and graph-level compatibility are each evaluated
   once per (device|graph, backend) pair, not once per job), then fans the
-  surviving jobs out across a thread or process pool — optionally in
+  surviving jobs out across a thread pool — optionally in
   ``chunk_size`` batched job slices so tiny analytic jobs amortise dispatch —
   and streams :class:`~repro.runtime.executor.ExecutionResult` values in job
   order: to an optional callback and the returned list (:meth:`SweepRunner.run`),
@@ -152,18 +152,16 @@ class SweepRunner:
 
     ``chunk_size`` batches consecutive jobs into per-worker slices so each
     pool task amortises its dispatch overhead over many tiny analytic jobs
-    (the GIL-bound regime a per-job thread fan-out loses in);
-    ``use_processes`` swaps the thread pool for a process pool, sidestepping
-    the GIL entirely.  Neither knob can change any number: every job's RNG
-    seed is derived from its own coordinates, so results are bit-identical
-    across worker counts, chunk sizes and pool kinds.
+    (the GIL-bound regime a per-job thread fan-out loses in).  Neither it
+    nor ``max_workers`` can change any number: every job's RNG seed is
+    derived from its own coordinates, so results are bit-identical across
+    worker counts and chunk sizes.
     """
 
     def __init__(self, spec: SweepSpec, *, max_workers: Optional[int] = None,
                  noise_fraction: float = 0.02,
                  include_screen_power: bool = False,
-                 chunk_size: Optional[int] = None,
-                 use_processes: bool = False) -> None:
+                 chunk_size: Optional[int] = None) -> None:
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive when given")
         if chunk_size is not None and chunk_size <= 0:
@@ -173,7 +171,6 @@ class SweepRunner:
         self.noise_fraction = noise_fraction
         self.include_screen_power = include_screen_power
         self.chunk_size = chunk_size
-        self.use_processes = use_processes
 
     # ------------------------------------------------------------------ #
     # Pruning
@@ -257,7 +254,7 @@ class SweepRunner:
         yielded as the pool produces them (held back only as far as order
         preservation requires) and nothing is retained after the caller
         consumes a value.  Seeds are per-job, so the stream is bit-identical
-        for any worker count, chunk size or pool kind.
+        for any worker count or chunk size.
         """
         # Bounded submission window, chunked slices and in-order draining all
         # live in :func:`repro.runtime.pool.iter_mapped_chunks`, shared with
@@ -267,7 +264,6 @@ class SweepRunner:
             self.compatible_jobs(),
             max_workers=self.max_workers,
             chunk_size=self.chunk_size,
-            use_processes=self.use_processes,
         )
 
     def run(self, on_result: Optional[Callable[[ExecutionResult], None]] = None,

@@ -98,6 +98,22 @@ class TestBitIdentity:
         for name, ref in _events(baseline.store).items():
             assert np.array_equal(_events(result.store)[name], ref), name
 
+    def test_zoo_spec_ships_to_shard_processes(self, tmp_path):
+        """The dense zoo spec pickles into shard processes and reproduces
+        direct single-thread ingestion exactly."""
+        spec = campaign_spec("zoo", 16, seed=3, horizon_s=4 * 3600.0)
+        direct = ResultStore(tmp_path / "direct.store")
+        FleetSimulator(spec, max_workers=1).run_to_store(direct)
+        result = run_campaign(spec, tmp_path / "zoo", shards=2,
+                              bin_seconds=BIN_S, use_processes=True)
+        ref_events, got_events = _events(direct), _events(result.store)
+        assert result.offloaded > 0
+        assert len(set(ref_events["scenario"])) > 1
+        assert set(got_events) == set(ref_events)
+        for name, ref in ref_events.items():
+            assert np.array_equal(got_events[name], ref), name
+            assert got_events[name].dtype == ref.dtype
+
     def test_matches_direct_simulator_ingestion(self, spec, baseline,
                                                 tmp_path):
         """The campaign path reproduces plain ``run_to_store`` exactly."""

@@ -200,25 +200,14 @@ class TestDeterminism:
                              "battery_fraction", "discharge_mah", "offloaded"):
                     assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    def test_bit_identical_on_process_pool(self, spec, traces):
-        processes = FleetSimulator(spec, max_workers=2,
-                                   use_processes=True).collect()
-        assert len(processes) == len(traces)
-        for a, b in zip(traces, processes):
-            assert np.array_equal(a.latency_ms, b.latency_ms)
-            assert np.array_equal(a.battery_fraction, b.battery_fraction)
-            assert np.array_equal(a.offloaded, b.offloaded)
-
     def test_bit_identical_across_slices_and_blocks(self, spec, traces,
                                                     monkeypatch):
-        """Many pool slices, many blocks per slice, every pool kind."""
+        """Many pool slices, many blocks per slice, inline and threaded."""
         from repro.fleet import simulator as fleet_simulator
 
         monkeypatch.setattr(fleet_simulator, "BLOCK_USERS", 3)
         for simulator in (FleetSimulator(spec, max_workers=1),
-                          FleetSimulator(spec, max_workers=2),
-                          FleetSimulator(spec, max_workers=2,
-                                         use_processes=True)):
+                          FleetSimulator(spec, max_workers=2)):
             assert simulator._slice_users(NUM_USERS) <= 3
             other = list(simulator.iter_traces(max_cells=40))
             assert [t.user.user_id for t in other] == list(range(NUM_USERS))

@@ -629,6 +629,38 @@ class TestParallelBitIdentity:
         assert list(iter_mapped(lambda i: i * i, items, max_workers=4)) \
             == [i * i for i in items]
 
+    def test_pool_never_sized_past_its_tasks(self, monkeypatch):
+        """A forking pool starts every worker it is sized for, so an
+        explicit ``max_workers`` is capped at the task count."""
+        from concurrent import futures
+
+        from repro.runtime import pool
+
+        assert pool.resolve_workers(2, 8) == 2
+        assert pool.resolve_workers(5, 3) == 3
+        assert pool.resolve_workers(0, 4) == 1
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                pool.resolve_workers(3, bad)
+
+        sizes = []
+
+        class RecordingExecutor(futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        # Stands in for the process pool so the test forks nothing.
+        monkeypatch.setattr(pool.futures, "ProcessPoolExecutor",
+                            RecordingExecutor)
+        assert list(pool.iter_mapped_chunks(
+            list, ["a", "b"], max_workers=8, chunk_size=1,
+            use_processes=True)) == ["a", "b"]
+        assert list(pool.iter_mapped_chunks(
+            list, list(range(10)), max_workers=8, chunk_size=4,
+            use_processes=True)) == list(range(10))
+        assert sizes == [2, 3]
+
 
 # --------------------------------------------------------------------------- #
 # Coded vs decoded predicate evaluation

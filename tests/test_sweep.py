@@ -99,12 +99,6 @@ class TestDeterminism:
                                   chunk_size=chunk_size).run()
             assert chunked == baseline
 
-    def test_results_identical_with_process_pool(self, spec):
-        baseline = SweepRunner(spec, max_workers=1).run()
-        processes = SweepRunner(spec, max_workers=2, use_processes=True,
-                                chunk_size=8).run()
-        assert processes == baseline
-
     def test_rejects_invalid_chunk_size(self, spec):
         with pytest.raises(ValueError):
             SweepRunner(spec, chunk_size=0)
