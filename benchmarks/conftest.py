@@ -22,10 +22,12 @@ makes mismatches detectable.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -69,28 +71,51 @@ RESULTS_DIR = (Path(__file__).parent / "results" if REFRESH_BASELINES
 BENCH_SCHEMA_VERSION = 1
 
 
-def bench_run_id() -> str:
-    """Stable identifier for this benchmark run's ``BENCH_*.json`` stamps.
+def run_id_at(directory: Path) -> str:
+    """The run id of a checkout: ``REPRO_BENCH_RUN_ID``, else its commit.
 
     Resolution order: ``REPRO_BENCH_RUN_ID`` (CI sets this to the build
-    id), the current git commit, then ``"local"``.  The id keys
-    ``bench_runs`` ingestion — re-ingesting a payload whose
-    ``(benchmark, run_id)`` pair is already in the trajectory store is a
-    no-op, so repeated local runs don't pollute the perf history.
+    id), the short git commit of ``directory`` with ``-dirty`` appended
+    unless ``git status --porcelain`` reports a clean tree (numbers
+    measured on uncommitted code are not the commit's), then ``"local"``.
     """
     run_id = os.environ.get("REPRO_BENCH_RUN_ID", "")
     if run_id:
         return run_id
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).parent, capture_output=True, text=True,
-            timeout=10)
-        if proc.returncode == 0 and proc.stdout.strip():
-            return proc.stdout.strip()
-    except OSError:
-        pass
-    return "local"
+
+    def git(*args: str) -> Optional[str]:
+        try:
+            proc = subprocess.run(["git", *args], cwd=directory,
+                                  capture_output=True, text=True, timeout=10)
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    commit = git("rev-parse", "--short", "HEAD")
+    if not commit:
+        return "local"
+    status = git("status", "--porcelain")
+    return commit if status == "" else f"{commit}-dirty"
+
+
+@functools.lru_cache(maxsize=None)
+def bench_run_id() -> str:
+    """Stable identifier for this benchmark run's ``BENCH_*.json`` stamps.
+
+    :func:`run_id_at` of this checkout, resolved once per session (see
+    :func:`_resolve_run_id`): a refresh run rewrites tracked baselines, so
+    a tree that was clean at the start would read dirty after the first
+    write.  The id keys ``bench_runs`` ingestion — re-ingesting a payload
+    whose ``(benchmark, run_id)`` pair is already in the trajectory store
+    is a no-op, so repeated local runs don't pollute the perf history.
+    """
+    return run_id_at(Path(__file__).parent)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _resolve_run_id() -> None:
+    """Resolve the run id before any benchmark writes a baseline."""
+    bench_run_id()
 
 
 def write_baseline(path: Path, payload: dict) -> Path:

@@ -123,14 +123,12 @@ def ingest_rows_jsonl_reference(store, kind, rows) -> int:
     """
     pending: list[dict] = []
     committed = 0
-    sequence = store.sequence
 
     def seal() -> None:
-        nonlocal committed, sequence
-        sequence += 1
+        nonlocal committed
         meta = write_segment(store.segments_dir,
-                             f"{kind.name}-{sequence:06d}", kind, pending)
-        store._commit([meta], sequence)
+                             store._allocate_name(kind.name), kind, pending)
+        store._commit([meta])
         committed += len(pending)
         pending.clear()
 

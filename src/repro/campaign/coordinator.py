@@ -208,7 +208,7 @@ def run_campaign(spec: FleetSpec, root: Union[str, Path], *,
     merge_span = obs.span("campaign.merge", items=len(tasks), force=True)
     with merge_span:
         shard_stores = [ResultStore(task.root) for task in tasks]
-        adopted, sequence, merge_stats = adopt_segments(
+        adopted, merge_stats = adopt_segments(
             merged, shard_stores, kinds=("fleet_events",))
         profile = LoadProfile(spec.regions, spec.horizon_s, bin_seconds)
         for shard_store in shard_stores:
@@ -218,14 +218,14 @@ def run_campaign(spec: FleetSpec, root: Union[str, Path], *,
         load_batch = profile.column_batch()
         if load_batch["bin_index"].size:
             load_kind = kind_for("fleet_load")
-            sequence += 1
             metas.append(write_columnar_segment(
-                merged.segments_dir, f"fleet_load-{sequence:06d}", load_kind,
-                coerce_batch(load_kind, load_batch), compress=compress))
+                merged.segments_dir, merged._allocate_name("fleet_load"),
+                load_kind, coerce_batch(load_kind, load_batch),
+                compress=compress))
         if metas:
             # One manifest generation commits the adopted event segments AND
             # the merged demand grid: the only visibility switch of the merge.
-            merged._commit(metas, sequence)
+            merged._commit(metas)
 
     return CampaignResult(
         store_root=str(merged.root),

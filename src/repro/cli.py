@@ -649,10 +649,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 def _fleet_body(args: argparse.Namespace) -> int:
     """Deterministic fleet traffic simulation, reported per device/scenario."""
     from repro.devices.battery import RechargeSchedule
-    from repro.fleet import (DiurnalProfile, FleetSimulator, FleetSpec,
-                             QueuePolicy, RoutingPolicy, battery_drain_ecdf,
-                             offload_summary, tail_latency_table,
-                             zoo_population)
+    from repro.fleet import (ROUTE_DEVICE, DiurnalProfile, FleetSimulator,
+                             FleetSpec, QueuePolicy, RoutingPolicy,
+                             battery_drain_ecdf, offload_summary,
+                             tail_latency_table, zoo_population)
 
     analysis = _analysis_for(args.scale, args.snapshot)
     pairs = GaugeNN.graphs_with_tasks(analysis)
@@ -697,7 +697,10 @@ def _fleet_body(args: argparse.Namespace) -> int:
         drains = []
         for trace in traces:
             if trace.num_events:
-                on_device = ~trace.offloaded
+                # Only requests served on the device, as the store path's
+                # target="device" filter: offloaded, shed and still-queued
+                # requests never ran there.
+                on_device = trace.route == ROUTE_DEVICE
                 if on_device.any():
                     per_device.setdefault(trace.user.device.name, []).append(
                         trace.latency_ms[on_device])

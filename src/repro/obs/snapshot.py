@@ -1,8 +1,8 @@
 """Committed drift baselines: compact snapshots of what a run produced.
 
 A *snapshot* is the JSON form of everything the drift gates compare a run
-against: the figure report tables a campaign store serves (Fig. 8/9/10/15
-extracts via :class:`~repro.store.serving.ReportServer`) plus the
+against: the figure report tables a campaign store serves (Fig. 8/9/10/15,
+as :func:`~repro.serve.service.report_payload` builds them) plus the
 deterministic counters and wall-clock stats of a telemetry sidecar.  It
 is deliberately compact — per-device summary rows and counter totals,
 not raw events — so a baseline can live in git under
@@ -42,53 +42,37 @@ def _table(columns: list[str], rows: list[list]) -> dict:
     return {"columns": columns, "rows": rows}
 
 
+#: Figure tables a snapshot records, by their ``report_payload`` names.
+SNAPSHOT_TABLES = ("latency_ecdf", "energy", "cloud", "latency_flops")
+
+
 def _report_tables(store) -> dict[str, dict]:
-    """Fig. 8/9/10/15 extracts of one campaign store, via ReportServer."""
-    from repro.store.serving import ReportServer
+    """Fig. 8/9/10/15 tables of one campaign store, via ``report_payload``.
 
-    server = ReportServer(store)
+    Row tables keep the payload's rows, with its keys as the columns.  The
+    Fig. 8 point clouds compact to exact per-device sums (added in
+    ingestion order).
+    """
+    from repro.serve.service import report_payload
+
+    snapshot = store.open_snapshot()
     tables: dict[str, dict] = {}
-
-    # Fig. 9 — latency ECDF per device, compacted to tail quantiles.
-    ecdf_rows = []
-    for device, ecdf in server.latency_ecdf_by_device().items():
-        ecdf_rows.append([device, int(len(ecdf.values)),
-                          ecdf.quantile(0.5), ecdf.quantile(0.9),
-                          ecdf.quantile(0.99)])
-    tables["latency_ecdf"] = _table(
-        ["device", "samples", "latency_p50_ms", "latency_p90_ms",
-         "latency_p99_ms"], ecdf_rows)
-
-    # Fig. 10 — per-device energy/power/efficiency summaries, verbatim.
-    energy_rows = []
-    for device, entry in server.energy_distributions().items():
-        energy_rows.append([device,
-                            entry["energy_median_mj"],
-                            entry["energy_mean_mj"],
-                            entry["power_median_w"],
-                            entry["power_mean_w"],
-                            entry["efficiency_median_mflops_per_sw"]])
-    tables["energy"] = _table(
-        ["device", "energy_median_mj", "energy_mean_mj", "power_median_w",
-         "power_mean_w", "efficiency_median_mflops_per_sw"], energy_rows)
-
-    # Fig. 8 — latency-vs-FLOPs point clouds, compacted to exact sums.
-    fig8_rows = []
-    for device, _ in server.latency_ecdf_by_device().items():
-        points = server.latency_vs_flops(device)
-        latency_sum = 0.0
-        flops_sum = 0.0
-        for latency, flops in points:
-            latency_sum += latency
-            flops_sum += flops
-        fig8_rows.append([device, len(points), latency_sum, flops_sum])
-    tables["latency_vs_flops"] = _table(
-        ["device", "points", "latency_ms_sum", "flops_sum"], fig8_rows)
-
-    # Fig. 15 — apps per cloud ML API.
-    cloud_rows = [[api, entry["provider"], entry["apps"]]
-                  for api, entry in server.cloud_api_usage().items()]
-    tables["cloud_apis"] = _table(["api", "provider", "apps"], cloud_rows)
+    for name in SNAPSHOT_TABLES:
+        payload = report_payload(snapshot, name)
+        if name == "latency_flops":
+            rows = []
+            for device, points in payload["points"].items():
+                latency_sum = flops_sum = 0.0
+                for latency, flops in points:
+                    latency_sum += latency
+                    flops_sum += flops
+                rows.append([device, len(points), latency_sum, flops_sum])
+            tables[name] = _table(
+                ["device", "points", "latency_ms_sum", "flops_sum"], rows)
+        else:
+            rows = payload["rows"]
+            tables[name] = _table(list(rows[0]) if rows else [],
+                                  [list(row.values()) for row in rows])
     return tables
 
 

@@ -25,9 +25,10 @@ pure-JSONL kinds stay JSONL — compacting a pre-v3 store never silently
 changes its format.  The opposite direction (columnar -> JSONL) is
 :func:`~repro.store.export.export_store`'s job.
 
-Compaction takes the single-writer seat while it runs — like
-:class:`~repro.store.writer.StoreWriter`, it must not race another writer on
-the sequence counter.
+The store names the replacement segments and swaps them in with its one
+commit function, which owns the splice rule.  Compaction takes the
+single-writer seat: like :class:`~repro.store.writer.StoreWriter`, it must
+not run beside a writer on another handle of the same store.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import numpy as np
 
 from repro.store.schema import kind_for
 from repro.store.segment import (FORMAT_COLUMNAR, FORMAT_JSONL, SegmentMeta,
-                                 write_columnar_segment, write_segment)
+                                 segment_bytes, write_columnar_segment,
+                                 write_segment)
 from repro.store.store import ResultStore
 
 __all__ = ["CompactionStats", "compact_store", "reseal_kind"]
@@ -71,25 +73,24 @@ def _plan_chunks(total_rows: int, rows_per_segment: Optional[int]) -> int:
     return (total_rows + rows_per_segment - 1) // rows_per_segment
 
 
-def reseal_kind(store: ResultStore, name: str, *, sequence: int,
+def reseal_kind(store: ResultStore, name: str, *,
                 rows_per_segment: Optional[int], output_format: str,
-                directory: Optional[Path] = None,
-                compress: bool = False
-                ) -> tuple[list[SegmentMeta], int, int]:
+                into: Optional[ResultStore] = None,
+                compress: bool = False) -> list[SegmentMeta]:
     """Rewrite one kind's committed rows, in order, into fresh segments.
 
-    The shared rewrite core of :func:`compact_store` (which seals into the
-    store's own segments directory) and
-    :func:`~repro.store.export.export_store` (which seals into a fresh
-    store's).  Columnar output concatenates the column arrays across the
-    source segments — no pivot through per-row dicts; JSONL output gathers
-    the rows.  Returns ``(sealed metas, next sequence, rows rewritten)``.
+    The shared rewrite core of :func:`compact_store` (which seals into
+    ``store`` itself) and :func:`~repro.store.export.export_store` (which
+    seals into the fresh store ``into``).  The segments are named by the
+    store they seal into and stay uncommitted.  Columnar output
+    concatenates the column arrays across the source segments — no pivot
+    through per-row dicts; JSONL output gathers the rows.  Returns the
+    sealed metas.
     """
     if output_format not in _OUTPUT_FORMATS:
         raise ValueError(
             f"unknown output format {output_format!r} (have {_OUTPUT_FORMATS})")
-    if directory is None:
-        directory = store.segments_dir
+    into = store if into is None else into
     kind = kind_for(name)
     sealed: list[SegmentMeta] = []
     if output_format == FORMAT_COLUMNAR:
@@ -104,23 +105,21 @@ def reseal_kind(store: ResultStore, name: str, *, sequence: int,
         chunk = rows_per_segment if rows_per_segment is not None \
             else max(1, total)
         for start in range(0, total, chunk):
-            sequence += 1
             sealed.append(write_columnar_segment(
-                directory, f"{name}-{sequence:06d}", kind,
+                into.segments_dir, into._allocate_name(name), kind,
                 {col: array[start:start + chunk]
                  for col, array in columns.items()}, compress=compress))
-        return sealed, sequence, total
+        return sealed
     rows: list[dict] = []
     for meta in store.segments_for(name):
         rows.extend(store.rows_for(meta))
     chunk = rows_per_segment if rows_per_segment is not None \
         else max(1, len(rows))
     for start in range(0, len(rows), chunk):
-        sequence += 1
         sealed.append(write_segment(
-            directory, f"{name}-{sequence:06d}", kind,
+            into.segments_dir, into._allocate_name(name), kind,
             rows[start:start + chunk]))
-    return sealed, sequence, len(rows)
+    return sealed
 
 
 def compact_store(store: Union[ResultStore, str, Path], *,
@@ -172,58 +171,33 @@ def compact_store(store: Union[ResultStore, str, Path], *,
         return CompactionStats(segments_before, segments_before, 0, (), 0)
 
     # Seal the replacement segments first; they stay invisible until the
-    # manifest swap below.
-    sequence = store.sequence
-    replacements: dict[str, list[SegmentMeta]] = {}
-    rows_rewritten = 0
-    new_bytes = 0
+    # commit swaps them in where each kind's first old segment sat.
+    new_segments: list[SegmentMeta] = []
     for name, target in to_compact.items():
-        sealed, sequence, rows = reseal_kind(
-            store, name, sequence=sequence,
-            rows_per_segment=rows_per_segment, output_format=target,
-            compress=compress)
-        rows_rewritten += rows
-        replacements[name] = sealed
-        for meta in sealed:
-            for filename in meta.filenames:
-                try:
-                    new_bytes += (store.segments_dir / filename
-                                  ).stat().st_size
-                except FileNotFoundError:  # pragma: no cover - defensive
-                    pass
-
-    # Swap: keep untouched segments in manifest order, splice each compacted
-    # kind's new segments where its first old segment sat (preserving the
-    # per-kind scan order queries rely on).
-    old_files: list[str] = []
-    new_manifest: list[SegmentMeta] = []
-    spliced: set[str] = set()
-    for meta in store.segments:
-        if meta.kind not in replacements:
-            new_manifest.append(meta)
-            continue
-        old_files.extend(meta.filenames)
-        if meta.kind not in spliced:
-            spliced.add(meta.kind)
-            new_manifest.extend(replacements[meta.kind])
-    store._commit_replacement(new_manifest, sequence)
+        new_segments.extend(reseal_kind(
+            store, name, rows_per_segment=rows_per_segment,
+            output_format=target, compress=compress))
+    old_segments = [meta for meta in store.segments
+                    if meta.kind in to_compact]
+    old_bytes = sum(segment_bytes(store.segments_dir, meta)
+                    for meta in old_segments)
+    store._commit(new_segments, replacing=old_segments)
 
     files_removed = 0
-    old_bytes = 0
-    for filename in old_files:
-        path = store.segments_dir / filename
-        try:
-            old_bytes += path.stat().st_size
-            path.unlink()
-            files_removed += 1
-        except FileNotFoundError:  # pragma: no cover - cache never written
-            pass
+    for meta in old_segments:
+        for filename in meta.filenames:
+            try:
+                (store.segments_dir / filename).unlink()
+                files_removed += 1
+            except FileNotFoundError:  # derived cache never written
+                pass
 
     return CompactionStats(
         segments_before=segments_before,
-        segments_after=len(new_manifest),
-        rows_rewritten=rows_rewritten,
+        segments_after=len(store.segments),
+        rows_rewritten=sum(meta.rows for meta in new_segments),
         kinds_compacted=tuple(to_compact),
         files_removed=files_removed,
-        bytes_reclaimed=old_bytes - new_bytes,
+        bytes_reclaimed=old_bytes - sum(
+            segment_bytes(store.segments_dir, meta) for meta in new_segments),
     )

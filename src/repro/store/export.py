@@ -25,7 +25,8 @@ from typing import Optional, Sequence, Union
 from repro.store.compact import _OUTPUT_FORMATS, reseal_kind
 from repro.store.schema import kind_for
 from repro.store.segment import (FORMAT_COLUMNAR, FORMAT_JSONL, SegmentMeta,
-                                 write_columnar_segment, write_segment)
+                                 segment_bytes, write_columnar_segment,
+                                 write_segment)
 from repro.store.store import ResultStore
 
 __all__ = ["ExportStats", "export_store"]
@@ -78,9 +79,7 @@ def export_store(source: Union[ResultStore, str, Path],
             f"export destination {destination.root} already holds a "
             f"committed store; exports never merge")
 
-    sequence = 0
     sealed: list[SegmentMeta] = []
-    rows_exported = 0
     exported_kinds: list[str] = []
     for name in source.kinds():
         if wanted is not None and name not in wanted:
@@ -90,8 +89,7 @@ def export_store(source: Union[ResultStore, str, Path],
         if rows_per_segment is None:
             # Mirror the source's segment boundaries one to one.
             for meta in source.segments_for(name):
-                sequence += 1
-                segment_name = f"{name}-{sequence:06d}"
+                segment_name = destination._allocate_name(name)
                 if output_format == FORMAT_COLUMNAR:
                     sealed.append(write_columnar_segment(
                         destination.segments_dir, segment_name, kind,
@@ -100,35 +98,23 @@ def export_store(source: Union[ResultStore, str, Path],
                     sealed.append(write_segment(
                         destination.segments_dir, segment_name, kind,
                         source.rows_for(meta)))
-                rows_exported += meta.rows
         else:
             # Re-chunking a whole kind is exactly compaction's rewrite,
-            # just sealed into the destination's segments directory.
-            resealed, sequence, rows = reseal_kind(
-                source, name, sequence=sequence,
-                rows_per_segment=rows_per_segment,
-                output_format=output_format,
-                directory=destination.segments_dir,
-                compress=compress)
-            sealed.extend(resealed)
-            rows_exported += rows
+            # just sealed into the destination store.
+            sealed.extend(reseal_kind(
+                source, name, rows_per_segment=rows_per_segment,
+                output_format=output_format, into=destination,
+                compress=compress))
 
     if sealed:
-        destination._commit(sealed, sequence)
-
-    def _sized(directory: Path, metas) -> int:
-        total = 0
-        for meta in metas:
-            for filename in meta.filenames:
-                try:
-                    total += (directory / filename).stat().st_size
-                except FileNotFoundError:
-                    pass  # derived caches may legitimately be absent
-        return total
+        destination._commit(sealed)
 
     source_metas = [meta for name in exported_kinds
                     for meta in source.segments_for(name)]
-    return ExportStats(kinds=tuple(exported_kinds), segments=len(sealed),
-                       rows=rows_exported, output_format=output_format,
-                       source_bytes=_sized(source.segments_dir, source_metas),
-                       output_bytes=_sized(destination.segments_dir, sealed))
+    return ExportStats(
+        kinds=tuple(exported_kinds), segments=len(sealed),
+        rows=sum(meta.rows for meta in sealed), output_format=output_format,
+        source_bytes=sum(segment_bytes(source.segments_dir, meta)
+                         for meta in source_metas),
+        output_bytes=sum(segment_bytes(destination.segments_dir, meta)
+                         for meta in sealed))

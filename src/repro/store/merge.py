@@ -2,8 +2,8 @@
 
 The campaign coordinator's merge step: segments sealed in shard-local
 stores are *adopted* into a destination store by hard-linking (falling
-back to copying) their immutable data files under freshly allocated
-sequence names, then committing every adopted segment in **one** manifest
+back to copying) their immutable data files under names the destination
+allocates, then committing every adopted segment in **one** manifest
 generation.  Because a segment's checksum covers only its payload bytes —
 never its name — adoption needs no re-hash and no row rewrite: merging a
 10M-row shard costs one ``link(2)`` per segment file plus a manifest
@@ -18,9 +18,10 @@ Crash safety inherits the store's single-commit-point design:
   some (or all) files were adopted but before the commit leaves the
   destination reading exactly its previously committed segments — the
   orphaned files are invisible;
-* a retry re-reads the destination's unchanged ``sequence`` counter and
-  therefore re-allocates the *same* target names, so ``os.replace``
-  converges the orphans instead of leaking duplicates.
+* the destination names adopted segments from its committed
+  ``sequence`` counter, which a crashed merge left unchanged on disk, so
+  a retry from a fresh handle allocates the *same* target names and
+  ``os.replace`` converges the orphans instead of leaking duplicates.
 
 Derived state (``.npz`` column caches of JSONL segments) is never
 adopted — the destination rebuilds it lazily on first read, exactly as
@@ -88,13 +89,13 @@ def adopt_segments(dest: ResultStore,
                    sources: Sequence[Union[ResultStore, str, Path]], *,
                    kinds: Optional[Sequence[str]] = None,
                    verify: bool = False
-                   ) -> tuple[list[SegmentMeta], int, MergeStats]:
+                   ) -> tuple[list[SegmentMeta], MergeStats]:
     """Adopt every committed segment of ``sources`` into ``dest`` — uncommitted.
 
     Files are placed and fsynced but **nothing is committed**: the caller
-    receives the adopted metas (renamed to ``dest``'s freshly allocated
-    sequence numbers) plus the final sequence value, and decides what
-    else joins the same manifest generation (the campaign coordinator
+    receives the adopted metas (renamed to names ``dest`` allocated for
+    its pending commit) and decides what else joins the same manifest
+    generation (the campaign coordinator
     seals its merged ``fleet_load`` grid into the same commit).  Source
     order is preserved — segments adopt in source-list order, commit
     order within a source — which is what makes a sharded campaign's
@@ -106,7 +107,6 @@ def adopt_segments(dest: ResultStore,
     dest.root.mkdir(parents=True, exist_ok=True)
     dest.segments_dir.mkdir(parents=True, exist_ok=True)
     wanted = set(kinds) if kinds is not None else None
-    sequence = dest.sequence
     adopted: list[SegmentMeta] = []
     seen_kinds: dict[str, None] = {}
     linked = copied = 0
@@ -119,9 +119,8 @@ def adopt_segments(dest: ResultStore,
             for meta in store.segments:
                 if wanted is not None and meta.kind not in wanted:
                     continue
-                sequence += 1
                 new_meta = dataclasses.replace(
-                    meta, name=f"{meta.kind}-{sequence:06d}")
+                    meta, name=dest._allocate_name(meta.kind))
                 for src_name, dst_name in zip(meta.filenames,
                                               new_meta.filenames):
                     src_path = store.segments_dir / src_name
@@ -152,7 +151,7 @@ def adopt_segments(dest: ResultStore,
     obs.count("store.rows_adopted", stats.rows_adopted)
     obs.observe("store.files_linked", linked)
     obs.observe("store.files_copied", copied)
-    return adopted, sequence, stats
+    return adopted, stats
 
 
 def merge_stores(dest: ResultStore,
@@ -165,8 +164,8 @@ def merge_stores(dest: ResultStore,
     adopt every segment, then commit them all at once.  Readers of
     ``dest`` see either none of the merge or all of it.
     """
-    adopted, sequence, stats = adopt_segments(dest, sources, kinds=kinds,
-                                              verify=verify)
+    adopted, stats = adopt_segments(dest, sources, kinds=kinds,
+                                    verify=verify)
     if adopted:
-        dest._commit(adopted, sequence)
+        dest._commit(adopted)
     return stats

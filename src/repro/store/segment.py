@@ -48,8 +48,8 @@ from repro.store.schema import RowKind
 __all__ = ["SegmentMeta", "StoreCorruptionError", "write_segment",
            "write_columnar_segment", "load_rows", "load_columns",
            "build_columns", "rows_from_columns", "column_stats",
-           "verify_segment", "atomic_write_bytes", "FORMAT_JSONL",
-           "FORMAT_COLUMNAR"]
+           "verify_segment", "segment_bytes", "atomic_write_bytes",
+           "FORMAT_JSONL", "FORMAT_COLUMNAR"]
 
 #: Segment format names recorded in the manifest.
 FORMAT_JSONL = "jsonl"
@@ -317,6 +317,21 @@ def verify_segment(directory: Path, meta: SegmentMeta) -> None:
     not hash to the manifest's sha256.
     """
     _read_payload(directory, meta, verify=True)
+
+
+def segment_bytes(directory: Path, meta: SegmentMeta) -> int:
+    """Bytes the files of one segment occupy in ``directory``.
+
+    Sums the packed payload of a columnar segment, or the row log plus
+    column cache of a JSONL one; a missing derived cache counts as 0.
+    """
+    total = 0
+    for filename in meta.filenames:
+        try:
+            total += (directory / filename).stat().st_size
+        except FileNotFoundError:
+            pass  # derived caches may legitimately be absent
+    return total
 
 
 def _unpack_columnar(payload: bytes, meta: SegmentMeta,

@@ -15,7 +15,12 @@ The manifest is the commit point: a segment exists for readers if and only if
 it is listed there.  Both segment seals and manifest updates are atomic
 (tmp-file + fsync + rename), so a crash at any instant leaves the store at
 the last committed manifest — partially written files are simply never
-referenced and are overwritten by the next seal of the same sequence number.
+referenced and are overwritten by the next seal under the same name.
+
+The store owns both halves of that protocol: segment names are allocated
+from the committed ``sequence`` counter (``{kind}-{sequence:06d}``), and
+one commit function writes ``MANIFEST.json`` for every writer, compaction,
+export and merge.
 
 Reads are cached per segment: segments are immutable, so once a segment's
 columns are in memory every later query and report over it is free.  That is
@@ -86,11 +91,17 @@ class ResultStore:
         #: instead of reading them resident — the >10M-row read path.  JSONL
         #: segments read resident either way.  Query results are identical.
         self.mmap = mmap
+        #: The committed manifest's header (the list is ``_segments``).
         self._manifest: dict = {"format_version": FORMAT_VERSION,
                                 "sequence": 0, "generation": 0,
-                                "generations": [], "segments": []}
+                                "generations": []}
         self._segments: tuple[SegmentMeta, ...] = ()
         self._columns_cache: dict[str, Mapping[str, np.ndarray]] = {}
+        #: Names handed out by :meth:`_allocate_name` since the last commit.
+        self._allocated = 0
+        #: name -> (meta, its compact manifest JSON): entries are immutable,
+        #: so each is encoded once, not once per commit.
+        self._encoded: dict[str, tuple[SegmentMeta, str]] = {}
         self.refresh()
 
     # ------------------------------------------------------------------ #
@@ -118,7 +129,7 @@ class ResultStore:
                 f"store at {self.root} has format version {version!r}; "
                 f"this build reads versions {READABLE_VERSIONS}")
         segments = tuple(
-            SegmentMeta.from_json(entry) for entry in data["segments"])
+            SegmentMeta.from_json(entry) for entry in data.pop("segments"))
         # Stores written before generations existed: derive a monotone
         # generation from the sequence counter and pin the current list as
         # the only reopenable prefix (rewritten properly on the next commit).
@@ -127,66 +138,92 @@ class ResultStore:
             data["generations"] = [[data["generation"], len(segments)]]
         self._manifest = data
         self._segments = segments
-        live = {meta.name for meta in self._segments}
-        for name in list(self._columns_cache):
-            if name not in live:
-                del self._columns_cache[name]
+        self._evict_dropped()
 
-    def _commit(self, new_segments: Sequence[SegmentMeta], sequence: int) -> None:
-        """Atomically append sealed segments to the manifest (writer hook)."""
+    def _evict_dropped(self) -> None:
+        """Drop the caches of segments no longer in the committed list."""
+        live = {meta.name for meta in self._segments}
+        for cache in (self._columns_cache, self._encoded):
+            for name in [name for name in cache if name not in live]:
+                del cache[name]
+
+    def _allocate_name(self, kind: str) -> str:
+        """Name a new segment of ``kind`` for this handle's pending commit.
+
+        Names number on from the committed ``sequence``, and the next
+        :meth:`_commit` advances ``sequence`` past every name handed out
+        since the last one, so names never repeat.  A crash before that
+        commit leaves ``sequence`` unchanged on disk: a retry from a fresh
+        handle allocates the same names, and its atomic renames converge
+        the orphaned files instead of leaking duplicates.
+        """
+        self._allocated += 1
+        return f"{kind}-{self.sequence + self._allocated:06d}"
+
+    def _entry_json(self, meta: SegmentMeta) -> str:
+        cached = self._encoded.get(meta.name)
+        if cached is None or cached[0] is not meta:
+            cached = self._encoded[meta.name] = (
+                meta, json.dumps(meta.to_json(), separators=(",", ":")))
+        return cached[1]
+
+    def _commit(self, segments: Sequence[SegmentMeta], *,
+                replacing: Sequence[SegmentMeta] = ()) -> None:
+        """Atomically commit ``segments``; the one writer of the manifest.
+
+        Without ``replacing`` the segments append to the committed list and
+        the generation log records the new prefix.  Otherwise the
+        ``replacing`` segments leave the list, each kind's new segments take
+        the place of its first replaced one (so every kind keeps its scan
+        order), and the generation log restarts: the old prefixes no longer
+        describe the list.  Caches of dropped segments are evicted.
+        """
         generation = self.generation + 1
-        generations = [list(entry) for entry in
-                       self._manifest.get("generations", ())]
-        generations.append(
-            [generation, len(self._segments) + len(new_segments)])
+        dropped = {meta.name for meta in replacing}
+        if dropped:
+            unknown = dropped - {meta.name for meta in self._segments}
+            if unknown:
+                raise ValueError(
+                    f"cannot replace uncommitted segments {sorted(unknown)}")
+            by_kind: dict[str, list[SegmentMeta]] = {}
+            for meta in segments:
+                by_kind.setdefault(meta.kind, []).append(meta)
+            spliced: list[SegmentMeta] = []
+            for meta in self._segments:
+                if meta.name not in dropped:
+                    spliced.append(meta)
+                else:
+                    spliced.extend(by_kind.pop(meta.kind, ()))
+            spliced.extend(meta for meta in segments if meta.kind in by_kind)
+            committed = tuple(spliced)
+            generations = [[generation, len(committed)]]
+        else:
+            committed = self._segments + tuple(segments)
+            generations = [list(entry) for entry in
+                           self._manifest.get("generations", ())]
+            generations.append([generation, len(committed)])
         manifest = {
             "format_version": FORMAT_VERSION,
-            "sequence": sequence,
+            "sequence": self.sequence + self._allocated,
             "generation": generation,
             "generations": generations[-GENERATION_LOG_CAP:],
-            "segments": [meta.to_json() for meta in self._segments]
-                        + [meta.to_json() for meta in new_segments],
         }
+        # Compact JSON, with each immutable segment entry encoded once.
+        head = json.dumps(manifest, separators=(",", ":"))
+        body = ",".join(self._entry_json(meta) for meta in committed)
         self.root.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(manifest, indent=2).encode("utf-8") + b"\n"
-        segment_io.atomic_write_bytes(self.manifest_path, payload)
+        segment_io.atomic_write_bytes(
+            self.manifest_path,
+            f'{head[:-1]},"segments":[{body}]}}\n'.encode("utf-8"))
         self._manifest = manifest
-        self._segments = self._segments + tuple(new_segments)
-
-    def _commit_replacement(self, segments: Sequence[SegmentMeta],
-                            sequence: int) -> None:
-        """Atomically rewrite the manifest to an entirely new segment list.
-
-        The compaction hook: unlike :meth:`_commit` this *replaces* the list,
-        so segments absent from ``segments`` stop existing for readers the
-        instant the manifest rename lands.  Column caches of dropped segments
-        are evicted; the sequence counter only ever moves forward.
-        """
-        if sequence < self.sequence:
-            raise ValueError("sequence must not move backwards")
-        generation = self.generation + 1
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "sequence": sequence,
-            "generation": generation,
-            # Replaced lists share no prefix with their predecessors, so
-            # earlier generations stop being reopenable: the log restarts.
-            "generations": [[generation, len(segments)]],
-            "segments": [meta.to_json() for meta in segments],
-        }
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(manifest, indent=2).encode("utf-8") + b"\n"
-        segment_io.atomic_write_bytes(self.manifest_path, payload)
-        self._manifest = manifest
-        self._segments = tuple(segments)
-        live = {meta.name for meta in self._segments}
-        for name in list(self._columns_cache):
-            if name not in live:
-                del self._columns_cache[name]
+        self._segments = committed
+        self._allocated = 0
+        if dropped:
+            self._evict_dropped()
 
     @property
     def sequence(self) -> int:
-        """Monotonic segment sequence number (writer allocation state)."""
+        """Committed segment sequence number (new names number on from it)."""
         return int(self._manifest.get("sequence", 0))
 
     @property
@@ -293,12 +330,7 @@ class ResultStore:
             entry["rows"] += meta.rows
             entry["formats"][meta.format] = \
                 entry["formats"].get(meta.format, 0) + 1
-            for filename in meta.filenames:
-                try:
-                    entry["bytes"] += (self.segments_dir / filename
-                                       ).stat().st_size
-                except FileNotFoundError:
-                    pass  # derived caches may legitimately be absent
+            entry["bytes"] += segment_io.segment_bytes(self.segments_dir, meta)
         return summary
 
     # ------------------------------------------------------------------ #

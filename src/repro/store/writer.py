@@ -42,8 +42,10 @@ The writer is the sweep's ``on_result`` sink: pass ``writer.append``
 directly as the callback, or use
 :meth:`~repro.runtime.sweep.SweepRunner.run_to_store`.
 
-One writer per store at a time; concurrent writers would race on the
-sequence counter (single-writer, many-reader is the supported regime).
+Each seal takes its segment's name from the store handle, never from a
+counter cached by the writer.  Separate handles allocate from their own
+view of the manifest, so it is one writer per store at a time
+(single-writer, many-reader is the supported regime).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import numpy as np
 from repro import obs
 from repro.store.columnar import coerce_batch
 from repro.store.schema import RowKind, kind_for, kind_of_object
-from repro.store.segment import (SegmentMeta, build_columns,
+from repro.store.segment import (SegmentMeta, build_columns, segment_bytes,
                                  write_columnar_segment)
 from repro.store.store import ResultStore
 
@@ -82,7 +84,6 @@ class StoreWriter:
         #: append costs O(1) however many chunks are buffered).  Rows still
         #: in ``_pending_rows`` are not included.
         self._batch_rows: dict[str, int] = {}
-        self._sequence = store.sequence
         self._closed = False
         #: Rows committed (sealed + manifest-visible) by this writer.
         self.rows_committed = 0
@@ -237,9 +238,8 @@ class StoreWriter:
         while total - start >= self.rows_per_segment or \
                 (seal_partial and start < total):
             stop = min(start + self.rows_per_segment, total)
-            self._sequence += 1
             sealed.append(write_columnar_segment(
-                self.store.segments_dir, f"{kind.name}-{self._sequence:06d}",
+                self.store.segments_dir, self.store._allocate_name(kind.name),
                 kind, {name: array[start:stop]
                        for name, array in columns.items()},
                 compress=self.compress))
@@ -266,7 +266,7 @@ class StoreWriter:
                 sealed.extend(self._seal_batches(
                     kind_for(name), seal_partial=seal_partial_batches))
             if sealed:
-                self.store._commit(sealed, self._sequence)
+                self.store._commit(sealed)
                 rows_sealed = sum(meta.rows for meta in sealed)
                 self.segments_sealed += len(sealed)
                 self.rows_committed += rows_sealed
@@ -277,8 +277,7 @@ class StoreWriter:
                     collector.count("store.segments_sealed", len(sealed))
                     collector.count("store.rows_committed", rows_sealed)
                     collector.count("store.bytes_written", sum(
-                        (self.store.segments_dir /
-                         meta.data_filename).stat().st_size
+                        segment_bytes(self.store.segments_dir, meta)
                         for meta in sealed))
 
     def close(self) -> None:

@@ -253,7 +253,7 @@ class TestCrashMidMerge:
 
         real_commit = ResultStore._commit
 
-        def crash(store, metas, sequence):
+        def crash(store, *args, **kwargs):
             raise RuntimeError("injected crash before manifest commit")
 
         monkeypatch.setattr(ResultStore, "_commit", crash)

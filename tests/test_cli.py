@@ -211,6 +211,39 @@ class TestFleetCommand:
         assert "latency_ms_p99" in capsys.readouterr().out
 
 
+    def test_in_memory_and_store_device_tables_agree(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """Both fleet paths count only requests served on the device: a
+        congested population sheds requests, which neither table may
+        count as on-device."""
+        from repro.core.pipeline import GaugeNN
+        from repro.fleet import congested_population
+
+        monkeypatch.setattr(GaugeNN, "graphs_with_tasks", staticmethod(
+            lambda analysis: congested_population()))
+        args = ["fleet", "--scale", "0.02", "--users", "5", "--hours", "4",
+                "--seed", "1"]
+
+        def device_rows(output: str) -> list[str]:
+            lines = output.splitlines()
+            start = next(i for i, line in enumerate(lines)
+                         if line.startswith("device")) + 1
+            return lines[start:lines.index("", start)]
+
+        assert main(args) == 0
+        in_memory = device_rows(capsys.readouterr().out)
+        assert main(args + ["--store", str(tmp_path / "f.store")]) == 0
+        from_store = device_rows(capsys.readouterr().out)
+        assert in_memory and in_memory == from_store
+
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path / "f.store")
+        shed = store.query("fleet_events").where(target="shed").count()
+        assert shed > 0  # the regime the old ~offloaded mask miscounted
+        served = store.query("fleet_events").where(target="device").count()
+        assert sum(int(row.split()[1]) for row in in_memory) == served
+
 class TestFleetCloudCapacity:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fleet"])

@@ -108,6 +108,53 @@ class TestSnapshots:
         assert diff_snapshots(a, near).max_severity == TOLERATED
         assert diff_snapshots(a, far).max_severity == BREACH
 
+    def test_store_tables_are_report_payloads(self, tmp_path):
+        from repro.android.cloud_apis import CLOUD_APIS
+        from repro.core.records import AppRecord
+        from repro.runtime import Backend
+        from repro.runtime.executor import ExecutionResult
+        from repro.serve.service import report_payload
+
+        store = ResultStore(tmp_path / "campaign.store")
+        with store.writer(rows_per_segment=3) as writer:
+            for i, device in enumerate(("S21", "A20", "S21", "A70", "A20")):
+                writer.append(ExecutionResult(
+                    model_name="m", device_name=device, backend=Backend.CPU,
+                    batch_size=1, thread_label="auto", latency_ms=1.5 + i,
+                    energy_mj=10.0 + i, power_watts=2.0 + 0.1 * i,
+                    flops=10 ** 6 * (i + 1), parameters=10,
+                    peak_memory_bytes=100, num_inferences=1))
+            for i in range(3):
+                writer.append(AppRecord(
+                    package=f"com.app{i}", title="app", category="TOOLS",
+                    downloads=10, rating=4.0, frameworks_in_code=(),
+                    native_libraries=(), accelerators=(),
+                    cloud_apis=(CLOUD_APIS[i % 2].name,),
+                    cloud_providers=(), model_count=0,
+                    candidate_file_count=0, apk_size_bytes=1))
+
+        snapshot = build_snapshot(store=store.root)
+        tables = snapshot["tables"]
+        assert list(tables) == ["latency_ecdf", "energy", "cloud",
+                                "latency_flops"]
+        for name in ("latency_ecdf", "energy", "cloud"):
+            rows = report_payload(store, name)["rows"]
+            assert rows
+            assert tables[name] == {"columns": list(rows[0]),
+                                    "rows": [list(row.values())
+                                             for row in rows]}
+        points = report_payload(store, "latency_flops")["points"]
+        assert tables["latency_flops"]["rows"] == [
+            [device, len(pairs), sum(l for l, _ in pairs),
+             sum(f for _, f in pairs)] for device, pairs in points.items()]
+        assert [row[:2] for row in tables["latency_flops"]["rows"]] == [
+            ["A20", 2], ["A70", 1], ["S21", 2]]
+
+        path = write_snapshot(tmp_path / "snap.json", snapshot)
+        assert load_snapshot(path) == snapshot
+        assert diff_snapshots(load_snapshot(path),
+                              build_snapshot(store=store.root)).clean
+
     def test_missing_counter_is_exact_missing_wallclock_tolerated(self):
         a = {"schema_version": 1, "counters": {"events": 5},
              "wallclock": {"sim_seconds": {"count": 1, "total": 1.0,

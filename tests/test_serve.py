@@ -251,7 +251,7 @@ class TestReportServerStaleness:
         # invalidation on "new segments loaded" and kept stale extracts).
         victim = server.store
         victim.refresh()
-        victim._commit_replacement(victim.segments[:-1], victim.sequence)
+        victim._commit([], replacing=victim.segments[-1:])
         assert server.summary()["rows"]["fleet_events"] < 400
 
 

@@ -121,11 +121,11 @@ def _write_reference(store: ResultStore, rows_per_segment: int, ops) -> None:
     for name in list(open_segments):
         close(name)
     metas = []
-    for sequence, (kind_name, rows) in enumerate(sealed, start=1):
+    for kind_name, rows in sealed:
         metas.append(write_segment(store.segments_dir,
-                                   f"{kind_name}-{sequence:06d}",
+                                   store._allocate_name(kind_name),
                                    kind_for(kind_name), rows))
-    store._commit(metas, len(metas))
+    store._commit(metas)
     for meta in metas:  # read the reference back from its JSONL logs
         (store.segments_dir / meta.cache_filename).unlink()
 
