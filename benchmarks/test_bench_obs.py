@@ -95,7 +95,7 @@ def test_bench_overhead_gates(fleet_spec, baseline_traces):
     def raw():
         # The chunk's own block evaluation minus the collector check, so
         # the ratios isolate what telemetry costs.
-        return simulator._simulate_blocks(user_ids, BLOCK_CELLS)
+        return simulator._run_blocks(user_ids, BLOCK_CELLS)
 
     def disabled():
         return simulator._simulate_chunk(user_ids)

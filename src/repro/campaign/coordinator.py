@@ -8,10 +8,11 @@ A campaign run is four deterministic steps:
    (user, time) event order exactly.
 2. **Simulate** — each :class:`ShardTask` runs in its own process
    (:func:`~repro.runtime.pool.iter_mapped_chunks` over the task list),
-   streaming its users into a shard-local store a block at a time
-   (:func:`~repro.fleet.simulator.append_traces`, exactly the
-   ``run_to_store`` path) and accumulating the shard's
-   :class:`~repro.cloud.load.LoadProfile`.  Per-user seeds
+   streaming its users into a shard-local store a simulated block at a
+   time (:func:`~repro.fleet.simulator.append_block`, exactly the
+   ``run_to_store`` path) and counting each block's offloads into the
+   shard's :class:`~repro.cloud.load.LoadProfile`
+   (:meth:`~repro.cloud.load.LoadProfile.add_block`).  Per-user seeds
    (:func:`~repro.fleet.population.derive_user_seed`) make each shard's
    output independent of every other shard.
 3. **Adopt** — the merged store takes ownership of every shard's sealed
@@ -40,7 +41,7 @@ from typing import Optional, Sequence, Union
 from repro import obs
 from repro.cloud.load import LoadProfile
 from repro.fleet.population import FleetSpec
-from repro.fleet.simulator import FleetSimulator, append_traces
+from repro.fleet.simulator import FleetSimulator, append_block
 from repro.runtime.pool import iter_mapped_chunks
 from repro.store.columnar import coerce_batch
 from repro.store.merge import MergeStats, adopt_segments
@@ -126,9 +127,8 @@ def _run_shard(task: ShardTask) -> ShardResult:
             for block in simulator.iter_blocks(
                     (task.lo, task.hi),
                     rows_per_segment=task.rows_per_segment):
-                for trace in block:
-                    offloaded += profile.add_trace(trace)
-                events += append_traces(writer, block)
+                offloaded += profile.add_block(block)
+                events += append_block(writer, block)
             # The shard's demand grid rides in the same store; the merge
             # rebuilds and sums the grids rather than adopting these rows.
             writer.append_batch("fleet_load", profile.column_batch())

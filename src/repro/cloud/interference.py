@@ -40,7 +40,7 @@ from repro import obs
 from repro.cloud.capacity import CapacityModel
 from repro.cloud.load import FIG15_API_NAMES, LoadProfile, ServiceTable
 from repro.fleet.population import FleetSpec
-from repro.fleet.simulator import FleetSimulator, UserTrace, append_traces
+from repro.fleet.simulator import FleetSimulator, UserTrace, append_block
 
 __all__ = ["InterferenceConfig", "InterferenceResult", "InterferenceSimulator"]
 
@@ -139,8 +139,8 @@ class InterferenceSimulator:
     def _profile_pass(self, table: Optional[ServiceTable]) -> LoadProfile:
         """One streaming simulation pass, reduced to its load profile."""
         profile = self._empty_profile()
-        for trace in self._simulator(table).iter_traces():
-            profile.add_trace(trace)
+        for block in self._simulator(table).iter_blocks():
+            profile.add_block(block)
         return profile
 
     def _target_table(self, profile: LoadProfile) -> np.ndarray:
@@ -238,9 +238,8 @@ class InterferenceSimulator:
             with store.writer(rows_per_segment=rows_per_segment) as writer:
                 for block in self._simulator(result.table).iter_blocks(
                         rows_per_segment=rows_per_segment):
-                    for trace in block:
-                        profile.add_trace(trace)
-                    arrived += append_traces(writer, block)
+                    profile.add_block(block)
+                    arrived += append_block(writer, block)
                 writer.append_batch("fleet_load", profile.column_batch())
         result.profile = profile
         result.arrived = arrived

@@ -119,6 +119,36 @@ class LoadProfile:
         self.payload_bytes[r, a] += bins * int(trace.payload_bytes)
         return count
 
+    def add_block(self, block) -> int:
+        """Accumulate a simulated block's offloads (see
+        :meth:`~repro.fleet.simulator.FleetSimulator.iter_blocks`).
+
+        Equal to :meth:`add_trace` over the block's traces, in exact integer
+        arithmetic: every cloud-served event is one count in a flat
+        (region, API, bin) cell, added with one ``bincount``, and its
+        user's payload is added into the same cell.  Returns the number of
+        requests added; like :meth:`add_trace`, only users with offloads
+        have their region and API looked up.
+        """
+        cloud = block.route == ROUTE_CLOUD
+        count = int(np.count_nonzero(cloud))
+        if not count:
+            return 0
+        owner = np.repeat(np.arange(block.counts.size),
+                          block.counts)[cloud]
+        offloaders, local = np.unique(owner, return_inverse=True)
+        pairs = np.array([(self._region_index[block.users[position].region],
+                           self._api_index[block.cloud_apis[position]])
+                          for position in offloaders.tolist()],
+                         dtype=np.int64)
+        cells = (pairs[local, 0] * len(self.apis) + pairs[local, 1]) \
+            * self.num_bins + self.bin_indices(block.times[cloud])
+        self.requests += np.bincount(
+            cells, minlength=self.requests.size).reshape(self.requests.shape)
+        np.add.at(self.payload_bytes.reshape(-1), cells,
+                  block.payload[owner])
+        return count
+
     def merge(self, other: "LoadProfile") -> "LoadProfile":
         """Add another profile of the same shape into this one (exact)."""
         if (self.regions, self.apis, self.num_bins,

@@ -42,10 +42,19 @@ ordered thread pool (:func:`~repro.runtime.pool.iter_mapped_chunks`) and
 the resulting event stream is **bit-identical for any worker count or
 chunk size**.  Process fan-out is the campaign coordinator's:
 :func:`repro.campaign.run_campaign` shards user ranges across processes.
-Streams ingest into a :class:`~repro.store.store.ResultStore` via
-:meth:`FleetSimulator.run_to_store` one column batch per block
-(:func:`append_traces`) with O(1) result retention — the memory-flat path
-for million-event fleets.
+
+The simulated block is also the unit the store writers consume
+(:meth:`FleetSimulator.iter_blocks`): :func:`append_block` appends a
+block's ``fleet_events`` column batches straight from its flat arrays, with
+no per-user :class:`UserTrace` on the way, and
+:meth:`~repro.cloud.load.LoadProfile.add_block` counts its offloads in one
+pass.  :meth:`FleetSimulator.run_to_store` streams a fleet into a
+:class:`~repro.store.store.ResultStore` that way with O(1) result
+retention — the memory-flat path for million-event fleets.
+:class:`UserTrace` is the per-user view of a block (:meth:`FleetSimulator.
+iter_traces`, :meth:`~FleetSimulator.simulate_user`), and its
+:meth:`~UserTrace.column_batch` is the per-user semantic reference the
+block batches are held byte-identical to.
 
 The per-event reference loop in :mod:`repro.fleet.reference` implements the
 same semantics through the stateful device objects one event at a time; the
@@ -74,7 +83,7 @@ from repro.runtime.latency_model import LatencyModel
 from repro.runtime.pool import iter_mapped_chunks, resolve_workers
 
 __all__ = ["UserTrace", "FleetSimulator", "fleet_events_batch",
-           "append_traces"]
+           "append_block"]
 
 #: Lower clamp on the latency noise multiplier (mirrors the executor's
 #: half-nominal floor on measured samples).
@@ -191,27 +200,33 @@ class UserTrace:
             yield FleetEvent(**row)
 
 
-#: ``fleet_events`` float columns and the :class:`UserTrace` fields they hold.
-_FLOAT_COLUMNS = (("latency_ms", "latency_ms"), ("wait_ms", "wait_ms"),
-                  ("energy_mj", "energy_mj"), ("throttle_factor", "throttle"),
-                  ("battery_fraction", "battery_fraction"),
-                  ("discharge_mah", "discharge_mah"))
+#: ``fleet_events`` float columns: (column, :class:`UserTrace` field,
+#: :class:`_Block` array).
+_FLOAT_COLUMNS = (("latency_ms", "latency_ms", "latency"),
+                  ("wait_ms", "wait_ms", "wait_ms"),
+                  ("energy_mj", "energy_mj", "energy"),
+                  ("throttle_factor", "throttle", "throttle"),
+                  ("battery_fraction", "battery_fraction", "fraction"),
+                  ("discharge_mah", "discharge_mah", "discharge"))
+
+#: ``target`` value of each route code.
+_TARGETS = np.array(ROUTE_TARGETS)
 
 
 def fleet_events_batch(traces: Sequence[UserTrace]) -> dict[str, np.ndarray]:
     """A list of traces as one ``fleet_events`` column batch (trace order).
 
-    The batch-native ingestion payload for
-    :meth:`~repro.store.writer.StoreWriter.append_batch`: one
-    ``np.concatenate`` per per-event column and one ``np.repeat`` of the
-    per-user constants, whatever the number of traces.  Persisted values
-    are exactly those of :meth:`UserTrace.rows`.
+    The per-user semantic reference behind :meth:`UserTrace.column_batch`:
+    one ``np.concatenate`` per per-event column and one ``np.repeat`` of
+    the per-user constants.  Persisted values are exactly those of
+    :meth:`UserTrace.rows`; :meth:`_Block.column_batch` builds the same
+    batch from a simulated block's arrays.
 
-    String widths follow the per-trace batches this replaces: a trace with
-    no events adds no value (and so cannot widen a column), and a trace
-    with no offloads contributes ``""`` rather than its unused API name to
-    ``cloud_api``.  Every array is built here and frozen, so the writer
-    adopts it without its defensive copy.
+    String widths follow the per-trace batches: a trace with no events adds
+    no value (and so cannot widen a column), and a trace with no offloads
+    contributes ``""`` rather than its unused API name to ``cloud_api``.
+    Every array is built here and frozen, so the writer adopts it without
+    its defensive copy.
     """
     traces = [trace for trace in traces if trace.num_events]
     counts = [trace.num_events for trace in traces]
@@ -234,9 +249,9 @@ def fleet_events_batch(traces: Sequence[UserTrace]) -> dict[str, np.ndarray]:
         "scenario": repeat([user.scenario.name for user in users], str),
         "backend": repeat([user.backend.value for user in users], str),
         "region": repeat([user.region for user in users], str),
-        "target": np.array(ROUTE_TARGETS)[route],
+        "target": _TARGETS[route],
     }
-    for column, field_name in _FLOAT_COLUMNS:
+    for column, field_name, _ in _FLOAT_COLUMNS:
         batch[column] = concat([getattr(trace, field_name)
                                 for trace in traces], np.float64)
     api = repeat([trace.cloud_api if mask.any() else ""
@@ -250,24 +265,24 @@ def fleet_events_batch(traces: Sequence[UserTrace]) -> dict[str, np.ndarray]:
     return batch
 
 
-def append_traces(writer, traces: Sequence[UserTrace]) -> int:
-    """Append a block of traces to a store writer; returns the rows.
+def append_block(writer, block: "_Block") -> int:
+    """Append a simulated block to a store writer; returns the rows.
 
-    One :func:`fleet_events_batch` per block, except that the block is cut
-    after every trace where appending trace by trace would have sealed a
-    segment.  A seal takes string column widths from what is buffered at
-    that moment, so with these cuts the block path writes the per-user
-    path's segments byte for byte.
+    One :meth:`_Block.column_batch` per block, except that the block is cut
+    after every user where appending user by user (one
+    :meth:`UserTrace.column_batch` each) would have sealed a segment.  A
+    seal takes string column widths from what is buffered at that moment,
+    so with these cuts the block path writes the per-user path's segments
+    byte for byte.
     """
-    ends = np.cumsum([trace.num_events for trace in traces])
-    segments = (writer.batch_rows_pending("fleet_events") + ends) \
-        // writer.rows_per_segment
+    segments = (writer.batch_rows_pending("fleet_events")
+                + block.offsets[1:]) // writer.rows_per_segment
     cuts = np.flatnonzero(np.diff(segments, prepend=0) > 0) + 1
     rows = start = 0
-    for stop in [*cuts.tolist(), len(traces)]:
-        if stop > start:
+    for stop in [*cuts.tolist(), len(block.users)]:
+        if block.offsets[stop] > block.offsets[start]:
             rows += writer.append_batch("fleet_events",
-                                        fleet_events_batch(traces[start:stop]))
+                                        block.column_batch(start, stop))
         start = stop
     return rows
 
@@ -308,6 +323,11 @@ class _Block:
     through the same helper the one-user code calls.  Spans that *can*
     congest run :meth:`FleetSimulator._simulate_span_queued`, the exact
     sequential queue recursion.
+
+    :meth:`run` freezes the per-event output arrays (users back to back,
+    user ``i``'s events at ``offsets[i]:offsets[i + 1]``) and returns the
+    block itself: :meth:`column_batch` slices them into ``fleet_events``
+    batches, and :meth:`traces` into per-user :class:`UserTrace` views.
     """
 
     def __init__(self, simulator: "FleetSimulator", members: Sequence) -> None:
@@ -318,6 +338,9 @@ class _Block:
         self.spans = [member[2] for member in members]
         consts = [simulator._constants(user) for user in self.users]
         self.consts = consts
+        self.user_ids = np.array([user.user_id for user in self.users],
+                                 dtype=np.int64)
+        self.cloud_apis = [const.cloud_api for const in consts]
         self.counts = np.array([plan.num_events for plan in self.plans],
                                dtype=np.int64)
         self.offsets = np.zeros(len(members) + 1, dtype=np.int64)
@@ -363,7 +386,8 @@ class _Block:
         self.fraction = np.empty(total)
         self.discharge = np.zeros(total)
 
-    def run(self) -> list[UserTrace]:
+    def run(self) -> "_Block":
+        """Evolve the block; returns it with its output arrays frozen."""
         self._offload_capability()
         rows = self._rows()
         if rows:
@@ -375,7 +399,13 @@ class _Block:
             for row in np.flatnonzero(congestible):
                 self._queued_row(int(row))
             self._battery()
-        return self._traces()
+        # Frozen owners make every slice chain-read-only, so the writer
+        # adopts column_batch()'s arrays without its defensive copy.
+        for array in (self.times, self.latency, self.energy, self.throttle,
+                      self.wait_ms, self.route, self.fraction,
+                      self.discharge):
+            array.setflags(write=False)
+        return self
 
     def _cloud_latency(self, cells: np.ndarray,
                        payload: np.ndarray) -> np.ndarray:
@@ -522,7 +552,8 @@ class _Block:
         self.fraction[self.index[self.valid]] = trajectory[self.valid]
         np.maximum(self.fraction, 0.0, out=self.fraction)
 
-    def _traces(self) -> list[UserTrace]:
+    def traces(self) -> list[UserTrace]:
+        """One :class:`UserTrace` per user, viewing the block's arrays."""
         traces = []
         for position, (user, plan, const) in enumerate(
                 zip(self.users, self.plans, self.consts)):
@@ -543,6 +574,51 @@ class _Block:
                 cloud_api=const.cloud_api,
             ))
         return traces
+
+    def column_batch(self, start: int, stop: int) -> dict[str, np.ndarray]:
+        """Users ``[start, stop)`` as one ``fleet_events`` column batch.
+
+        Equal, array for array and dtype for dtype, to
+        :func:`fleet_events_batch` over the same users' traces: per-event
+        columns are slices of the block's frozen arrays, per-user values
+        one ``np.repeat`` each.  String columns repeat only over users with
+        events, so an empty user cannot widen them, and ``cloud_api`` is
+        ``""`` for users without offloads.  Every column is
+        chain-read-only.
+        """
+        lo, hi = int(self.offsets[start]), int(self.offsets[stop])
+        counts = self.counts[start:stop]
+        active = (start + np.flatnonzero(counts)).tolist()
+        repeats = self.counts[active]
+        route = self.route[lo:hi]
+        cloud = route == ROUTE_CLOUD
+        offloads = np.logical_or.reduceat(
+            cloud, self.offsets[active] - lo).tolist()
+        users = [self.users[position] for position in active]
+
+        def text(values) -> np.ndarray:
+            return np.repeat(np.array(values, dtype=str), repeats)
+
+        batch = {
+            "user_id": np.repeat(self.user_ids[start:stop], counts),
+            "time_s": self.times[lo:hi],
+            "device_name": text([user.device.name for user in users]),
+            "model_name": text([user.graph.name for user in users]),
+            "scenario": text([user.scenario.name for user in users]),
+            "backend": text([user.backend.value for user in users]),
+            "region": text([user.region for user in users]),
+            "target": _TARGETS[route],
+        }
+        for column, _, name in _FLOAT_COLUMNS:
+            batch[column] = getattr(self, name)[lo:hi]
+        batch["cloud_api"] = np.where(cloud, text([
+            self.cloud_apis[position] if offloaded else ""
+            for position, offloaded in zip(active, offloads)]), "")
+        batch["cloud_bytes"] = np.where(
+            cloud, np.repeat(self.payload[start:stop], counts), 0)
+        for array in batch.values():
+            array.setflags(write=False)
+        return batch
 
 
 class FleetSimulator:
@@ -632,10 +708,16 @@ class FleetSimulator:
     # ------------------------------------------------------------------ #
     def simulate_user(self, user_id: int) -> UserTrace:
         """Evolve one user over the horizon (a block of one)."""
-        return _Block(self, [self._member(user_id)]).run()[0]
+        return _Block(self, [self._member(user_id)]).run().traces()[0]
 
     def _simulate_blocks(self, user_ids: Sequence[int],
                          max_cells: int) -> list[UserTrace]:
+        """:meth:`_run_blocks` as one :class:`UserTrace` per user."""
+        return [trace for block in self._run_blocks(user_ids, max_cells)
+                for trace in block.traces()]
+
+    def _run_blocks(self, user_ids: Sequence[int],
+                    max_cells: int) -> list[_Block]:
         """Simulate users in order, evaluated in budgeted blocks.
 
         Users are materialised :data:`BLOCK_USERS` at a time
@@ -644,7 +726,7 @@ class FleetSimulator:
         (rows x longest row) past ``max_cells``, so a dense user cannot
         inflate the matrices of the sparse users around it.
         """
-        traces: list[UserTrace] = []
+        blocks: list[_Block] = []
         members: list = []
         rows = width = 0
         for first in range(0, len(user_ids), BLOCK_USERS):
@@ -656,14 +738,14 @@ class FleetSimulator:
                 if lengths:
                     grown = max(width, max(lengths))
                     if members and (rows + len(lengths)) * grown > max_cells:
-                        traces += _Block(self, members).run()
+                        blocks.append(_Block(self, members).run())
                         members, rows, grown = [], 0, max(lengths)
                     rows += len(lengths)
                     width = grown
                 members.append((user, plan, spans))
         if members:
-            traces += _Block(self, members).run()
-        return traces
+            blocks.append(_Block(self, members).run())
+        return blocks
 
     def _simulate_span_queued(self, user, plan: UserPlan, span: slice,
                               span_fraction: float, nominal_ms: float,
@@ -748,24 +830,27 @@ class FleetSimulator:
     # Fan-out
     # ------------------------------------------------------------------ #
     def _simulate_chunk(self, user_ids: Sequence[int], *,
-                        max_cells: int = BLOCK_CELLS) -> list[UserTrace]:
-        """One pool slice: its users' traces, in order, one per user."""
+                        max_cells: int = BLOCK_CELLS) -> list[_Block]:
+        """One pool slice: its users' simulated blocks, in order."""
         collector = obs.get_collector()
         if collector is None:
             # Disabled-mode hot path: one check per chunk, nothing else.
-            return self._simulate_blocks(user_ids, max_cells)
+            return self._run_blocks(user_ids, max_cells)
         with collector.span("fleet.simulate_chunk", items=len(user_ids)):
-            traces = self._simulate_blocks(user_ids, max_cells)
-        # Per-trace totals sum exactly, so chunking/worker count can't move
+            blocks = self._run_blocks(user_ids, max_cells)
+        # Per-block totals sum exactly, so chunking/worker count can't move
         # them — the deterministic class.
-        collector.count("fleet.users_simulated", len(traces))
+        collector.count("fleet.users_simulated",
+                        sum(len(block.users) for block in blocks))
         collector.count("fleet.events_simulated",
-                        sum(trace.num_events for trace in traces))
-        collector.count("fleet.events_offloaded",
-                        sum(trace.num_offloaded for trace in traces))
-        collector.count("fleet.events_shed",
-                        sum(trace.num_shed for trace in traces))
-        return traces
+                        sum(block.route.size for block in blocks))
+        collector.count("fleet.events_offloaded", sum(
+            int(np.count_nonzero(block.route == ROUTE_CLOUD))
+            for block in blocks))
+        collector.count("fleet.events_shed", sum(
+            int(np.count_nonzero(block.route == ROUTE_SHED))
+            for block in blocks))
+        return blocks
 
     def _slice_users(self, num_users: int) -> int:
         """Users per pool slice: ``chunk_size``, else sized to the pool.
@@ -781,23 +866,40 @@ class FleetSimulator:
             return BLOCK_USERS
         return max(1, min(BLOCK_USERS, -(-num_users // (workers * 4))))
 
-    def iter_traces(self, user_range: Optional[tuple[int, int]] = None, *,
-                    max_cells: int = BLOCK_CELLS) -> Iterator[UserTrace]:
-        """Stream users' traces in user-id order.
+    def iter_blocks(self, user_range: Optional[tuple[int, int]] = None, *,
+                    rows_per_segment: Optional[int] = None
+                    ) -> Iterator[_Block]:
+        """Stream simulated blocks of consecutive users, in user-id order.
 
-        Fans slices of consecutive user ids out on the shared ordered pool
-        (``chunk_size`` users per slice, else :meth:`_slice_users`); each
-        slice is simulated in blocks of at most ``max_cells`` padded cells.
-        Per-user seeds and row-wise block evaluation make the stream
-        bit-identical for any worker count, chunk size or block budget.
-        Nothing is retained after the caller consumes a trace.
+        The unit the store writers consume (:func:`append_block`,
+        :meth:`~repro.cloud.load.LoadProfile.add_block`).  Fans slices of
+        consecutive user ids out on the shared ordered pool (``chunk_size``
+        users per slice, else :meth:`_slice_users`); each slice is
+        simulated in blocks of at most ``max(rows_per_segment,
+        BLOCK_CELLS)`` padded cells.  Per-user seeds and row-wise block
+        evaluation make every user's events bit-identical for any worker
+        count, chunk size or block budget.  Nothing is retained after the
+        caller consumes a block.
 
         ``user_range`` restricts the stream to the half-open id range
         ``[lo, hi)`` — the campaign coordinator's sharding hook.  Because
         every user materialises from a seed derived from their own id,
-        the traces of a range are bit-identical to the same ids' slice of
+        the events of a range are bit-identical to the same ids' slice of
         the full stream.
         """
+        return self._iter_blocks(user_range,
+                                 max(rows_per_segment or 0, BLOCK_CELLS))
+
+    def iter_traces(self, user_range: Optional[tuple[int, int]] = None, *,
+                    max_cells: int = BLOCK_CELLS) -> Iterator[UserTrace]:
+        """Stream users' traces in user-id order: the simulated blocks of
+        :meth:`iter_blocks` (at most ``max_cells`` padded cells each), one
+        :class:`UserTrace` view per user."""
+        for block in self._iter_blocks(user_range, max_cells):
+            yield from block.traces()
+
+    def _iter_blocks(self, user_range: Optional[tuple[int, int]],
+                     max_cells: int) -> Iterator[_Block]:
         if user_range is None:
             lo, hi = 0, self.spec.num_users
         else:
@@ -806,33 +908,12 @@ class FleetSimulator:
                 raise ValueError(
                     f"user_range {user_range!r} outside "
                     f"[0, {self.spec.num_users}]")
-        yield from iter_mapped_chunks(
+        return iter_mapped_chunks(
             functools.partial(self._simulate_chunk, max_cells=max_cells),
             range(lo, hi),
             max_workers=self.max_workers,
             chunk_size=self._slice_users(hi - lo),
         )
-
-    def iter_blocks(self, user_range: Optional[tuple[int, int]] = None, *,
-                    rows_per_segment: Optional[int] = None
-                    ) -> Iterator[list[UserTrace]]:
-        """:meth:`iter_traces` grouped into lists of consecutive traces.
-
-        The ingest unit of :func:`append_traces`: a list closes once it
-        holds ``max(rows_per_segment, BLOCK_CELLS)`` events — the same
-        budget that bounds the padded cells of each simulated block.
-        """
-        budget = max(rows_per_segment or 0, BLOCK_CELLS)
-        block: list[UserTrace] = []
-        events = 0
-        for trace in self.iter_traces(user_range, max_cells=budget):
-            block.append(trace)
-            events += trace.num_events
-            if events >= budget:
-                yield block
-                block, events = [], 0
-        if block:
-            yield block
 
     def collect(self) -> list[UserTrace]:
         """Every trace in user order (for in-memory analysis at small scales)."""
@@ -843,10 +924,10 @@ class FleetSimulator:
         """Stream the whole simulation into a results store; returns the row count.
 
         ``store`` is a :class:`~repro.store.store.ResultStore` (or a path to
-        create one at).  Users are simulated in blocks and their traces
-        appended in groups (:meth:`iter_blocks`), each group as **one**
-        column batch (:func:`append_traces`) cut where per-user appends would
-        have sealed, so the committed ``fleet_events`` segments are
+        create one at).  Users are simulated in blocks (:meth:`iter_blocks`)
+        and each block is appended straight from its arrays as **one**
+        column batch (:func:`append_block`), cut where per-user appends
+        would have sealed, so the committed ``fleet_events`` segments are
         byte-identical to appending every trace's
         :meth:`UserTrace.column_batch` on its own.  Segments are checksummed
         and committed in deterministic (user, time) order, so a crash loses
@@ -864,5 +945,5 @@ class FleetSimulator:
             with store.writer(rows_per_segment=rows_per_segment) as writer:
                 for block in self.iter_blocks(
                         user_range, rows_per_segment=rows_per_segment):
-                    append_traces(writer, block)
+                    append_block(writer, block)
         return writer.rows_committed

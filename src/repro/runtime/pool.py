@@ -72,13 +72,15 @@ def iter_mapped_chunks(
 ) -> Iterator[ResultT]:
     """Map ``run_chunk`` over ``items`` on a pool, streaming results in order.
 
-    ``run_chunk`` receives a slice of consecutive items and returns one result
-    per item, in slice order; the iterator yields the concatenation in the
-    original item order.  Slices hold ``chunk_size`` items (one when it is
-    not given) and the pool never gets more workers than slices.  With one
-    worker (and no process pool) everything runs inline — no pool, no
-    reordering risk, no pickling.  ``run_chunk`` must be picklable when
-    ``use_processes`` is set (e.g. a bound method of a picklable object).
+    ``run_chunk`` receives a slice of consecutive items and returns the
+    slice's results in slice order (one per item, or one per group of
+    items, as the fleet simulator's blocks are); the iterator yields the
+    concatenation in the original item order.  Slices hold ``chunk_size``
+    items (one when it is not given) and the pool never gets more workers
+    than slices.  With one worker (and no process pool) everything runs
+    inline — no pool, no reordering risk, no pickling.  ``run_chunk`` must
+    be picklable when ``use_processes`` is set (e.g. a bound method of a
+    picklable object).
     """
     if chunk_size is not None and chunk_size <= 0:
         raise ValueError("chunk_size must be positive when given")

@@ -210,8 +210,7 @@ def report_payload(source, table: str, *, device: Optional[str] = None,
             for api, entry in server.cloud_api_usage(min_apps).items()
         ]
     else:  # latency_flops (Fig. 8)
-        devices = ([device] if device is not None
-                   else server.summary()["devices"])
+        devices = [device] if device is not None else server.devices()
         payload["device"] = device
         payload["points"] = {
             name: [[float(l), float(f)]

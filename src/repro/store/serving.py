@@ -99,6 +99,12 @@ class ReportServer:
             }
         return table
 
+    def devices(self) -> list[str]:
+        """Devices with execution rows, in first-appearance order."""
+        devices = self._executions("device_name")["device_name"]
+        names, first = np.unique(devices, return_index=True)
+        return [str(names[i]) for i in np.argsort(first)]
+
     def latency_vs_flops(self, device: str) -> list[tuple[float, float]]:
         """Fig. 8: (latency_ms, flops) points of one device, ingestion order."""
         self.refresh()

@@ -139,9 +139,12 @@ class StoreWriter:
 
         A seal takes each string column's width from everything buffered
         at that moment, so producers that merge many small batches into one
-        (:func:`~repro.fleet.simulator.append_traces`) reproduce the small
+        (:func:`~repro.fleet.simulator.append_block`, one batch per
+        simulated block instead of one per user) reproduce the small
         appends' segment bytes by cutting where those would have sealed
-        (see :meth:`batch_rows_pending`).
+        (see :meth:`batch_rows_pending`).  Batches whose arrays are
+        read-only through their whole base chain are buffered as they are,
+        without a defensive copy.
         """
         if self._closed:
             raise RuntimeError("writer is closed")

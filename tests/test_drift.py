@@ -148,7 +148,11 @@ class TestSnapshots:
             [device, len(pairs), sum(l for l, _ in pairs),
              sum(f for _, f in pairs)] for device, pairs in points.items()]
         assert [row[:2] for row in tables["latency_flops"]["rows"]] == [
-            ["A20", 2], ["A70", 1], ["S21", 2]]
+            ["S21", 2], ["A20", 2], ["A70", 1]]
+        # Every per-device table lists devices in first-appearance order.
+        orders = [[row[0] for row in tables[name]["rows"]]
+                  for name in ("latency_ecdf", "energy", "latency_flops")]
+        assert orders == [["S21", "A20", "A70"]] * 3
 
         path = write_snapshot(tmp_path / "snap.json", snapshot)
         assert load_snapshot(path) == snapshot

@@ -203,3 +203,115 @@ def test_segments_match_the_per_user_simulator(tmp_path, key):
                    ).run_to_store(tmp_path, rows_per_segment=rows_per_segment)
     shas = _segment_shas(ResultStore(tmp_path))
     assert hashlib.sha256("".join(shas).encode()).hexdigest() == PINNED[key]
+
+
+# --------------------------------------------------------------------------- #
+# Block-native ingest: column batches and load counts from a block's arrays
+# --------------------------------------------------------------------------- #
+def _blocks(simulator: FleetSimulator, max_cells: int) -> list:
+    return simulator._run_blocks(range(simulator.spec.num_users), max_cells)
+
+
+def _spans(size: int, draw) -> list[tuple[int, int]]:
+    """The whole block, two halves, and one drawn user range."""
+    lo = draw(st.integers(min_value=0, max_value=size))
+    hi = draw(st.integers(min_value=lo, max_value=size))
+    return [(0, size), (0, size // 2), (size // 2, size), (lo, hi)]
+
+
+@given(population=populations(), max_cells=st.integers(1, 4000),
+       data=st.data())
+@example(population=("ambient", 300, 1), max_cells=50, data=None)
+@example(population=("service_table", 12, 2), max_cells=4000, data=None)
+@settings(max_examples=25, deadline=None)
+def test_block_column_batch_equals_per_user_reference(population, max_cells,
+                                                      data):
+    from repro.fleet.simulator import fleet_events_batch
+    from repro.store.columnar import coerce_batch
+
+    simulator = _simulator(*population)
+    kind = kind_for("fleet_events")
+    for block in _blocks(simulator, max_cells):
+        traces = block.traces()
+        spans = [(0, len(traces))] if data is None else \
+            _spans(len(traces), data.draw)
+        for start, stop in spans:
+            batch = block.column_batch(start, stop)
+            reference = fleet_events_batch(traces[start:stop])
+            assert list(batch) == list(reference)
+            for name, array in batch.items():
+                assert array.dtype == reference[name].dtype, name
+                assert np.array_equal(array, reference[name]), name
+            # No hidden copies: every column is chain-read-only, so the
+            # writer adopts it as it is.
+            coerced = coerce_batch(kind, batch)
+            for name in batch:
+                assert coerced[name] is batch[name], name
+
+
+def _load_profiles(simulator: FleetSimulator, max_cells: int):
+    from repro.cloud.load import LoadProfile
+
+    spec = simulator.spec
+    by_block = LoadProfile(spec.regions, spec.horizon_s, 900.0)
+    by_trace = LoadProfile(spec.regions, spec.horizon_s, 900.0)
+    added = per_trace = 0
+    for block in _blocks(simulator, max_cells):
+        added += by_block.add_block(block)
+        per_trace += sum(by_trace.add_trace(trace)
+                         for trace in block.traces())
+    return (added, by_block), (per_trace, by_trace)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_add_block_equals_add_trace(family, seed):
+    simulator = _simulator(family, FAMILIES[family][1], seed)
+    (added, by_block), (per_trace, by_trace) = _load_profiles(simulator, 200)
+    assert added == per_trace
+    assert np.array_equal(by_block.requests, by_trace.requests)
+    assert np.array_equal(by_block.payload_bytes, by_trace.payload_bytes)
+
+
+def test_add_block_counts_blocks_with_empty_users():
+    # Four hours leave many Ambient users without events; a one-cell
+    # budget closes a block before every user with events.
+    simulator = FleetSimulator(ambient_spec(60, seed=3, horizon_s=4 * HOUR),
+                               max_workers=1)
+    blocks = _blocks(simulator, 1)
+    assert any((block.counts == 0).any() for block in blocks)
+    (added, by_block), (per_trace, by_trace) = _load_profiles(simulator, 1)
+    assert added == per_trace > 0
+    assert np.array_equal(by_block.requests, by_trace.requests)
+    assert np.array_equal(by_block.payload_bytes, by_trace.payload_bytes)
+
+
+#: ``ShardResult.offloaded`` and the merged ``fleet_load`` segment sha256 of
+#: a 2-shard zoo campaign, as shards counting one ``add_trace`` per trace
+#: wrote them.
+CAMPAIGN_LOAD = (
+    (7672, 2009),
+    "2629180e44a5007f093c999d8a02e7d487068879b1cee2fa76091b77f092c991")
+
+
+def test_campaign_load_rows_match_per_trace_counting(tmp_path):
+    from repro.campaign import run_campaign
+    from repro.cloud.load import LoadProfile
+
+    spec = zoo_spec(24, seed=2, horizon_s=2 * HOUR)
+    run = run_campaign(spec, tmp_path / "campaign", shards=2,
+                       max_parallel=1, use_processes=False)
+    offloaded = tuple(shard.offloaded for shard in run.shard_results)
+    shas = [meta.sha256 for meta in run.store.segments_for("fleet_load")]
+    assert (offloaded, shas) == (CAMPAIGN_LOAD[0], [CAMPAIGN_LOAD[1]])
+
+    profile = LoadProfile(spec.regions, spec.horizon_s, 900.0)
+    simulator = FleetSimulator(spec, max_workers=1)
+    assert sum(profile.add_trace(trace)
+               for trace in simulator.iter_traces()) == run.offloaded
+    rows = run.store.query("fleet_load").arrays("region", "cloud_api",
+                                                "bin_index", "requests",
+                                                "payload_bytes")
+    expected = profile.column_batch()
+    for name, array in rows.items():
+        assert np.array_equal(array, expected[name]), name
