@@ -26,7 +26,9 @@ the arrays columnar end to end.  This module measures and enforces:
   ``FleetSpec.materialize_block`` (a :data:`BLOCK_USERS` slice per call,
   as the simulator does) must beat the per-user semantic reference
   (``materialize_reference``, one user at a time) >= 1.4x, with every plan
-  identical; both paths' µs per user are recorded;
+  identical; both paths' µs per user are recorded, and so is that of
+  ``materialize_columns`` (the same blocks without per-user views, as the
+  simulator's store path builds them);
 * **mixed-format identity** — the acceptance gate: queries and fleet report
   tables over a store mixing v2 JSONL and v3 columnar segments are
   bit-identical to a pure-JSONL store, for any worker count or chunk
@@ -364,11 +366,17 @@ def test_bench_materialize_block_vs_reference():
             pairs += spec.materialize_block(ids[first:first + BLOCK_USERS])
         return pairs
 
-    # Interleaved best-of: host drift hits both sides alike.
-    seconds = {"per_user": [], "block": []}
+    def columns() -> list:
+        # What the simulator's store path runs: no per-user views.
+        return [spec.materialize_columns(ids[first:first + BLOCK_USERS])
+                for first in range(0, spec.num_users, BLOCK_USERS)]
+
+    # Interleaved best-of: host drift hits every side alike.
+    seconds = {"per_user": [], "block": [], "columns": []}
     plans = {}
     for _ in range(MATERIALIZE_GATE_REPEATS):
-        for name, run in (("per_user", per_user), ("block", block)):
+        for name, run in (("per_user", per_user), ("block", block),
+                          ("columns", columns)):
             start = time.perf_counter()
             plans[name] = run()
             seconds[name].append(time.perf_counter() - start)
@@ -391,6 +399,7 @@ def test_bench_materialize_block_vs_reference():
         "block_seconds": best["block"],
         "per_user_us_per_user": best["per_user"] / spec.num_users * 1e6,
         "block_us_per_user": best["block"] / spec.num_users * 1e6,
+        "columns_us_per_user": best["columns"] / spec.num_users * 1e6,
         "speedup": speedup,
         "per_user_reference": "materialize_reference, one user at a time",
         "identical_plans": True,

@@ -25,9 +25,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.stats import time_bin_indices
 from repro.android.cloud_apis import CLOUD_APIS
 from repro.fleet.queueing import ROUTE_CLOUD
+from repro.store.kernels import dense_unique
 
 __all__ = ["LoadCell", "LoadProfile", "ServiceTable", "FIG15_API_NAMES",
            "load_report"]
@@ -126,28 +128,36 @@ class LoadProfile:
         Equal to :meth:`add_trace` over the block's traces, in exact integer
         arithmetic: every cloud-served event is one count in a flat
         (region, API, bin) cell, added with one ``bincount``, and its
-        user's payload is added into the same cell.  Returns the number of
-        requests added; like :meth:`add_trace`, only users with offloads
-        have their region and API looked up.
+        user's payload is added into the same cell.  Region and API come
+        from the block's code arrays, so the profile's axes are looked up
+        once per (region, API) group that has offloads, not once per user.
+        Returns the number of requests added.
         """
-        cloud = block.route == ROUTE_CLOUD
-        count = int(np.count_nonzero(cloud))
-        if not count:
-            return 0
-        owner = np.repeat(np.arange(block.counts.size),
-                          block.counts)[cloud]
-        offloaders, local = np.unique(owner, return_inverse=True)
-        pairs = np.array([(self._region_index[block.users[position].region],
-                           self._api_index[block.cloud_apis[position]])
-                          for position in offloaders.tolist()],
-                         dtype=np.int64)
-        cells = (pairs[local, 0] * len(self.apis) + pairs[local, 1]) \
-            * self.num_bins + self.bin_indices(block.times[cloud])
-        self.requests += np.bincount(
-            cells, minlength=self.requests.size).reshape(self.requests.shape)
-        np.add.at(self.payload_bytes.reshape(-1), cells,
-                  block.payload[owner])
-        return count
+        with obs.span("cloud.load.add_trace"):
+            cloud = block.route == ROUTE_CLOUD
+            count = int(np.count_nonzero(cloud))
+            if not count:
+                return 0
+            owner = np.repeat(np.arange(block.counts.size),
+                              block.counts)[cloud]
+            apis = len(block.api_names)
+            regions = block.columns.spec.regions
+            groups, local = dense_unique(
+                block.columns.region[owner] * apis + block.api[owner],
+                len(regions) * apis)
+            # Flat (region, API) row of the grid, per group.
+            rows = np.array(
+                [self._region_index[regions[group // apis]] * len(self.apis)
+                 + self._api_index[block.api_names[group % apis]]
+                 for group in groups.tolist()], dtype=np.int64)
+            cells = rows[local] * self.num_bins \
+                + self.bin_indices(block.times[cloud])
+            self.requests += np.bincount(
+                cells, minlength=self.requests.size
+            ).reshape(self.requests.shape)
+            np.add.at(self.payload_bytes.reshape(-1), cells,
+                      block.payload[owner])
+            return count
 
     def merge(self, other: "LoadProfile") -> "LoadProfile":
         """Add another profile of the same shape into this one (exact)."""

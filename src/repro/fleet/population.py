@@ -11,19 +11,25 @@ fleet results are bit-identical for every worker count, chunking and pool
 kind.
 
 Users are materialised a block at a time
-(:meth:`FleetSpec.materialize_block`): the block's seeds are hashed in one
-vectorised pass (:func:`seed_states`), only the RNG draws run per user, in
-the per-user order, and the rest of every plan is array code over the
-whole block.  On 1,200 sparse Ambient users that is ~16 µs per user
-against ~60 µs for the one-user-at-a-time reference
-(:func:`~repro.fleet.reference.materialize_reference`), and against
-~25 µs with one ``default_rng`` per user (median of 8 trials, each best of
-5 interleaved runs, 2-vCPU Intel Xeon container).
+(:meth:`FleetSpec.materialize_columns`): the block's seeds are hashed in
+one vectorised pass (:func:`seed_states`), only the RNG draws run per
+user, in the per-user order, and the rest of every plan is array code over
+the whole block.  The result is a :class:`UserBlock` — per-user code
+arrays into the spec's devices, models, scenarios and regions, plus the
+block's flat plan arrays — which the simulator and the store writers read
+as it is; :meth:`UserBlock.pairs` builds the per-user
+(:class:`VirtualUser`, :class:`UserPlan`) views only where a caller asks
+for them.  On 1,200 sparse Ambient users the columns take ~11 µs per user
+(~16 µs with the per-user views), against ~66 µs for the
+one-user-at-a-time reference
+(:func:`~repro.fleet.reference.materialize_reference`) (median of 8
+trials, each best of 5 interleaved runs, 2-vCPU Intel Xeon container).
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -40,7 +46,8 @@ from repro.fleet.router import RoutingPolicy
 from repro.runtime.backends import Backend, profile_for
 
 __all__ = ["derive_user_seed", "seed_states", "derive_user_region",
-           "VirtualUser", "UserPlan", "FleetSpec", "zoo_population",
+           "VirtualUser", "UserPlan", "UserBlock", "FleetSpec",
+           "zoo_population",
            "congested_population", "preferred_backend"]
 
 #: Device-tier market weights for assigning phones to users (low tiers are
@@ -231,6 +238,13 @@ class _PrecomputedState(ISeedSequence):
         return self._state
 
 
+def _region_code(base_seed: int, user_id: int, num_regions: int) -> int:
+    """Index into the spec's regions of :func:`derive_user_region`."""
+    material = f"{base_seed}|fleet-region|{user_id}"
+    digest = hashlib.sha256(material.encode()).digest()
+    return int.from_bytes(digest[:8], "little") % num_regions
+
+
 def derive_user_region(base_seed: int, user_id: int,
                        regions: Sequence[str]) -> str:
     """Deterministic cloud-region assignment of one virtual user.
@@ -241,9 +255,7 @@ def derive_user_region(base_seed: int, user_id: int,
     """
     if not regions:
         raise ValueError("regions must be non-empty")
-    material = f"{base_seed}|fleet-region|{user_id}"
-    digest = hashlib.sha256(material.encode()).digest()
-    return regions[int.from_bytes(digest[:8], "little") % len(regions)]
+    return regions[_region_code(base_seed, user_id, len(regions))]
 
 
 @dataclass(frozen=True)
@@ -283,6 +295,111 @@ class UserPlan:
     def num_events(self) -> int:
         """Number of requests the user issues over the horizon."""
         return int(self.times.size)
+
+
+#: :class:`UserBlock` arrays with one entry per user, and per event.
+_USER_ARRAYS = ("user_ids", "seeds", "scenario", "device", "graph", "region",
+                "start_fraction")
+_EVENT_ARRAYS = ("times", "noise", "rtt_ms")
+
+
+@dataclass(frozen=True, eq=False)
+class UserBlock:
+    """A block of materialised users as arrays, in ``user_ids`` order.
+
+    The columnar form of :meth:`FleetSpec.materialize_block`: user ``i``
+    runs ``spec.scenarios[scenario[i]]`` with the (model, task) pair
+    ``spec.graphs_with_tasks[graph[i]]`` on ``spec.devices[device[i]]``,
+    offloads to ``spec.regions[region[i]]``, and issues the events at
+    ``offsets[i]:offsets[i + 1]`` of the flat ``times``, ``noise`` and
+    ``rtt_ms`` arrays.  Every array is read-only, so every slice of one is
+    read-only through its whole base chain.  :meth:`pairs` builds the
+    per-user :class:`VirtualUser` / :class:`UserPlan` views.
+    """
+
+    spec: "FleetSpec"
+    user_ids: np.ndarray
+    seeds: np.ndarray
+    scenario: np.ndarray
+    device: np.ndarray
+    graph: np.ndarray
+    region: np.ndarray
+    #: Battery level at simulation start, per user.
+    start_fraction: np.ndarray
+    #: ``len(self) + 1`` event offsets: user ``i``'s plan is
+    #: ``offsets[i]:offsets[i + 1]``.
+    offsets: np.ndarray
+    times: np.ndarray
+    noise: np.ndarray
+    rtt_ms: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in (*_USER_ARRAYS, "offsets", *_EVENT_ARRAYS):
+            getattr(self, name).setflags(write=False)
+
+    def __len__(self) -> int:
+        return int(self.user_ids.size)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Events per user."""
+        return np.diff(self.offsets)
+
+    def take(self, lo: int, hi: int) -> "UserBlock":
+        """Users ``[lo, hi)``, viewing this block's arrays."""
+        first, last = int(self.offsets[lo]), int(self.offsets[hi])
+        return UserBlock(
+            spec=self.spec,
+            offsets=self.offsets[lo:hi + 1] - first,
+            **{name: getattr(self, name)[lo:hi] for name in _USER_ARRAYS},
+            **{name: getattr(self, name)[first:last]
+               for name in _EVENT_ARRAYS})
+
+    @staticmethod
+    def concat(blocks: Sequence["UserBlock"]) -> "UserBlock":
+        """Blocks of one spec back to back (the block itself if only one)."""
+        if len(blocks) == 1:
+            return blocks[0]
+        counts = np.concatenate([block.counts for block in blocks])
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return UserBlock(
+            spec=blocks[0].spec, offsets=offsets,
+            **{name: np.concatenate([getattr(block, name)
+                                     for block in blocks])
+               for name in (*_USER_ARRAYS, *_EVENT_ARRAYS)})
+
+    def pairs(self) -> list[tuple[VirtualUser, UserPlan]]:
+        """One (:class:`VirtualUser`, :class:`UserPlan`) per user; each
+        plan's arrays are views of the block's."""
+        spec = self.spec
+        bounds = self.offsets.tolist()
+        pairs = []
+        for position, (user_id, seed, scenario, device, graph, region,
+                       start_fraction) in enumerate(zip(
+                           *(getattr(self, name).tolist()
+                             for name in _USER_ARRAYS))):
+            device = spec.devices[device]
+            graph, task = spec.graphs_with_tasks[graph]
+            view = slice(bounds[position], bounds[position + 1])
+            user = VirtualUser(
+                user_id=user_id,
+                device=device,
+                graph=graph,
+                task=task,
+                scenario=spec.scenarios[scenario],
+                backend=spec._backend_for(device, graph),
+                seed=seed,
+                region=spec.regions[region],
+            )
+            plan = UserPlan(
+                times=self.times[view],
+                noise=self.noise[view],
+                rtt_ms=self.rtt_ms[view],
+                start_battery_fraction=start_fraction,
+            )
+            pairs.append((user, plan))
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -338,8 +455,8 @@ class FleetSpec:
     # user, so the per-spec derivations must not be recomputed on that hot
     # path)
     # ------------------------------------------------------------------ #
-    _CACHE_ATTRS = ("_pool_cache", "_eligible_cache", "_backend_cache",
-                    "_weights_cache", "_cdf_cache", "_arrival_cache")
+    _CACHE_ATTRS = ("_pool_cache", "_eligible_cache", "_choices_cache",
+                    "_backend_cache", "_weights_cache", "_cdf_cache")
 
     def __getstate__(self) -> dict:
         # Campaign shard processes rebuild the memos; the backend cache is
@@ -353,8 +470,10 @@ class FleetSpec:
         for key, value in state.items():
             object.__setattr__(self, key, value)
 
-    def scenario_pool(self, scenario: Scenario) -> tuple[tuple[Graph, str], ...]:
-        """(graph, task) pairs a scenario can run, CPU-executable only."""
+    def _pool(self, scenario: Scenario
+              ) -> tuple[tuple[int, ...], tuple[tuple[Graph, str], ...]]:
+        """:meth:`scenario_pool` and its indices into
+        ``graphs_with_tasks``, memoised per scenario name."""
         cache = getattr(self, "_pool_cache", None)
         if cache is None:
             cache = {}
@@ -362,19 +481,52 @@ class FleetSpec:
         pool = cache.get(scenario.name)
         if pool is None:
             cpu = profile_for(Backend.CPU)
-            pool = tuple(
-                (graph, task) for graph, task in self.graphs_with_tasks
+            codes = tuple(
+                code for code, (graph, task)
+                in enumerate(self.graphs_with_tasks)
                 if scenario.applies_to(task, graph.modality)
                 and cpu.supports_graph(graph)
             )
+            pool = (codes, tuple(self.graphs_with_tasks[code]
+                                 for code in codes))
             cache[scenario.name] = pool
         return pool
+
+    def scenario_pool(self, scenario: Scenario) -> tuple[tuple[Graph, str], ...]:
+        """(graph, task) pairs a scenario can run, CPU-executable only."""
+        return self._pool(scenario)[1]
 
     def _eligible_scenarios(self) -> tuple[Scenario, ...]:
         cached = getattr(self, "_eligible_cache", None)
         if cached is None:
             cached = tuple(s for s in self.scenarios if self.scenario_pool(s))
             object.__setattr__(self, "_eligible_cache", cached)
+        return cached
+
+    def _choices(self) -> tuple:
+        """What materialisation draws from, memoised per spec.
+
+        One ``(scenario code, pool)`` per eligible scenario, in spec order;
+        a pool holds ``(graph code, (expected_sessions, mean_session_s,
+        rate_hz))`` for each model of :meth:`scenario_pool`, the pair's
+        arrival parameters over the horizon.
+        """
+        cached = getattr(self, "_choices_cache", None)
+        if cached is None:
+            cached = []
+            for code, scenario in enumerate(self.scenarios):
+                graphs = self._pool(scenario)[0]
+                if not graphs:
+                    continue
+                shape = session_shape_for(scenario)
+                expected = shape.sessions_per_day * self.horizon_s / 86400.0
+                cached.append((code, tuple(
+                    (graph, (expected, shape.mean_session_s,
+                             scenario.arrival_rate_hz(
+                                 self.graphs_with_tasks[graph][0])))
+                    for graph in graphs)))
+            cached = tuple(cached)
+            object.__setattr__(self, "_choices_cache", cached)
         return cached
 
     @property
@@ -433,23 +585,6 @@ class FleetSpec:
             object.__setattr__(self, "_cdf_cache", cached)
         return cached
 
-    def _arrival_params(self, scenario: Scenario,
-                        graph: Graph) -> tuple[float, float, float]:
-        """``(expected_sessions, mean_session_s, rate_hz)`` of a (scenario,
-        graph) pair over the horizon, memoised like :meth:`_backend_for`."""
-        cache = getattr(self, "_arrival_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_arrival_cache", cache)
-        key = (scenario.name, id(graph))
-        params = cache.get(key)
-        if params is None:
-            shape = session_shape_for(scenario)
-            params = (shape.sessions_per_day * self.horizon_s / 86400.0,
-                      shape.mean_session_s, scenario.arrival_rate_hz(graph))
-            cache[key] = params
-        return params
-
     def materialize(self, user_id: int) -> tuple[VirtualUser, UserPlan]:
         """Build user ``user_id`` and their full event plan (a block of one).
 
@@ -464,53 +599,65 @@ class FleetSpec:
                           ) -> list[tuple[VirtualUser, UserPlan]]:
         """Build a block of users and their plans, in ``user_ids`` order.
 
-        Equal, field for field and byte for byte, to
-        :func:`~repro.fleet.reference.materialize_reference` of each id.
+        The per-user views (:meth:`UserBlock.pairs`) of
+        :meth:`materialize_columns`; equal, field for field and byte for
+        byte, to :func:`~repro.fleet.reference.materialize_reference` of
+        each id.  The simulator reads the columns themselves and builds
+        no per-user object on its store path.
+        """
+        return self.materialize_columns(user_ids).pairs()
+
+    def materialize_columns(self, user_ids: Sequence[int]) -> UserBlock:
+        """Build a block of users and their plans as one :class:`UserBlock`.
+
         Seeding is one pass over the block: :func:`seed_states` hashes
         every user's seed at once, and each user's generator is a PCG64
         seeded from its row — the same state as ``default_rng(seed)``.
-        Only the RNG draws stay per user: scenario, device, model,
-        battery level, session count, starts and durations (pass 1), then
-        the two per-event normal draws from the same generator (pass 2) —
-        the per-user order of every stream is unchanged.  Everything in
-        between (the diurnal inverse CDF, duration floor, tick expansion,
-        horizon mask, per-user sort) and after (noise, RTTs) runs once over
-        the whole block; each plan's arrays are views into block arrays.
+        Only the RNG draws stay per user, and the loop keeps nothing but
+        codes and floats: scenario, device, model, battery level, session
+        count, starts and durations (pass 1), then the two per-event
+        normal draws from the same generator (pass 2) — the per-user order
+        of every stream is unchanged.  Everything in between (the diurnal
+        inverse CDF, duration floor, tick expansion, horizon mask,
+        per-user sort) and after (noise, RTTs) runs once over the whole
+        block.
         """
-        eligible = self._eligible_scenarios()
-        devices = self.devices
+        choices = self._choices()
         cdf = self._device_cdf()
         low, high = self.start_battery_range
         horizon_s = self.horizon_s
         diurnal = self.diurnal
 
-        # Pass 1: per-user draws up to the session durations.
-        users: list = []
-        rngs: list = []
-        session_counts: list[int] = []
-        rates: list[float] = []
-        start_draws: list[np.ndarray] = []
-        duration_draws: list[np.ndarray] = []
-        seeds: list[int] = []
-        for user_id in user_ids:
+        ids = list(user_ids)
+        seeds = []
+        for user_id in ids:
             if not 0 <= user_id < self.num_users:
                 raise ValueError(f"user_id must be in [0, {self.num_users})")
             seeds.append(derive_user_seed(self.seed, user_id))
-        for user_id, seed, state in zip(user_ids, seeds, seed_states(seeds)):
+        seeds = np.array(seeds, dtype=np.uint64)
+
+        # Pass 1: per-user draws up to the session durations; a user is
+        # one row of (scenario, device, graph, start fraction, sessions,
+        # rate).  bisect_right over the CDF's floats is searchsorted's
+        # side="right" pick of the same device.
+        cdf = cdf.tolist()
+        rngs: list = []
+        users: list[tuple] = []
+        start_draws: list[np.ndarray] = []
+        duration_draws: list[np.ndarray] = []
+        for state in seed_states(seeds):
             # Equal to default_rng(seed): PCG64 seeded from the same words.
             rng = np.random.Generator(np.random.PCG64(
                 _PrecomputedState(state)))
             # integers(1) draws nothing, so a single choice is skipped.
-            scenario = (eligible[int(rng.integers(len(eligible)))]
-                        if len(eligible) > 1 else eligible[0])
-            device = devices[int(cdf.searchsorted(rng.random(),
-                                                  side="right"))]
-            pool = self.scenario_pool(scenario)
-            graph, task = (pool[int(rng.integers(len(pool)))]
-                           if len(pool) > 1 else pool[0])
+            scenario, pool = (choices[int(rng.integers(len(choices)))]
+                              if len(choices) > 1 else choices[0])
+            device = bisect_right(cdf, rng.random())
+            graph, (expected, mean_s, rate_hz) = (
+                pool[int(rng.integers(len(pool)))] if len(pool) > 1
+                else pool[0])
             # uniform(low, high) is exactly low + (high - low) * random().
             start_fraction = low + (high - low) * rng.random()
-            expected, mean_s, rate_hz = self._arrival_params(scenario, graph)
             sessions = 0
             if rate_hz > 0:
                 sessions = int(rng.poisson(expected))
@@ -519,14 +666,14 @@ class FleetSpec:
                     # uniform(0, horizon) is exactly horizon * random().
                     start_draws.append(rng.random(sessions))
                     duration_draws.append(rng.exponential(mean_s, sessions))
-            users.append((user_id, seed, scenario, device, graph, task,
-                          start_fraction))
             rngs.append(rng)
-            session_counts.append(sessions)
-            rates.append(rate_hz)
+            users.append((scenario, device, graph, start_fraction, sessions,
+                          rate_hz))
+        (scenario_codes, device_codes, graph_codes, start_fractions,
+         session_counts, rates) = zip(*users) if users else ((),) * 6
 
         # Block step: every session of the block at once.
-        block = len(users)
+        block = len(ids)
         if start_draws:
             owner = np.repeat(np.arange(block), session_counts)
             uniform = np.concatenate(start_draws)
@@ -560,28 +707,25 @@ class FleetSpec:
         else:
             noise = rtt_ms = times  # no events in the block: all empty
 
-        single_region = self.regions[0] if len(self.regions) == 1 else None
-        materialised = []
-        bounds = [0, *np.cumsum(counts).tolist()]
-        for position, (user_id, seed, scenario, device, graph, task,
-                       start_fraction) in enumerate(users):
-            view = slice(bounds[position], bounds[position + 1])
-            user = VirtualUser(
-                user_id=user_id,
-                device=device,
-                graph=graph,
-                task=task,
-                scenario=scenario,
-                backend=self._backend_for(device, graph),
-                seed=seed,
-                region=(single_region if single_region is not None else
-                        derive_user_region(self.seed, user_id, self.regions)),
-            )
-            plan = UserPlan(
-                times=times[view],
-                noise=noise[view],
-                rtt_ms=rtt_ms[view],
-                start_battery_fraction=start_fraction,
-            )
-            materialised.append((user, plan))
-        return materialised
+        if len(self.regions) == 1:
+            regions = np.zeros(block, dtype=np.int64)
+        else:
+            regions = np.array(
+                [_region_code(self.seed, user_id, len(self.regions))
+                 for user_id in ids], dtype=np.int64)
+        offsets = np.zeros(block + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return UserBlock(
+            spec=self,
+            user_ids=np.array(ids, dtype=np.int64),
+            seeds=seeds,
+            scenario=np.array(scenario_codes, dtype=np.int64),
+            device=np.array(device_codes, dtype=np.int64),
+            graph=np.array(graph_codes, dtype=np.int64),
+            region=regions,
+            start_fraction=np.array(start_fractions, dtype=np.float64),
+            offsets=offsets,
+            times=times,
+            noise=noise,
+            rtt_ms=rtt_ms,
+        )

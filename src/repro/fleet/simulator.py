@@ -43,14 +43,17 @@ the resulting event stream is **bit-identical for any worker count or
 chunk size**.  Process fan-out is the campaign coordinator's:
 :func:`repro.campaign.run_campaign` shards user ranges across processes.
 
-The simulated block is also the unit the store writers consume
-(:meth:`FleetSimulator.iter_blocks`): :func:`append_block` appends a
-block's ``fleet_events`` column batches straight from its flat arrays, with
-no per-user :class:`UserTrace` on the way, and
-:meth:`~repro.cloud.load.LoadProfile.add_block` counts its offloads in one
-pass.  :meth:`FleetSimulator.run_to_store` streams a fleet into a
-:class:`~repro.store.store.ResultStore` that way with O(1) result
-retention — the memory-flat path for million-event fleets.
+Users arrive as :class:`~repro.fleet.population.UserBlock` columns
+(:meth:`~repro.fleet.population.FleetSpec.materialize_columns`): code
+arrays into the spec's devices, models, scenarios and regions, and flat
+plan arrays.  The simulated block is also the unit the store writers
+consume (:meth:`FleetSimulator.iter_blocks`): :func:`append_block` appends
+a block's ``fleet_events`` column batches straight from its flat arrays,
+with no per-user :class:`UserTrace`, ``VirtualUser`` or ``UserPlan`` on
+the way, and :meth:`~repro.cloud.load.LoadProfile.add_block` counts its
+offloads in one pass.  :meth:`FleetSimulator.run_to_store` streams a
+fleet into a :class:`~repro.store.store.ResultStore` that way with O(1)
+result retention — the memory-flat path for million-event fleets.
 :class:`UserTrace` is the per-user view of a block (:meth:`FleetSimulator.
 iter_traces`, :meth:`~FleetSimulator.simulate_user`), and its
 :meth:`~UserTrace.column_batch` is the per-user semantic reference the
@@ -74,13 +77,15 @@ from repro import obs
 from repro.analysis.stats import exponential_decay_scan_rows
 from repro.devices.thermal import ThermalModel, throttle_factors
 from repro.fleet.events import FleetEvent
-from repro.fleet.population import FleetSpec, UserPlan, VirtualUser
+from repro.fleet.population import FleetSpec, UserBlock, VirtualUser
 from repro.fleet.queueing import (ROUTE_CLOUD, ROUTE_DEVICE, ROUTE_QUEUED,
                                   ROUTE_SHED, ROUTE_TARGETS)
 from repro.fleet.router import cloud_api_for_scenario
+from repro.runtime.backends import Backend
 from repro.runtime.energy_model import EnergyModel
 from repro.runtime.latency_model import LatencyModel
 from repro.runtime.pool import iter_mapped_chunks, resolve_workers
+from repro.store.kernels import dense_unique
 
 __all__ = ["UserTrace", "FleetSimulator", "fleet_events_batch",
            "append_block"]
@@ -279,7 +284,7 @@ def append_block(writer, block: "_Block") -> int:
                 + block.offsets[1:]) // writer.rows_per_segment
     cuts = np.flatnonzero(np.diff(segments, prepend=0) > 0) + 1
     rows = start = 0
-    for stop in [*cuts.tolist(), len(block.users)]:
+    for stop in [*cuts.tolist(), block.counts.size]:
         if block.offsets[stop] > block.offsets[start]:
             rows += writer.append_batch("fleet_events",
                                         block.column_batch(start, stop))
@@ -288,8 +293,9 @@ def append_block(writer, block: "_Block") -> int:
 
 
 class _Constants(NamedTuple):
-    """Per-(device, backend, graph, scenario) constants of the event loop."""
+    """Per-(device, graph, scenario) constants of the event loop."""
 
+    backend: Backend
     nominal_ms: float
     power_watts: float
     payload_bytes: int
@@ -302,13 +308,31 @@ class _Constants(NamedTuple):
     capacity_mah: float
 
 
+def _text(codes: np.ndarray, values: Sequence[str],
+          repeats: np.ndarray) -> np.ndarray:
+    """``np.repeat(np.array([values[c] for c in codes], dtype=str),
+    repeats)``, decoding each distinct code once.
+
+    The table holds only the values present, so its width is that of the
+    widest of them, exactly as the per-value array's would be.
+    """
+    present, inverse = dense_unique(codes, len(values))
+    table = np.array([values[code] for code in present.tolist()], dtype=str)
+    return np.repeat(table[inverse], repeats)
+
+
 class _Block:
     """One block of users evolved together; every array op spans the block.
 
-    Each non-empty (user, recharge span) pair is one row of a padded matrix
-    (padding repeats the row's last event, so it adds zero gaps and is
-    masked out).  Per-row constants broadcast through the same elementwise
-    IEEE operations the one-user loop would run, and every prefix sum is
+    Built from a :class:`~repro.fleet.population.UserBlock` as it is: the
+    per-event inputs are its flat plan arrays, and the per-user constants
+    are computed once per distinct (device, model, scenario) combo of the
+    block (:meth:`FleetSimulator._constants`) and gathered by each user's
+    combo index — no per-user object is built.  Each non-empty (user,
+    recharge span) pair is one row of a padded matrix (padding repeats the
+    row's last event, so it adds zero gaps and is masked out).  Per-row
+    constants broadcast through the same elementwise IEEE operations the
+    one-user loop would run, and every prefix sum is
     ``np.cumsum(..., axis=1)`` — a sequential ``add.accumulate`` per row —
     so each row equals its own 1-D evaluation bit for bit and a trace never
     depends on the block it was evaluated in.
@@ -330,52 +354,70 @@ class _Block:
     batches, and :meth:`traces` into per-user :class:`UserTrace` views.
     """
 
-    def __init__(self, simulator: "FleetSimulator", members: Sequence) -> None:
+    def __init__(self, simulator: "FleetSimulator",
+                 columns: UserBlock) -> None:
         self.simulator = simulator
-        self.policy = simulator.spec.policy
-        self.users = [member[0] for member in members]
-        self.plans = [member[1] for member in members]
-        self.spans = [member[2] for member in members]
-        consts = [simulator._constants(user) for user in self.users]
-        self.consts = consts
-        self.user_ids = np.array([user.user_id for user in self.users],
-                                 dtype=np.int64)
-        self.cloud_apis = [const.cloud_api for const in consts]
-        self.counts = np.array([plan.num_events for plan in self.plans],
-                               dtype=np.int64)
-        self.offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum(self.counts, out=self.offsets[1:])
+        spec = simulator.spec
+        self.policy = spec.policy
+        self.columns = columns
+        self.user_ids = columns.user_ids
+        self.offsets = columns.offsets
+        self.counts = columns.counts
         total = int(self.offsets[-1])
 
-        def column(values) -> np.ndarray:
-            return np.array(list(values), dtype=np.float64)
+        # One _Constants per distinct combo; ``combo`` indexes them per user.
+        graphs, scenarios = len(spec.graphs_with_tasks), len(spec.scenarios)
+        present, self.combo = dense_unique(
+            (columns.device * graphs + columns.graph) * scenarios
+            + columns.scenario, len(spec.devices) * graphs * scenarios)
+        consts = [simulator._constants(key // scenarios // graphs,
+                                       key // scenarios % graphs,
+                                       key % scenarios)
+                  for key in present.tolist()]
+        self.consts = consts
+        names = [const.cloud_api for const in consts]
+        #: Cloud API names, and each user's index into them.
+        self.api_names = sorted(set(names))
+        self.api = np.array([self.api_names.index(name) for name in names],
+                            dtype=np.int64)[self.combo]
+
+        def per_user(values, dtype=np.float64) -> np.ndarray:
+            return np.array(values, dtype=dtype)[self.combo]
 
         # Per-user constants, indexed by position in the block.
-        self.capability = np.array([const.capability for const in consts],
-                                   dtype=bool)
-        self.nominal = column(const.nominal_ms for const in consts)
+        self.capability = per_user([const.capability for const in consts],
+                                   bool)
+        self.nominal = per_user([const.nominal_ms for const in consts])
         self.busy = self.nominal / 1e3
-        self.power = column(const.power_watts for const in consts)
-        self.payload = np.array([const.payload_bytes for const in consts],
-                                dtype=np.int64)
-        self.floor = column(const.thermal.throttle_floor for const in consts)
-        self.time_constant = column(const.thermal.time_constant_s
-                                    for const in consts)
-        self.tau = column(const.thermal.cooldown_tau_s for const in consts)
-        self.voltage_hours = column(const.voltage_hours for const in consts)
-        self.capacity = column(const.capacity_mah for const in consts)
+        self.power = per_user([const.power_watts for const in consts])
+        self.payload = per_user([const.payload_bytes for const in consts],
+                                np.int64)
+        self.floor = per_user([const.thermal.throttle_floor
+                               for const in consts])
+        self.time_constant = per_user([const.thermal.time_constant_s
+                                       for const in consts])
+        self.tau = per_user([const.thermal.cooldown_tau_s
+                             for const in consts])
+        self.voltage_hours = per_user([const.voltage_hours
+                                       for const in consts])
+        self.capacity = per_user([const.capacity_mah for const in consts])
 
         # Per-event inputs and outputs, users back to back.
-        plans = self.plans
-        self.times = np.concatenate([plan.times for plan in plans])
-        self.noise = np.maximum(
-            np.concatenate([plan.noise for plan in plans]), MIN_NOISE_FACTOR)
-        self.rtt = np.concatenate([plan.rtt_ms for plan in plans])
+        self.times = columns.times
+        self.noise = np.maximum(columns.noise, MIN_NOISE_FACTOR)
+        self.rtt = columns.rtt_ms
         table = simulator.service_table
         if table is not None:
-            self.service = np.concatenate([
-                table.service_for(user.region, const.cloud_api, plan.times)
-                for user, plan, const in zip(self.users, plans, consts)])
+            # service_for is elementwise: one lookup per (region, API).
+            self.service = np.empty(total)
+            apis = len(self.api_names)
+            group = np.repeat(columns.region * apis + self.api, self.counts)
+            for key in dense_unique(group, len(spec.regions) * apis
+                                    )[0].tolist():
+                cells = np.flatnonzero(group == key)
+                self.service[cells] = table.service_for(
+                    spec.regions[key // apis], self.api_names[key % apis],
+                    self.times[cells])
         else:
             self.service = np.full(total, self.policy.cloud.service_ms)
         self.latency = np.zeros(total)
@@ -426,26 +468,19 @@ class _Block:
 
     def _rows(self) -> int:
         """Lay out one padded row per non-empty span; returns the row count."""
-        row_user, row_start, row_len, row_fraction = [], [], [], []
-        for position, spans in enumerate(self.spans):
-            offset = int(self.offsets[position])
-            for lo, hi, span_fraction in spans:
-                if hi > lo:
-                    row_user.append(position)
-                    row_start.append(offset + lo)
-                    row_len.append(hi - lo)
-                    row_fraction.append(span_fraction)
-        if not row_user:
+        row_user, row_start, row_len, row_fraction = \
+            self.simulator._span_rows(self.columns)
+        if not row_user.size:
             return 0
-        self.row_user = np.array(row_user, dtype=np.int64)
-        self.row_len = np.array(row_len, dtype=np.int64)
-        self.row_fraction = np.array(row_fraction, dtype=np.float64)[:, None]
-        cols = np.arange(int(self.row_len.max()))
-        self.valid = cols < self.row_len[:, None]
+        self.row_user = row_user
+        self.row_len = row_len
+        self.row_fraction = row_fraction[:, None]
+        cols = np.arange(int(row_len.max()))
+        self.valid = cols < row_len[:, None]
         #: Flat event position of every cell (padding repeats the last).
-        self.index = np.array(row_start, dtype=np.int64)[:, None] \
-            + np.minimum(cols, self.row_len[:, None] - 1)
-        return len(row_user)
+        self.index = row_start[:, None] \
+            + np.minimum(cols, row_len[:, None] - 1)
+        return int(row_user.size)
 
     def _congestible(self) -> np.ndarray:
         """Rows whose smallest arrival gap a worst-case execution exceeds."""
@@ -532,15 +567,13 @@ class _Block:
         lo = int(self.offsets[position])
         user = slice(lo, int(self.offsets[position + 1]))
         start = int(self.index[row, 0]) - lo
-        const = self.consts[position]
         self.simulator._simulate_span_queued(
-            self.users[position], self.plans[position],
+            self.times[user], self.rtt[user],
             slice(start, start + int(self.row_len[row])),
-            float(self.row_fraction[row, 0]), const.nominal_ms,
-            const.power_watts, const.payload_bytes, self.noise[user],
-            self.service[user], const.thermal, self.latency[user],
-            self.energy[user], self.throttle[user], self.wait_ms[user],
-            self.route[user])
+            float(self.row_fraction[row, 0]),
+            self.consts[self.combo[position]], self.noise[user],
+            self.service[user], self.latency[user], self.energy[user],
+            self.throttle[user], self.wait_ms[user], self.route[user])
 
     def _battery(self) -> None:
         """Battery trajectory per recharge span, clamped at empty."""
@@ -555,10 +588,11 @@ class _Block:
     def traces(self) -> list[UserTrace]:
         """One :class:`UserTrace` per user, viewing the block's arrays."""
         traces = []
-        for position, (user, plan, const) in enumerate(
-                zip(self.users, self.plans, self.consts)):
-            view = slice(int(self.offsets[position]),
-                         int(self.offsets[position + 1]))
+        bounds = self.offsets.tolist()
+        for position, ((user, plan), combo) in enumerate(zip(
+                self.columns.pairs(), self.combo.tolist())):
+            const = self.consts[combo]
+            view = slice(bounds[position], bounds[position + 1])
             traces.append(UserTrace(
                 user=user,
                 times_s=plan.times,
@@ -581,39 +615,43 @@ class _Block:
         Equal, array for array and dtype for dtype, to
         :func:`fleet_events_batch` over the same users' traces: per-event
         columns are slices of the block's frozen arrays, per-user values
-        one ``np.repeat`` each.  String columns repeat only over users with
-        events, so an empty user cannot widen them, and ``cloud_api`` is
-        ``""`` for users without offloads.  Every column is
-        chain-read-only.
+        one ``np.repeat`` each.  String columns decode the users' codes
+        through a table of the values present (:func:`_text`) and repeat
+        only over users with events, so an empty user cannot widen them,
+        and ``cloud_api`` is ``""`` for users without offloads.  Every
+        column is chain-read-only.
         """
         lo, hi = int(self.offsets[start]), int(self.offsets[stop])
         counts = self.counts[start:stop]
-        active = (start + np.flatnonzero(counts)).tolist()
+        active = start + np.flatnonzero(counts)
         repeats = self.counts[active]
         route = self.route[lo:hi]
         cloud = route == ROUTE_CLOUD
-        offloads = np.logical_or.reduceat(
-            cloud, self.offsets[active] - lo).tolist()
-        users = [self.users[position] for position in active]
-
-        def text(values) -> np.ndarray:
-            return np.repeat(np.array(values, dtype=str), repeats)
-
+        offloads = np.logical_or.reduceat(cloud, self.offsets[active] - lo)
+        columns = self.columns
+        names = self.simulator._names
+        combo = self.combo[active]
         batch = {
             "user_id": np.repeat(self.user_ids[start:stop], counts),
             "time_s": self.times[lo:hi],
-            "device_name": text([user.device.name for user in users]),
-            "model_name": text([user.graph.name for user in users]),
-            "scenario": text([user.scenario.name for user in users]),
-            "backend": text([user.backend.value for user in users]),
-            "region": text([user.region for user in users]),
+            "device_name": _text(columns.device[active], names["device"],
+                                 repeats),
+            "model_name": _text(columns.graph[active], names["model"],
+                                repeats),
+            "scenario": _text(columns.scenario[active], names["scenario"],
+                              repeats),
+            "backend": _text(combo, [const.backend.value
+                                     for const in self.consts], repeats),
+            "region": _text(columns.region[active], names["region"],
+                            repeats),
             "target": _TARGETS[route],
         }
         for column, _, name in _FLOAT_COLUMNS:
             batch[column] = getattr(self, name)[lo:hi]
-        batch["cloud_api"] = np.where(cloud, text([
-            self.cloud_apis[position] if offloaded else ""
-            for position, offloaded in zip(active, offloads)]), "")
+        # Users without offloads in the batch take code len(api_names): "".
+        api = np.where(offloads, self.api[active], len(self.api_names))
+        batch["cloud_api"] = np.where(cloud, _text(
+            api, [*self.api_names, ""], repeats), "")
         batch["cloud_bytes"] = np.where(
             cloud, np.repeat(self.payload[start:stop], counts), 0)
         for array in batch.values():
@@ -637,41 +675,52 @@ class FleetSimulator:
         self.max_workers = max_workers
         self.chunk_size = chunk_size
         self.service_table = service_table
+        #: Decoded value of every code of a UserBlock's string columns.
+        self._names = {
+            "device": [device.name for device in spec.devices],
+            "model": [graph.name for graph, _ in spec.graphs_with_tasks],
+            "scenario": [scenario.name for scenario in spec.scenarios],
+            "region": list(spec.regions),
+        }
         #: device.name -> (LatencyModel, EnergyModel).
         self._model_cache: dict = {}
-        #: (device.name, backend, id(graph), scenario.name) -> _Constants.
+        #: (device, graph, scenario) code -> _Constants.
         self._constants_cache: dict = {}
         self._boundaries: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # Cached per-combo constants (the "batch through graph_latency_ms" hook)
     # ------------------------------------------------------------------ #
-    def _constants(self, user: VirtualUser) -> _Constants:
+    def _constants(self, device_code: int, graph_code: int,
+                   scenario_code: int) -> _Constants:
         """Everything the event loop needs that is fixed per combo,
-        computed once per (device, backend, graph, scenario)."""
-        key = (user.device.name, user.backend, id(user.graph),
-               user.scenario.name)
+        computed once per (device, graph, scenario) code of the spec."""
+        key = (device_code, graph_code, scenario_code)
         cached = self._constants_cache.get(key)
         if cached is None:
-            models = self._model_cache.get(user.device.name)
+            spec = self.spec
+            device = spec.devices[device_code]
+            graph = spec.graphs_with_tasks[graph_code][0]
+            scenario = spec.scenarios[scenario_code]
+            backend = spec._backend_for(device, graph)
+            models = self._model_cache.get(device.name)
             if models is None:
-                models = (LatencyModel(user.device), EnergyModel(user.device))
-                self._model_cache[user.device.name] = models
+                models = (LatencyModel(device), EnergyModel(device))
+                self._model_cache[device.name] = models
             latency_model, energy_model = models
-            policy = self.spec.policy
-            nominal_ms = latency_model.graph_latency_ms(user.graph,
-                                                        user.backend)
-            payload_bytes = policy.cloud.payload_bytes(user.graph)
-            battery = user.device.battery
+            policy = spec.policy
+            nominal_ms = latency_model.graph_latency_ms(graph, backend)
+            battery = device.battery
             cached = _Constants(
+                backend=backend,
                 nominal_ms=nominal_ms,
-                power_watts=energy_model.inference_power_watts(user.backend),
-                payload_bytes=payload_bytes,
-                cloud_api=cloud_api_for_scenario(user.scenario),
+                power_watts=energy_model.inference_power_watts(backend),
+                payload_bytes=policy.cloud.payload_bytes(graph),
+                cloud_api=cloud_api_for_scenario(scenario),
                 capability=policy.offloads_for_capability(
-                    nominal_ms, user.scenario.deadline_ms),
-                thermal=ThermalModel.for_device(user.device.is_dev_board,
-                                                user.device.tier),
+                    nominal_ms, scenario.deadline_ms),
+                thermal=ThermalModel.for_device(device.is_dev_board,
+                                                device.tier),
                 voltage_hours=battery.voltage * 3600.0,
                 capacity_mah=battery.capacity_mah,
             )
@@ -681,34 +730,42 @@ class FleetSimulator:
     # ------------------------------------------------------------------ #
     # Recharge spans
     # ------------------------------------------------------------------ #
-    def _span_slices(self, times: np.ndarray,
-                     start_fraction: float) -> list[tuple[int, int, float]]:
-        """``(lo, hi, span_start_fraction)`` event slices between recharges."""
-        recharge = self.spec.recharge
-        if recharge is None:
-            return [(0, times.size, start_fraction)]
-        if self._boundaries is None:
-            self._boundaries = recharge.boundaries(self.spec.horizon_s)
-        if not self._boundaries.size:
-            return [(0, times.size, start_fraction)]
-        cuts = np.searchsorted(times, self._boundaries, side="left")
-        edges = [0, *[int(c) for c in cuts], times.size]
-        return [(edges[k], edges[k + 1],
-                 start_fraction if k == 0 else recharge.level)
-                for k in range(len(edges) - 1)]
+    def _span_rows(self, columns: UserBlock
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(user, first event, events, start fraction)`` of every
+        non-empty span between recharges, users in order and each user's
+        spans in time order.
 
-    def _member(self, user_id: int):
-        """Materialise one user: ``(user, plan, spans)``."""
-        user, plan = self.spec.materialize(user_id)
-        return user, plan, self._span_slices(plan.times,
-                                             plan.start_battery_fraction)
+        An event at time ``t`` is in span ``k``, the number of recharge
+        boundaries at or before ``t``; span 0 starts at the user's own
+        battery level, every later one at the schedule's.
+        """
+        counts = columns.counts
+        recharge = self.spec.recharge
+        if recharge is not None and self._boundaries is None:
+            self._boundaries = recharge.boundaries(self.spec.horizon_s)
+        if recharge is None or not self._boundaries.size:
+            users = np.flatnonzero(counts)
+            return (users, columns.offsets[users], counts[users],
+                    columns.start_fraction[users])
+        total = columns.times.size
+        owner = np.repeat(np.arange(counts.size), counts)
+        span = np.searchsorted(self._boundaries, columns.times, side="right")
+        first = np.ones(total, dtype=bool)
+        first[1:] = (owner[1:] != owner[:-1]) | (span[1:] != span[:-1])
+        starts = np.flatnonzero(first)
+        users = owner[starts]
+        return (users, starts, np.diff(starts, append=total),
+                np.where(span[starts] == 0, columns.start_fraction[users],
+                         recharge.level))
 
     # ------------------------------------------------------------------ #
     # The block event loop
     # ------------------------------------------------------------------ #
     def simulate_user(self, user_id: int) -> UserTrace:
         """Evolve one user over the horizon (a block of one)."""
-        return _Block(self, [self._member(user_id)]).run().traces()[0]
+        return _Block(self, self.spec.materialize_columns(
+            [user_id])).run().traces()[0]
 
     def _simulate_blocks(self, user_ids: Sequence[int],
                          max_cells: int) -> list[UserTrace]:
@@ -716,42 +773,64 @@ class FleetSimulator:
         return [trace for block in self._run_blocks(user_ids, max_cells)
                 for trace in block.traces()]
 
-    def _run_blocks(self, user_ids: Sequence[int],
-                    max_cells: int) -> list[_Block]:
+    def _run_blocks(self, user_ids: Sequence[int], max_cells: int,
+                    collector=None) -> list[_Block]:
         """Simulate users in order, evaluated in budgeted blocks.
 
         Users are materialised :data:`BLOCK_USERS` at a time
-        (:meth:`FleetSpec.materialize_block`), each exactly once; a block
+        (:meth:`FleetSpec.materialize_columns`), each exactly once; a block
         closes before the user whose spans would push its padded matrix
         (rows x longest row) past ``max_cells``, so a dense user cannot
-        inflate the matrices of the sparse users around it.
+        inflate the matrices of the sparse users around it.  A block may
+        join users of consecutive materialised blocks
+        (:meth:`UserBlock.concat`).  With a ``collector``, each
+        materialisation and each block's evaluation is a span.
         """
         blocks: list[_Block] = []
-        members: list = []
+        pieces: list[UserBlock] = []
         rows = width = 0
         for first in range(0, len(user_ids), BLOCK_USERS):
-            for user, plan in self.spec.materialize_block(
-                    user_ids[first:first + BLOCK_USERS]):
-                spans = self._span_slices(plan.times,
-                                          plan.start_battery_fraction)
-                lengths = [hi - lo for lo, hi, _ in spans if hi > lo]
-                if lengths:
-                    grown = max(width, max(lengths))
-                    if members and (rows + len(lengths)) * grown > max_cells:
-                        blocks.append(_Block(self, members).run())
-                        members, rows, grown = [], 0, max(lengths)
-                    rows += len(lengths)
-                    width = grown
-                members.append((user, plan, spans))
-        if members:
-            blocks.append(_Block(self, members).run())
+            ids = user_ids[first:first + BLOCK_USERS]
+            if collector is None:
+                columns = self.spec.materialize_columns(ids)
+            else:
+                with collector.span("fleet.population.materialize",
+                                    items=len(ids)):
+                    columns = self.spec.materialize_columns(ids)
+            row_users, _, row_lengths, _ = self._span_rows(columns)
+            spans = np.bincount(row_users, minlength=len(columns))
+            longest = np.zeros(len(columns), dtype=np.int64)
+            np.maximum.at(longest, row_users, row_lengths)
+            lo = 0
+            for position in np.flatnonzero(spans).tolist():
+                count = int(spans[position])
+                longest_row = int(longest[position])
+                grown = max(width, longest_row)
+                if (pieces or position > lo) \
+                        and (rows + count) * grown > max_cells:
+                    if position > lo:
+                        pieces.append(columns.take(lo, position))
+                    blocks.append(self._evolve(pieces, collector))
+                    pieces, lo, rows, grown = [], position, 0, longest_row
+                rows += count
+                width = grown
+            pieces.append(columns.take(lo, len(columns)))
+        if pieces:
+            blocks.append(self._evolve(pieces, collector))
         return blocks
 
-    def _simulate_span_queued(self, user, plan: UserPlan, span: slice,
-                              span_fraction: float, nominal_ms: float,
-                              power_watts: float, payload_bytes: int,
-                              noise: np.ndarray, service_ms: np.ndarray,
-                              thermal: ThermalModel, latency, energy,
+    def _evolve(self, pieces: list[UserBlock], collector) -> _Block:
+        """One simulated block of the users of ``pieces``, back to back."""
+        columns = UserBlock.concat(pieces)
+        if collector is None:
+            return _Block(self, columns).run()
+        with collector.span("fleet.simulator.simulate", items=len(columns)):
+            return _Block(self, columns).run()
+
+    def _simulate_span_queued(self, times: np.ndarray, rtt: np.ndarray,
+                              span: slice, span_fraction: float,
+                              const: _Constants, noise: np.ndarray,
+                              service_ms: np.ndarray, latency, energy,
                               throttle, wait_ms, route) -> None:
         """Congestible span: exact sequential queue recursion.
 
@@ -765,9 +844,12 @@ class FleetSimulator:
         policy = self.spec.policy
         cloud = policy.cloud
         queue = policy.queue
-        battery = user.device.battery
-        voltage_hours = battery.voltage * 3600.0
-        capacity_mah = battery.capacity_mah
+        nominal_ms = const.nominal_ms
+        power_watts = const.power_watts
+        payload_bytes = const.payload_bytes
+        thermal = const.thermal
+        voltage_hours = const.voltage_hours
+        capacity_mah = const.capacity_mah
         threshold = policy.battery_saver_threshold
         max_wait_s = queue.max_wait_s
         overflow_to_cloud = queue.overflows_to_cloud
@@ -776,8 +858,6 @@ class FleetSimulator:
         tau = thermal.cooldown_tau_s
         busy_s = nominal_ms / 1e3
 
-        times = plan.times
-        rtt = plan.rtt_ms
         heat = 0.0
         completion = -math.inf       # actual completion of the last served
         nominal_end = -math.inf      # nominal completion (thermal clock)
@@ -837,11 +917,11 @@ class FleetSimulator:
             # Disabled-mode hot path: one check per chunk, nothing else.
             return self._run_blocks(user_ids, max_cells)
         with collector.span("fleet.simulate_chunk", items=len(user_ids)):
-            blocks = self._run_blocks(user_ids, max_cells)
+            blocks = self._run_blocks(user_ids, max_cells, collector)
         # Per-block totals sum exactly, so chunking/worker count can't move
         # them — the deterministic class.
         collector.count("fleet.users_simulated",
-                        sum(len(block.users) for block in blocks))
+                        sum(block.counts.size for block in blocks))
         collector.count("fleet.events_simulated",
                         sum(block.route.size for block in blocks))
         collector.count("fleet.events_offloaded", sum(

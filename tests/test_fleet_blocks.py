@@ -315,3 +315,101 @@ def test_campaign_load_rows_match_per_trace_counting(tmp_path):
     expected = profile.column_batch()
     for name, array in rows.items():
         assert np.array_equal(array, expected[name]), name
+
+
+# --------------------------------------------------------------------------- #
+# Columnar users: codes and flat plan arrays, no per-user objects
+# --------------------------------------------------------------------------- #
+@st.composite
+def column_blocks(draw):
+    """A FAMILIES spec, optionally multi-region, diurnal or one minute long
+    (most users then draw no session), and ids with gaps and repeats."""
+    family, users, seed = draw(populations())
+    spec = FAMILIES[family][0](users, seed)
+    spec = replace(
+        spec,
+        regions=draw(st.sampled_from([spec.regions,
+                                      ("east", "west", "south")])),
+        diurnal=draw(st.sampled_from([spec.diurnal,
+                                      DiurnalProfile.default()])),
+        horizon_s=draw(st.sampled_from([spec.horizon_s, 60.0])))
+    ids = draw(st.lists(st.integers(0, spec.num_users - 1), max_size=40))
+    return spec, ids
+
+
+@given(block=column_blocks())
+@example(block=(ambient_spec(40, seed=2, horizon_s=60.0), [3, 3, 0, 39, 3]))
+@example(block=(replace(zoo_spec(6, seed=4, horizon_s=HOUR),
+                        regions=("east", "west", "south")), [5, 1, 5]))
+@settings(max_examples=40, deadline=None)
+def test_column_codes_decode_to_the_reference(block):
+    from repro.fleet.reference import materialize_reference
+
+    spec, ids = block
+    columns = spec.materialize_columns(ids)
+    assert len(columns) == len(ids)
+    assert columns.offsets[0] == 0
+    assert columns.offsets[-1] == columns.times.size
+    for position, user_id in enumerate(ids):
+        user, plan = materialize_reference(spec, user_id)
+        device = spec.devices[columns.device[position]]
+        graph, task = spec.graphs_with_tasks[columns.graph[position]]
+        assert columns.user_ids[position] == user_id
+        assert columns.seeds[position] == user.seed
+        assert device is user.device
+        assert graph is user.graph and task == user.task
+        assert spec.scenarios[columns.scenario[position]] is user.scenario
+        assert spec._backend_for(device, graph) is user.backend
+        assert spec.regions[columns.region[position]] == user.region
+        assert columns.start_fraction[position] \
+            == plan.start_battery_fraction
+        view = slice(columns.offsets[position], columns.offsets[position + 1])
+        for name in ("times", "noise", "rtt_ms"):
+            array, ref = getattr(columns, name)[view], getattr(plan, name)
+            assert array.dtype == ref.dtype, name
+            assert array.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_grouped_service_lookup_equals_per_user_service_for(seed):
+    simulator = _simulator("service_table", FAMILIES["service_table"][1],
+                           seed)
+    table = simulator.service_table
+    for block in _blocks(simulator, 200):
+        expected = [table.service_for(trace.user.region, trace.cloud_api,
+                                      trace.times_s)
+                    for trace in block.traces()]
+        assert block.service.tobytes() == np.concatenate(expected).tobytes()
+
+
+def test_store_paths_build_no_per_user_objects(monkeypatch, tmp_path):
+    from repro.campaign.coordinator import ShardTask, _run_shard
+    from repro.cloud import (ApiCapacity, CapacityModel, CloudRegion,
+                             InterferenceSimulator)
+    from repro.fleet import population
+
+    built = {"VirtualUser": 0, "UserPlan": 0}
+    for name in built:
+        def counting(*args, _name=name, _class=getattr(population, name),
+                     **kwargs):
+            built[_name] += 1
+            return _class(*args, **kwargs)
+        monkeypatch.setattr(population, name, counting)
+
+    spec = replace(zoo_spec(12, seed=1, horizon_s=2 * HOUR),
+                   regions=("east", "west"))
+    FleetSimulator(spec, max_workers=1).run_to_store(
+        tmp_path / "fleet.store", rows_per_segment=256)
+    _run_shard(ShardTask(spec=spec, shard_index=0, lo=2, hi=11,
+                         root=str(tmp_path / "shard.store")))
+    capacity = CapacityModel(
+        regions=(CloudRegion("east"), CloudRegion("west")),
+        default=ApiCapacity(base_service_ms=45.0, servers=3,
+                            per_server_rps=2.0))
+    InterferenceSimulator(spec, capacity, max_workers=1).run_to_store(
+        tmp_path / "cloud.store")
+    assert built == {"VirtualUser": 0, "UserPlan": 0}
+
+    # The per-user views are still there for the callers that ask for them.
+    traces = list(FleetSimulator(spec, max_workers=1).iter_traces())
+    assert built == {"VirtualUser": len(traces), "UserPlan": len(traces)}
