@@ -37,10 +37,11 @@ Four subcommands mirror the paper's workflow:
 * ``serve``     — asyncio HTTP query/report service over a store directory
                   with snapshot-isolated reads: every request is evaluated
                   against one pinned manifest generation while a campaign
-                  keeps appending, with a (generation, segment, fragment)
-                  result cache and a background refresh worker; responses
-                  are bit-identical to ``store query`` / ``store report
-                  --json`` at the same generation.
+                  keeps appending, with a (generation, fragment) result
+                  cache over the store's column views and a background
+                  refresh worker; responses are bit-identical to
+                  ``store query`` / ``store report --json`` at the same
+                  generation.
 * ``compare``   — temporal comparison between the 2020 and 2021 snapshots
                   (Fig. 5, Sec. 4.6).
 * ``obs``       — telemetry reports over a sidecar store written by
@@ -1146,7 +1147,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--limit", type=_positive_int, default=20,
                        help="max rows printed for non-aggregate queries")
     query.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="parallel segment-scan workers (1 = sequential, "
+                       help="parallel scan workers (1 = sequential, "
                             "0 = one per CPU; results are bit-identical "
                             "for any worker count)")
     query.set_defaults(func=cmd_store_query)
@@ -1355,17 +1356,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--threads", type=_positive_int, default=8,
                        help="request handler thread pool size")
     serve.add_argument("--no-cache", action="store_true",
-                       help="disable the segment/result caches")
+                       help="disable the result cache (queries still scan "
+                            "the store's column views)")
     serve.add_argument("--compact-segments", type=_positive_int, default=None,
                        metavar="N",
                        help="background-compact a kind once it exceeds N "
-                            "committed segments (invalidates serve caches)")
+                            "committed segments (invalidates the result cache "
+                            "and column views)")
     serve.add_argument("--mmap", action="store_true",
                        help="map columnar segments read-only in place "
                             "(JSONL segments read resident)")
     serve.add_argument("--scan-workers", type=_positive_int, default=None,
                        metavar="N",
-                       help="thread fan-out for per-request segment scans "
+                       help="thread fan-out for per-request scans "
                             "(default sequential; results are bit-identical "
                             "for any worker count)")
     serve.set_defaults(func=cmd_serve)

@@ -22,13 +22,14 @@ while a campaign keeps appending to the same directory.  Endpoints:
 Layers: :class:`~repro.serve.app.ServeApp` (HTTP front end) →
 :class:`~repro.serve.routes.Router` → :class:`~repro.serve.service.
 QueryService` → :class:`~repro.serve.snapshot.SnapshotManager` (pinned
-generation) with a two-tier :class:`~repro.serve.cache.ServeCache`, kept
+generation) with a result :class:`~repro.serve.cache.ServeCache` over the
+store's column views, kept
 fresh by a :class:`~repro.serve.worker.RefreshWorker`.  ``repro serve``
 is the CLI entry point; see the README's "Serving the store" section.
 """
 
 from repro.serve.app import ServeApp, ServerThread
-from repro.serve.cache import CachedQuery, ServeCache
+from repro.serve.cache import ServeCache
 from repro.serve.routes import RouteError, Router
 from repro.serve.service import (REPORT_TABLES, QueryService, QuerySpec,
                                  report_payload)
@@ -39,7 +40,6 @@ __all__ = [
     "ServeApp",
     "ServerThread",
     "ServeCache",
-    "CachedQuery",
     "Router",
     "RouteError",
     "QueryService",

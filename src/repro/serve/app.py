@@ -72,13 +72,12 @@ class ServeApp:
 
     def __init__(self, root: Union[str, Path], *, host: str = "127.0.0.1",
                  port: int = 8736, refresh_s: float = 1.0, cache: bool = True,
-                 max_segment_entries: int = 1024, max_result_entries: int = 256,
+                 max_result_entries: int = 256,
                  compact_segments: Optional[int] = None, mmap: bool = False,
                  handler_threads: int = 8,
                  scan_workers: Optional[int] = None) -> None:
         self.store = ResultStore(root, mmap=mmap)
-        self.cache = (ServeCache(max_segment_entries=max_segment_entries,
-                                 max_result_entries=max_result_entries)
+        self.cache = (ServeCache(max_result_entries=max_result_entries)
                       if cache else None)
         self.manager = SnapshotManager(self.store, cache=self.cache)
         self.service = QueryService(self.manager, cache=self.cache,

@@ -1,36 +1,33 @@
-"""The serve layer's two-tier result cache.
+"""The serve layer's result cache, and the store's view tier in its stats.
 
 Correct caching over a live store falls out of the storage contract:
 sealed segments are immutable, and the only thing that ever changes is
-the manifest's committed segment list (one generation per commit).  So
-the cache has two tiers with different lifetimes:
+the manifest's committed segment list (one generation per commit).  Two
+tiers serve repeated and changing reads:
 
-* **segment tier** — keyed ``(segment name, query fragment)``, holding
-  the masked column arrays one query evaluated over one segment.  Sealed
-  segments never change, so these entries *cannot* go stale within a
-  generation history, and they survive generation advances.  A query
-  re-run after new seals reuses them only while they are still in the
-  LRU: every cold query inserts one entry per segment it scans, so the
-  tier helps only when (distinct cold queries x segments) fits in
-  ``max_segment_entries``.  When it does not, the older segments'
-  entries are evicted before they are asked for again and a re-run
-  rescans every segment.  The ``serve_live`` benchmark mix is such a
-  case: ~78 distinct cold queries per generation over 48-68 segments
-  insert ~4.5k entries per generation against the default 1,024, for a
-  hit ratio near 0.01.
+* **view tier** — owned by the store: one column view per row kind
+  (:class:`~repro.store.view.KindView`), each column concatenated over
+  the kind's committed segments.  An append commit extends a view by
+  the new segments alone, and a pinned snapshot reads a prefix of it, so
+  every query after a generation advance scans memory plus the newest
+  segments.  A replacement commit (compaction) drops the views it
+  invalidates and the next query rebuilds them.
 * **result tier** — keyed ``(generation, query fragment)``, holding the
   final JSON payload of a request.  A generation advance orphans these
   (the segment list they summarise is no longer the served one); the
   :class:`~repro.serve.snapshot.SnapshotManager` evicts non-current
-  generations on every swap.
+  generations on every swap, and clears the tier on a replacement
+  commit.
 
-Compaction is the one event that invalidates the segment tier: a
-replacement commit drops segment files, so the worker clears everything
-when it observes one (detected as a served-prefix mismatch).
-
-Both tiers are LRU-bounded and thread-safe (many reader threads, one
-refresh worker).  Hit/miss counts feed :mod:`repro.obs` counters so the
-``/v1/stats`` endpoint and the benchmark gates can see cache behaviour.
+The result tier is LRU-bounded and thread-safe (many reader threads, one
+refresh worker).  :meth:`ServeCache.stats` reports both tiers for
+``/v1/stats`` and the benchmarks.  Its ``"segment"`` section keeps the
+keys it had when it described a per-(segment, query fragment) tier, now
+filled from the view tier: ``entries`` is the number of live views
+(``max_entries`` one per row kind), ``hits`` counts scans a kept view
+served as it was or extended, ``misses`` the scans that built a view
+from scratch; ``segments`` and ``bytes`` say how many segments the views
+cover and how much memory they hold.
 """
 
 from __future__ import annotations
@@ -40,9 +37,8 @@ from collections import OrderedDict
 from typing import Any, Optional
 
 from repro import obs
-from repro.store.query import Query, QueryStats
 
-__all__ = ["ServeCache", "CachedQuery"]
+__all__ = ["ServeCache"]
 
 
 class _LruTier:
@@ -97,28 +93,17 @@ class _LruTier:
 
 
 class ServeCache:
-    """Segment-tier + result-tier caches of one serve instance."""
+    """The result tier of one serve instance, plus its store's view stats."""
 
-    def __init__(self, *, max_segment_entries: int = 1024,
-                 max_result_entries: int = 256) -> None:
-        self._segments = _LruTier("segment", max_segment_entries)
+    def __init__(self, *, max_result_entries: int = 256) -> None:
         self._results = _LruTier("result", max_result_entries)
+        #: The store whose views the ``"segment"`` stats describe
+        #: (:meth:`attach`).
+        self._store = None
 
-    # -- segment tier --------------------------------------------------- #
-    def get_segment(self, segment: str, fragment: str
-                    ) -> Optional[tuple[Optional[dict], int]]:
-        """Cached evaluation of one (segment, fragment); miss = ``None``.
-
-        Entries are the ``(payload, matched)`` pairs the query engine's
-        per-segment hook produces — payload ``None`` when the segment was
-        pruned or matched nothing (cache-worthy outcomes too, stored as
-        ``(None, 0)`` so they stay distinguishable from a miss).
-        """
-        return self._segments.get((segment, fragment))
-
-    def put_segment(self, segment: str, fragment: str,
-                    payload: Optional[dict], matched: int) -> None:
-        self._segments.put((segment, fragment), (payload, int(matched)))
+    def attach(self, store) -> None:
+        """Report ``store``'s column views in :meth:`stats`."""
+        self._store = store
 
     # -- result tier ---------------------------------------------------- #
     def get_result(self, generation: int, fragment: str) -> Optional[dict]:
@@ -134,52 +119,12 @@ class ServeCache:
         return self._results.evict(lambda key: key[0] != keep)
 
     def clear(self) -> None:
-        """Drop both tiers (the compaction/replacement response)."""
-        self._segments.clear()
+        """Drop the result tier (the compaction/replacement response)."""
         self._results.clear()
 
     def stats(self) -> dict:
         """JSON-able hit/size accounting of both tiers (``/v1/stats``)."""
-        return {"segment": self._segments.stats(),
-                "result": self._results.stats()}
-
-
-class CachedQuery(Query):
-    """A :class:`~repro.store.query.Query` with segment-tier memoisation.
-
-    Identical semantics to the plain query — it overrides the single
-    per-segment evaluation hook
-    (:meth:`~repro.store.query.Query._segment_result`) and routes every
-    cache miss through the base implementation — but a segment already
-    evaluated under the same ``(predicates, columns, coded)`` fragment is
-    answered from memory without touching its column arrays.  Results
-    (including row counts and coded group-key parts) are therefore
-    bit-identical to the uncached path by construction; only
-    :attr:`stats` differs (``segments_cached`` instead of
-    ``segments_scanned``).  Because the hook is the one override, the
-    cache composes with parallel thread scans unchanged (the tiers are
-    lock-protected).
-    """
-
-    def __init__(self, store, kind, *, cache: ServeCache,
-                 fragment: str) -> None:
-        super().__init__(store, kind)
-        self._cache = cache
-        #: Canonical request-fragment prefix (kind + predicates + shape);
-        #: the per-call column/coded sets are appended per lookup.
-        self._fragment = fragment
-
-    def _segment_result(self, meta, columns: tuple, coded: frozenset
-                        ) -> tuple[Optional[dict], int, QueryStats]:
-        fragment = f"{self._fragment}|cols={','.join(columns)}"
-        if coded:
-            fragment += f"|coded={','.join(sorted(coded))}"
-        entry = self._cache.get_segment(meta.name, fragment)
-        if entry is not None:
-            payload, matched = entry
-            return payload, matched, QueryStats(segments_total=1,
-                                                segments_cached=1)
-        payload, matched, delta = super()._segment_result(meta, columns,
-                                                          coded)
-        self._cache.put_segment(meta.name, fragment, payload, matched)
-        return payload, matched, delta
+        views = (self._store.view_stats() if self._store is not None
+                 else {"entries": 0, "max_entries": 0, "hits": 0,
+                       "misses": 0, "segments": 0, "bytes": 0})
+        return {"segment": views, "result": self._results.stats()}

@@ -263,16 +263,8 @@ class QueryService:
     # Queries and reports
     # ------------------------------------------------------------------ #
     def _build_query(self, snapshot, spec: QuerySpec):
-        """A (cached, when enabled) query over the pinned snapshot."""
-        from repro.store.schema import kind_for
-
-        if self.cache is None:
-            query = snapshot.query(spec.kind)
-        else:
-            from repro.serve.cache import CachedQuery
-
-            query = CachedQuery(snapshot, kind_for(spec.kind),
-                                cache=self.cache, fragment=spec.fragment())
+        """A query over the pinned snapshot, fanned out when configured."""
+        query = snapshot.query(spec.kind)
         if self.scan_workers is not None and self.scan_workers != 1:
             query.parallel(self.scan_workers)
         return query

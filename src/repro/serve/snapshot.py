@@ -13,8 +13,9 @@ pure pointer exchange.
 RefreshWorker`) re-reads the manifest and, when the generation advanced,
 pins a fresh snapshot and trims the result cache to the new generation.
 A replacement commit (compaction) is detected as the served segment list
-no longer being a prefix of the new one; that clears both cache tiers,
-because segment files were rewritten.
+no longer being a prefix of the new one; that clears the result cache,
+because segment files were rewritten (the store itself drops the column
+views the commit invalidated).
 """
 
 from __future__ import annotations
@@ -33,12 +34,14 @@ class SnapshotManager:
     def __init__(self, store: ResultStore, *, cache=None) -> None:
         self.store = store
         self.cache = cache
+        if cache is not None:
+            cache.attach(store)
         self._lock = threading.Lock()
         store.refresh()
         self._snapshot = store.open_snapshot()
         self.polls = 0
         self.advances = 0
-        #: Replacement commits observed (each one cleared both cache tiers).
+        #: Replacement commits observed (each one cleared the result cache).
         self.invalidations = 0
 
     @property

@@ -5,8 +5,8 @@ One daemon thread per serve instance.  Every ``interval_s`` it polls the
 concurrent :class:`~repro.store.writer.StoreWriter` committed) and, when a
 ``compact_segments`` threshold is configured and some row kind's committed
 segment count exceeds it, runs :func:`~repro.store.compact.compact_store`
-in-process — the manager's next poll observes the replacement commit and
-clears the serve caches.  Compaction stays opt-in: pinned snapshots from
+in-process — the store drops the column views the replacement commit
+invalidated, and the manager's next poll clears the result cache.  Compaction stays opt-in: pinned snapshots from
 *before* a replacement commit reference deleted files, so only enable it
 when clients tolerate a mid-flight request failing and retrying against
 the new generation.

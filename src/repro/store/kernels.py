@@ -54,8 +54,10 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from repro import obs
+
 __all__ = ["GroupedReducer", "REFERENCE_REDUCERS", "dense_unique",
-           "factorize_parts", "decompose_keys"]
+           "merge_vocabularies", "factorize_parts", "decompose_keys"]
 
 #: Quantile per percentile-named reduction.
 _QUANTILES = {"p50": 0.50, "p90": 0.90, "p99": 0.99, "p999": 0.999,
@@ -158,17 +160,36 @@ def dense_unique(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), rank[codes]
 
 
+def merge_vocabularies(vocabularies: Sequence[np.ndarray]
+                       ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One sorted vocabulary over several, and where each entry lands in it.
+
+    Returns ``(vocabulary, lookups)``: ``vocabulary`` is ``np.unique`` of
+    every entry of every input, and ``lookups[i][j]`` is the position of
+    ``vocabularies[i][j]`` in it (one ``searchsorted`` over all inputs at
+    once).  A code ``c`` into input ``i`` is therefore ``lookups[i][c]``
+    in the merged vocabulary — how :func:`factorize_parts` and the store's
+    column views (:mod:`repro.store.view`) unify per-segment
+    dictionaries.
+    """
+    stacked = np.concatenate(vocabularies)
+    vocabulary = np.unique(stacked)
+    lookup = np.searchsorted(vocabulary, stacked)
+    bounds = np.cumsum([local.size for local in vocabularies])[:-1]
+    return vocabulary, np.split(lookup, bounds)
+
+
 def factorize_parts(parts: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(concatenated, return_inverse=True)`` without decoding.
 
-    ``parts`` holds one entry per surviving segment: either a
+    ``parts`` holds one entry per segment: either a
     :class:`repro.store.columnar.CodedColumn` (dictionary codes + sorted
     vocabulary, never materialised as unicode rows) or a plain decoded
     array (JSONL segments, raw-encoded columns).  Because every
     per-segment vocabulary is sorted — NumPy's string sort order *is*
-    the dictionary code order — unifying the vocabularies with one
-    ``np.unique`` and remapping each segment's codes through
-    ``searchsorted`` reproduces exactly what ``np.unique`` over the
+    the dictionary code order — unifying the vocabularies
+    (:func:`merge_vocabularies`) and remapping each segment's codes
+    through its lookup reproduces exactly what ``np.unique`` over the
     decoded concatenation would return: the sorted distinct values
     actually present, and an int64 inverse mapping each row to them.
     """
@@ -177,20 +198,10 @@ def factorize_parts(parts: Sequence) -> tuple[np.ndarray, np.ndarray]:
     if not vocabularies:
         empty = np.empty(0, dtype=np.str_)
         return empty, np.empty(0, dtype=np.int64)
-    stacked = np.concatenate(vocabularies)
-    vocabulary = np.unique(stacked)
-    # Every local vocabulary entry's position in the unified one, in one
-    # call; part i's slice starts at the sum of the earlier sizes.
-    lookup = np.searchsorted(vocabulary, stacked)
-    remapped = []
-    start = 0
-    for part, local in zip(parts, vocabularies):
-        local_lookup = lookup[start:start + local.size]
-        start += local.size
-        if isinstance(part, np.ndarray):
-            remapped.append(local_lookup[np.searchsorted(local, part)])
-        else:
-            remapped.append(local_lookup[part.codes])
+    vocabulary, lookups = merge_vocabularies(vocabularies)
+    remapped = [lookup[np.searchsorted(local, part)]
+                if isinstance(part, np.ndarray) else lookup[part.codes]
+                for part, local, lookup in zip(parts, vocabularies, lookups)]
     present, inverse = dense_unique(np.concatenate(remapped), vocabulary.size)
     return vocabulary[present], inverse
 
@@ -363,29 +374,30 @@ class GroupedReducer:
         yields the per-group reference's native scalars (see
         :meth:`reduce`).
         """
-        if fn == "count":
-            return self._counts.copy()
-        if fn == "sum":
-            return self._sums(name, values)
-        if fn == "mean":
-            return self._float_sums(values) / self._counts
-        if fn == "std":
-            means = self._float_sums(values) / self._counts
-            deviations = values - means[self.key_inverse]
-            squares = np.bincount(self.key_inverse,
-                                  weights=deviations * deviations,
-                                  minlength=self.num_groups)
-            return np.sqrt(squares / self._counts)
-        if fn == "min":
-            return self._extremum(name, values, np.minimum, end=False)
-        if fn == "max":
-            return self._extremum(name, values, np.maximum, end=True)
-        if fn == "median":
-            return self._median(name, values)
-        quantile = _QUANTILES.get(fn)
-        if quantile is None:
-            raise ValueError(f"unknown grouped reduction {fn!r}")
-        return self._quantile(name, values, quantile)
+        with obs.span("store.kernels.reduce"):
+            if fn == "count":
+                return self._counts.copy()
+            if fn == "sum":
+                return self._sums(name, values)
+            if fn == "mean":
+                return self._float_sums(values) / self._counts
+            if fn == "std":
+                means = self._float_sums(values) / self._counts
+                deviations = values - means[self.key_inverse]
+                squares = np.bincount(self.key_inverse,
+                                      weights=deviations * deviations,
+                                      minlength=self.num_groups)
+                return np.sqrt(squares / self._counts)
+            if fn == "min":
+                return self._extremum(name, values, np.minimum, end=False)
+            if fn == "max":
+                return self._extremum(name, values, np.maximum, end=True)
+            if fn == "median":
+                return self._median(name, values)
+            quantile = _QUANTILES.get(fn)
+            if quantile is None:
+                raise ValueError(f"unknown grouped reduction {fn!r}")
+            return self._quantile(name, values, quantile)
 
     def reduce(self, name: str, values: np.ndarray, fn: str) -> list:
         """Per-group scalars of one reduction, ascending group order.

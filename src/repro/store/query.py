@@ -1,33 +1,39 @@
 """Vectorised queries over the column-oriented store.
 
 A :class:`Query` is a small builder — ``where`` filters, ``group_by`` keys,
-``agg`` reductions — evaluated segment by segment over the NumPy column
-caches, so a million-row filter is a handful of array comparisons rather than
-a Python loop.  Two levels of work avoidance apply before any array math:
+``agg`` reductions — evaluated in one pass over the kind's column view
+(:mod:`repro.store.view`: each column concatenated over the committed
+segments), so a million-row filter is a handful of array comparisons
+rather than a Python loop, and the number of segments costs no Python
+calls beyond pruning.  Two levels of work avoidance apply before any
+array math:
 
 * **predicate pushdown** — every predicate is first tested against the
   manifest stats of each segment (numeric min/max, string distinct sets); a
-  segment whose stats prove it cannot contain a matching row is never read
-  at all, which is what keeps point queries over a long campaign cheap;
+  segment whose stats prove it cannot contain a matching row becomes an
+  excluded row range of the view, so its rows are never evaluated;
 * **column pruning** — only the columns referenced by predicates, group keys,
-  aggregations or an explicit ``arrays(...)`` projection are materialised.
+  aggregations or an explicit ``arrays(...)`` projection are materialised
+  (and only those are built into the view).
 
-The execution engine (v2, PR 10) adds three layers on top, each held
-bit-identical to the sequential/decoded/per-group semantics it replaces:
+The execution engine adds three layers on top, each held bit-identical
+to the sequential/decoded/per-group semantics it replaces:
 
-* **parallel segment scans** — segments are independent, so
-  :meth:`Query.parallel` fans the per-segment scan/mask work across
-  :func:`repro.runtime.pool.iter_mapped` on threads (the work releases
-  the GIL inside NumPy kernels).  Results stream back in manifest order
-  and :class:`QueryStats` merges by exact addition, so every terminal is
+* **parallel scans** — :meth:`Query.parallel` reads the segments the view
+  lacks and evaluates consecutive row chunks on threads through
+  :func:`repro.runtime.pool.iter_mapped` (the work releases the GIL
+  inside NumPy kernels).  Chunks join back in row order and
+  :class:`QueryStats` comes from pruning alone, so every terminal is
   bit-identical for any worker count;
-* **dictionary-coded predicates + late materialisation** — for
-  dict-encoded string columns of columnar segments, predicates evaluate
-  once against the (tiny) vocabulary and mask the integer codes;
-  ``mask(vocabulary)[codes]`` equals ``mask(vocabulary[codes])`` for
-  every elementwise operator, so filtered-out rows never pay the unicode
-  gather and only surviving rows are decoded.  Group-by over such
-  columns keys on the codes and decodes only group representatives;
+* **dictionary-coded predicates + late materialisation** — every string
+  column of a view is held as codes into one sorted vocabulary, so
+  predicates evaluate once against the (tiny) vocabulary and mask the
+  integer codes; ``mask(vocabulary)[codes]`` equals
+  ``mask(vocabulary[codes])`` for every elementwise operator, so
+  filtered-out rows never pay the unicode gather and only surviving rows
+  are decoded.  Group-by over such columns counts the codes and decodes
+  only group representatives.  A decoded string column comes back at the
+  width of the view's vocabulary (its longest value);
 * **grouped reduction kernels** — :meth:`Query.aggregate` evaluates its
   groups through the vectorised kernels of :mod:`repro.store.kernels`
   (``bincount``/``reduceat`` sums, sorted-segment order statistics);
@@ -57,8 +63,7 @@ assert pushdown actually happened.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Callable, Iterator, Mapping, Optional, Sequence,
-                    Union)
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -67,6 +72,7 @@ from repro.store import kernels
 from repro.store.columnar import CodedColumn
 from repro.store.schema import Column, RowKind
 from repro.store.segment import SegmentMeta
+from repro.store.view import ViewRows
 
 __all__ = ["Predicate", "Query", "QueryStats", "AGGREGATIONS",
            "parse_predicate", "parse_agg_expr"]
@@ -250,71 +256,44 @@ class QueryStats:
     segments_total: int = 0
     segments_skipped: int = 0
     segments_scanned: int = 0
-    #: Segments answered from a serve-layer fragment cache (no scan).
+    #: Always 0: no cache answers segments without a scan any more (kept
+    #: because trace readers record every field).
     segments_cached: int = 0
     rows_scanned: int = 0
     rows_matched: int = 0
 
-    def merge(self, other: "QueryStats") -> None:
-        """Fold another accounting in by exact integer addition.
 
-        The ``MergeStats`` discipline: totals are identical however the
-        per-segment work was chunked or distributed, so parallel scans
-        report exactly what a sequential scan would.
-        """
-        self.segments_total += other.segments_total
-        self.segments_skipped += other.segments_skipped
-        self.segments_scanned += other.segments_scanned
-        self.segments_cached += other.segments_cached
-        self.rows_scanned += other.rows_scanned
-        self.rows_matched += other.rows_matched
-
-
-def _coded_view(loaded: Mapping, name: str) -> Optional[CodedColumn]:
-    """The codes + vocabulary of a dict-encoded column, if the mapping has one.
-
-    Only columnar segment mappings expose ``.coded`` (see
-    :meth:`repro.store.columnar.LazyColumns.coded`); plain dict mappings
-    (JSONL segments' npz caches) and raw-encoded columns answer
-    ``None`` and callers fall back to the decoded array.
-    """
-    coded = getattr(loaded, "coded", None)
-    if coded is None:
-        return None
-    return coded(name)
-
-
-def _evaluate_segment(loaded: Mapping, meta: SegmentMeta,
-                      predicates: Sequence[Predicate],
+def _evaluate_segment(loaded: ViewRows, predicates: Sequence[Predicate],
                       columns: Sequence[str],
                       coded: frozenset) -> tuple[Optional[dict], int]:
-    """Mask one loaded segment and materialise its surviving rows.
+    """Mask the loaded rows and materialise the survivors.
 
-    A pure function of the loaded columns — the single evaluation point
-    shared by the sequential scan and the thread pool, so the paths
-    cannot diverge.  Dict-encoded
-    columns evaluate predicates against their vocabulary and mask the
-    integer codes; only rows surviving *all* masks are ever decoded
-    (columns named in ``coded`` are not decoded at all — they come back
-    as :class:`~repro.store.columnar.CodedColumn` parts for the group-by
-    kernels).  Returns ``(payload, matched)``; payload is ``None`` when
-    nothing matched.
+    A pure function of the loaded columns — the single evaluation point,
+    run once over a query's row ranges of the column view (or once per
+    range chunk on threads), so the paths cannot diverge.  Dict-coded
+    columns (every string column of a view: ``loaded.coded`` answers
+    codes + vocabulary) evaluate predicates against their vocabulary and
+    mask the integer codes; only rows surviving *all* masks are ever
+    decoded (columns named in ``coded`` are not decoded at all — they
+    come back as :class:`~repro.store.columnar.CodedColumn` for the
+    group-by kernels).  Returns ``(payload, matched)``; payload is
+    ``None`` when nothing matched.
     """
     mask: Optional[np.ndarray] = None
     for predicate in predicates:
-        view = _coded_view(loaded, predicate.column)
+        view = loaded.coded(predicate.column)
         if view is not None:
             part = predicate.mask(view.values)[view.codes]
         else:
             part = predicate.mask(loaded[predicate.column])
         mask = part if mask is None else (mask & part)
-    matched = int(mask.sum()) if mask is not None else meta.rows
+    matched = int(mask.sum()) if mask is not None else loaded.rows
     if matched == 0:
         return None, 0
     payload: dict[str, Any] = {}
     for name in columns:
-        view = _coded_view(loaded, name)
-        if view is not None and (name in coded or mask is not None):
+        view = loaded.coded(name)
+        if view is not None:
             kept = view.codes if mask is None else view.codes[mask]
             payload[name] = (CodedColumn(kept, view.values) if name in coded
                              else view.values[kept])
@@ -322,6 +301,23 @@ def _evaluate_segment(loaded: Mapping, meta: SegmentMeta,
             array = loaded[name]
             payload[name] = array if mask is None else array[mask]
     return payload, matched
+
+
+def _concat_payloads(payloads: list[dict], columns: Sequence[str],
+                     coded: frozenset) -> dict:
+    """Chunk payloads of one scan joined in row order."""
+    if len(payloads) == 1:
+        return payloads[0]
+    joined: dict[str, Any] = {}
+    for name in columns:
+        parts = [payload[name] for payload in payloads]
+        if name in coded:
+            joined[name] = CodedColumn(
+                np.concatenate([part.codes for part in parts]),
+                parts[0].values)
+        else:
+            joined[name] = np.concatenate(parts)
+    return joined
 
 
 class Query:
@@ -357,14 +353,15 @@ class Query:
         return self
 
     def parallel(self, max_workers: Optional[int] = None) -> "Query":
-        """Builder step: fan the per-segment scans across a thread pool.
+        """Builder step: fan the scan out across a thread pool.
 
         ``max_workers=None`` sizes the pool to the machine (one worker
-        per CPU, capped by the segment count); segment scanning releases
-        the GIL inside NumPy kernels, and every worker reads through the
-        store's column cache.  Results reassemble in manifest order and
-        :class:`QueryStats` merges by exact addition, so every terminal
-        returns bit-identical output for any worker count.
+        per CPU).  Segments the column view still lacks are read on the
+        pool (decompression and decoding release the GIL), and the scan
+        splits the view's rows into consecutive chunks, one per worker,
+        joined back in row order.  :class:`QueryStats` comes from
+        pruning alone, so every terminal returns bit-identical output
+        for any worker count.
         """
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive when given")
@@ -445,54 +442,61 @@ class Query:
     # ------------------------------------------------------------------ #
     # Execution core
     # ------------------------------------------------------------------ #
-    def _segment_result(self, meta: SegmentMeta, columns: tuple,
-                        coded: frozenset
-                        ) -> tuple[Optional[dict], int, QueryStats]:
-        """Pushdown + evaluate one segment: ``(payload, matched, stats)``.
+    def _scan(self, columns: Sequence[str], coded: frozenset = frozenset()
+              ) -> tuple[Optional[dict], int]:
+        """Prune, then evaluate once over the kind's column view.
 
-        The single per-segment evaluation point — the sequential loop,
-        the thread pool and the serve layer's
-        :class:`~repro.serve.cache.CachedQuery` all route through it, so
-        work accounting and semantics cannot diverge.  Pure with respect
-        to the query (stats come back as a delta, merged centrally by
-        exact addition), which is what makes it safe to call from many
-        worker threads at once.
+        Segments whose stats rule a predicate out become excluded row
+        ranges; the surviving ranges of the view (one range, a zero-copy
+        slice, when nothing is pruned) are evaluated by one
+        :func:`_evaluate_segment` call — or, under :meth:`parallel`, by
+        one call per consecutive chunk of rows on threads, joined in row
+        order.  Returns ``(payload, matched)`` and sets :attr:`stats`:
+        per-segment counts from pruning, identical for any worker count.
         """
-        if not all(p.may_match(meta, self.kind.column(p.column))
-                   for p in self._predicates):
-            return None, 0, QueryStats(segments_total=1, segments_skipped=1)
-        loaded = self.store.columns_for(meta)
-        payload, matched = _evaluate_segment(loaded, meta, self._predicates,
-                                             columns, coded)
-        return payload, matched, QueryStats(
-            segments_total=1, segments_scanned=1,
-            rows_scanned=meta.rows, rows_matched=matched)
+        from repro.runtime.pool import iter_mapped, resolve_workers
 
-    def _results(self, columns: Sequence[str], coded: frozenset = frozenset()
-                 ) -> Iterator[tuple[Optional[dict], int]]:
-        """Evaluate every segment in manifest order; yields ``(payload, matched)``.
-
-        Resets :attr:`stats` and merges each segment's accounting delta
-        by exact addition — identical totals whether the segments were
-        scanned inline or by threads.
-        """
-        from repro.runtime.pool import iter_mapped
-
-        self.stats = QueryStats()
-        columns = tuple(columns)
         metas = self.store.segments_for(self.kind)
-
-        def run_item(meta: SegmentMeta):
-            return self._segment_result(meta, columns, coded)
-
-        if self._max_workers != 1:
-            results = iter_mapped(run_item, metas,
-                                  max_workers=self._max_workers)
-        else:
-            results = map(run_item, metas)
-        for payload, matched, delta in results:
-            self.stats.merge(delta)
-            yield payload, matched
+        predicates = self._predicates
+        ranges: list[tuple[int, int]] = []
+        skipped = scanned_rows = start = 0
+        specs = [(p, self.kind.column(p.column)) for p in predicates]
+        for meta in metas:
+            stop = start + meta.rows
+            if all(p.may_match(meta, spec) for p, spec in specs):
+                if ranges and ranges[-1][1] == start:
+                    ranges[-1] = (ranges[-1][0], stop)
+                else:
+                    ranges.append((start, stop))
+                scanned_rows += meta.rows
+            else:
+                skipped += 1
+            start = stop
+        columns = tuple(columns)
+        names = dict.fromkeys(columns + tuple(p.column for p in predicates))
+        payload: Optional[dict] = None
+        matched = scanned_rows
+        if ranges and names:
+            loaded = self.store.view_rows(self.kind, metas, tuple(names),
+                                          ranges, self._max_workers)
+            workers = (1 if self._max_workers == 1
+                       else resolve_workers(loaded.rows, self._max_workers))
+            if workers == 1:
+                payload, matched = _evaluate_segment(loaded, predicates,
+                                                     columns, coded)
+            else:
+                results = list(iter_mapped(
+                    lambda chunk: _evaluate_segment(chunk, predicates,
+                                                    columns, coded),
+                    loaded.split(workers), max_workers=workers))
+                matched = sum(count for _, count in results)
+                kept = [part for part, _ in results if part is not None]
+                payload = (_concat_payloads(kept, columns, coded)
+                           if kept else None)
+        self.stats = QueryStats(
+            segments_total=len(metas), segments_skipped=skipped,
+            segments_scanned=len(metas) - skipped,
+            rows_scanned=scanned_rows, rows_matched=matched)
         collector = obs.get_collector()
         if collector is not None:
             collector.count("query.executions")
@@ -501,31 +505,26 @@ class Query:
             collector.count("query.segments_pruned",
                             self.stats.segments_skipped)
             collector.count("query.rows_matched", self.stats.rows_matched)
+        return payload, matched
 
     def _gather(self, columns: Sequence[str],
                 coded: frozenset = frozenset()) -> dict[str, Any]:
-        """Concatenate the masked arrays of every surviving segment.
+        """The matching rows' columns, as arrays.
 
-        Columns named in ``coded`` stay un-decoded: their value is the
-        list of per-segment parts (:class:`CodedColumn` for dict-encoded
-        segments, plain arrays otherwise) that
-        :func:`repro.store.kernels.factorize_parts` consumes directly.
+        Columns named in ``coded`` stay un-decoded: their value is a
+        :class:`CodedColumn` (codes into the view's sorted vocabulary)
+        that :meth:`_group_index` counts directly.
         """
         columns = tuple(columns)
-        parts: dict[str, list] = {name: [] for name in columns}
-        for payload, _matched in self._results(columns, coded):
-            if payload is None:
-                continue
-            for name in columns:
-                parts[name].append(payload[name])
-        return {
-            name: (chunks if name in coded
-                   else (np.concatenate(chunks) if chunks
-                         else np.empty(0,
-                                       dtype=self.kind.column(name
-                                                              ).numpy_dtype)))
-            for name, chunks in parts.items()
-        }
+        payload, _matched = self._scan(columns, coded)
+        if payload is not None:
+            return payload
+        return {name: (CodedColumn(np.empty(0, dtype=np.uint8),
+                                   np.empty(0, dtype=np.str_))
+                       if name in coded
+                       else np.empty(0, dtype=self.kind.column(name)
+                                     .numpy_dtype))
+                for name in columns}
 
     # ------------------------------------------------------------------ #
     # Terminals
@@ -535,14 +534,13 @@ class Query:
         names = columns or self.kind.column_names
         for name in names:
             self.kind.column(name)
-        return self._gather(names)
+        # Unmasked columns can be slices of the view: hand out copies.
+        return {name: array if array.flags.owndata else array.copy()
+                for name, array in self._gather(names).items()}
 
     def count(self) -> int:
         """Number of matching rows (no column data materialised)."""
-        total = 0
-        for _payload, matched in self._results(()):
-            total += matched
-        return total
+        return self._scan(())[1]
 
     def rows(self) -> list[dict]:
         """Matching rows as dicts, in ingestion order.
@@ -682,8 +680,9 @@ class Query:
         columns' cardinalities; ``group_keys`` are its sorted distinct
         values and ``key_inverse`` maps each matching row to its 0-based
         group.  The index is counted, not sorted, wherever the key space
-        is small: dictionary-coded columns factorize through
-        :func:`~repro.store.kernels.factorize_parts`, and when ``space``
+        is small: a coded column's codes already index the view's sorted
+        vocabulary, so it factorizes by
+        :func:`~repro.store.kernels.dense_unique` over them, and when ``space``
         is at most ``max(rows, 65536)`` the folded key goes through
         :func:`~repro.store.kernels.dense_unique` (``bincount`` + rank
         lookup, O(rows + space)).  A sparser key space — several fine
@@ -693,22 +692,26 @@ class Query:
         key = np.zeros(length, dtype=np.int64)
         uniques: list[np.ndarray] = []
         space = 1
-        for name in self._group_by:
-            if name in coded:
-                u, inverse = kernels.factorize_parts(arrays[name])
+        with obs.span("store.kernels.factorize"):
+            for name in self._group_by:
+                if name in coded:
+                    column = arrays[name]
+                    present, inverse = kernels.dense_unique(
+                        column.codes, column.values.size)
+                    u = column.values[present]
+                else:
+                    u, inverse = np.unique(arrays[name], return_inverse=True)
+                uniques.append(u)
+                space *= len(u)
+                if space > _MAX_KEY_SPACE:
+                    raise ValueError(
+                        f"group_by over {self._group_by}: key cardinality "
+                        f"exceeds the int64 group-key space")
+                key = key * len(u) + inverse
+            if space <= max(length, _DENSE_KEY_SPACE):
+                group_keys, key_inverse = kernels.dense_unique(key, space)
             else:
-                u, inverse = np.unique(arrays[name], return_inverse=True)
-            uniques.append(u)
-            space *= len(u)
-            if space > _MAX_KEY_SPACE:
-                raise ValueError(
-                    f"group_by over {self._group_by}: key cardinality "
-                    f"exceeds the int64 group-key space")
-            key = key * len(u) + inverse
-        if space <= max(length, _DENSE_KEY_SPACE):
-            group_keys, key_inverse = kernels.dense_unique(key, space)
-        else:
-            group_keys, key_inverse = np.unique(key, return_inverse=True)
+                group_keys, key_inverse = np.unique(key, return_inverse=True)
         return uniques, group_keys, key_inverse
 
     def _empty_columns(self) -> dict[str, np.ndarray]:

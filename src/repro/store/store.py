@@ -22,10 +22,13 @@ from the committed ``sequence`` counter (``{kind}-{sequence:06d}``), and
 one commit function writes ``MANIFEST.json`` for every writer, compaction,
 export and merge.
 
-Reads are cached per segment: segments are immutable, so once a segment's
-columns are in memory every later query and report over it is free.  That is
-what makes repeated report generation over a growing campaign incremental —
-only segments committed since the last read touch the filesystem.
+Queries read through one column view per row kind
+(:class:`~repro.store.view.KindView`): segments are immutable and append
+commits only add to the list, so the view holds each column over every
+committed segment of the kind and an append extends it by the new segments
+alone.  That is what makes repeated queries and reports over a growing
+campaign incremental — only segments committed since the last read touch
+the filesystem.  A replacement commit drops the views it invalidates.
 
 Every manifest commit advances a **generation** counter, and append commits
 record the committed segment-prefix length of each generation in a bounded
@@ -42,6 +45,7 @@ campaign is still ingesting into.
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -50,6 +54,7 @@ import numpy as np
 from repro.store import segment as segment_io
 from repro.store.schema import ROW_KINDS, RowKind, kind_for
 from repro.store.segment import SegmentMeta, StoreCorruptionError
+from repro.store.view import KindView, ViewRows
 
 __all__ = ["ResultStore", "StoreSnapshot", "StoreCorruptionError"]
 
@@ -96,7 +101,15 @@ class ResultStore:
                                 "sequence": 0, "generation": 0,
                                 "generations": []}
         self._segments: tuple[SegmentMeta, ...] = ()
+        #: Segments read through :meth:`columns_for` (compaction, export).
         self._columns_cache: dict[str, Mapping[str, np.ndarray]] = {}
+        #: kind -> the column view queries scan (:meth:`view_rows`).
+        self._views: dict[str, KindView] = {}
+        self._views_lock = threading.Lock()
+        #: View accounting: queries served by a kept view (as it was, or
+        #: extended) vs. views built from scratch.
+        self._view_hits = 0
+        self._view_misses = 0
         #: Names handed out by :meth:`_allocate_name` since the last commit.
         self._allocated = 0
         #: name -> (meta, its compact manifest JSON): entries are immutable,
@@ -141,11 +154,16 @@ class ResultStore:
         self._evict_dropped()
 
     def _evict_dropped(self) -> None:
-        """Drop the caches of segments no longer in the committed list."""
+        """Drop the caches of segments no longer in the committed list,
+        and the views that no longer describe a prefix of it."""
         live = {meta.name for meta in self._segments}
         for cache in (self._columns_cache, self._encoded):
             for name in [name for name in cache if name not in live]:
                 del cache[name]
+        with self._views_lock:
+            for kind, view in list(self._views.items()):
+                if not view.follows(self.segments_for(kind)):
+                    del self._views[kind]
 
     def _allocate_name(self, kind: str) -> str:
         """Name a new segment of ``kind`` for this handle's pending commit.
@@ -249,7 +267,7 @@ class ResultStore:
         :meth:`refresh` first to pin the latest on-disk commit).  Passing a
         ``generation`` reopens that committed prefix, as long as it is still
         in the manifest's generation log — a :class:`KeyError` otherwise.
-        The snapshot shares this store's column cache, so segments already
+        The snapshot shares this store's column views, so segments already
         read are served from memory.
         """
         if generation is None or generation == self.generation:
@@ -350,6 +368,54 @@ class ResultStore:
             self._columns_cache[meta.name] = cached
         return cached
 
+    def _load_segment(self, meta: SegmentMeta) -> Mapping[str, np.ndarray]:
+        """One segment's columns for a view, without caching them here."""
+        cached = self._columns_cache.get(meta.name)
+        if cached is not None:
+            return cached
+        return segment_io.load_columns(
+            self.segments_dir, meta, kind_for(meta.kind),
+            verify=self.verify, mmap=self.mmap)
+
+    def view_rows(self, kind: RowKind, metas: Sequence[SegmentMeta],
+                  names: Sequence[str], ranges: Sequence[tuple[int, int]],
+                  max_workers: Optional[int] = 1) -> ViewRows:
+        """Row ``ranges`` of ``kind``'s column view over ``metas``.
+
+        ``metas`` is the kind's segment list as a query source sees it
+        (this store's, or a pinned snapshot's), ``ranges`` are row ranges
+        over their concatenation, and ``names`` the columns to read.  The
+        kind's kept view serves every list that is a prefix of it or
+        extends it; a list from before a replacement commit gets a view
+        of its own that is not kept.  Segments the view lacks are read on
+        ``max_workers`` threads.
+        """
+        with self._views_lock:
+            view = self._views.get(kind.name)
+            if view is not None and view.follows(metas):
+                self._view_hits += 1
+            else:
+                view = KindView(kind)
+                self._view_misses += 1
+                if tuple(metas) == self.segments_for(kind)[:len(metas)]:
+                    self._views[kind.name] = view
+        return view.rows(metas, names, ranges, self._load_segment,
+                         max_workers)
+
+    def view_stats(self) -> dict:
+        """Accounting of the kept column views (``/v1/stats``).
+
+        ``entries`` views are kept (at most ``max_entries``, one per row
+        kind), covering ``segments`` segments in ``bytes`` of buffers;
+        ``hits`` counts scans a kept view served, as it was or extended,
+        and ``misses`` scans that built a view from scratch.
+        """
+        views = list(self._views.values())
+        return {"entries": len(views), "max_entries": len(ROW_KINDS),
+                "hits": self._view_hits, "misses": self._view_misses,
+                "segments": sum(view.segments for view in views),
+                "bytes": sum(view.nbytes for view in views)}
+
     def rows_for(self, meta: SegmentMeta) -> list[dict]:
         """Rows of one committed segment, whichever format it was sealed in."""
         return segment_io.load_rows(self.segments_dir, meta, verify=self.verify)
@@ -411,11 +477,12 @@ class StoreSnapshot:
     are invisible, so every read over the snapshot is consistent even while
     a writer appends concurrently.  :meth:`refresh` is deliberately a no-op.
 
-    Column reads delegate to the parent store, sharing its per-segment
-    cache (sealed segments are immutable, so shared entries can never go
-    stale).  The one hazard is *replacement* commits: compaction deletes
-    the files of dropped segments, so a snapshot pinned before a compaction
-    may fail reads afterwards — pin-across-append is the supported regime.
+    Column reads delegate to the parent store, sharing its column views
+    (sealed segments are immutable and appends only extend a view, so a
+    snapshot reads a prefix of the same view).  The one hazard is
+    *replacement* commits: compaction deletes the files of dropped
+    segments, so a snapshot pinned before a compaction may fail reads
+    afterwards — pin-across-append is the supported regime.
     """
 
     def __init__(self, store: ResultStore, generation: int,
@@ -446,6 +513,12 @@ class StoreSnapshot:
     def rows_for(self, meta: SegmentMeta) -> list[dict]:
         """Rows of one pinned segment, whichever format it was sealed in."""
         return self._store.rows_for(meta)
+
+    def view_rows(self, kind: RowKind, metas: Sequence[SegmentMeta],
+                  names: Sequence[str], ranges: Sequence[tuple[int, int]],
+                  max_workers: Optional[int] = 1) -> ViewRows:
+        """Row ranges of the parent store's column view (a prefix of it)."""
+        return self._store.view_rows(kind, metas, names, ranges, max_workers)
 
     # Pure segment-list reads are identical to the store's; share the
     # implementations so the two views can never diverge.

@@ -4,7 +4,7 @@ Three contracts, each asserted as exact equality (``==`` on floats — the
 engine promises bit-identity, not closeness):
 
 * **parallel == sequential** — ``arrays()``/``count()``/``aggregate()``
-  and the merged :class:`QueryStats` are identical for any worker count,
+  and :class:`QueryStats` are identical for any worker count,
   resident or memory-mapped, on randomized mixed JSONL/columnar stores;
 * **kernel == reference** — every grouped reduction through the
   vectorised kernels equals the per-group reference loop, including
@@ -23,7 +23,11 @@ engine promises bit-identity, not closeness):
   plain Python grouping; order statistics agree on the zero sign.
 
 Plus the satellite fixes: the ``in`` textual grammar, numeric ``!=``
-pushdown, vectorised ``rows()``, and the cached-query hook.
+pushdown, vectorised ``rows()``; and the column views: every terminal
+through a store's life (append, pinned snapshot, compaction, fresh
+handle) equals the per-segment loop they replaced, kept here as the
+oracle, and a kept view is reused, extended and rebuilt as commits
+require.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from hypothesis import example, given, settings, strategies as st
 from legacy_segments import append_jsonl, jsonl_store
 
 from repro.campaign import synthetic_fleet_batch
-from repro.store import ResultStore
+from repro.store import ResultStore, StoreCorruptionError, compact_store
 from repro.store import kernels
 from repro.store.columnar import CodedColumn
 from repro.store.query import Predicate, QueryStats, parse_predicate
@@ -554,6 +558,120 @@ def _drawn_store(root, chunks) -> ResultStore:
     return store
 
 
+#: Predicates that also prune: ``time_s`` is sorted within each batch, so a
+#: bound on it rules out whole segments by their min/max stats.
+_PRUNING_PREDICATES = st.one_of(
+    _PREDICATES,
+    st.tuples(st.just("time_s"), st.sampled_from(("<", ">=")),
+              st.sampled_from((15000.0, 60000.0))),
+    st.tuples(st.just("target"), st.just("=="), st.just("cloud")),
+)
+
+#: Reductions the view differential test checks against the oracle.
+_ORACLE_AGGS = {"n": ("latency_ms", "count"), "mean": ("latency_ms", "mean"),
+                "p99": ("latency_ms", "p99"), "energy": ("energy_mj", "sum"),
+                "bytes": ("cloud_bytes", "sum"),
+                "first": ("model_name", "min")}
+
+
+def _oracle_scan(source, predicates, columns):
+    """The per-segment loop the column view replaced: the semantic reference.
+
+    Each segment is pruned by its manifest stats, read on its own
+    (``columns_for``), masked with decoded arrays, and its surviving rows
+    are concatenated in manifest order; the accounting is per segment.
+    """
+    kind = kind_for("fleet_events")
+    tests = [(Predicate(column, op, value), kind.column(column))
+             for column, op, value in predicates]
+    stats = QueryStats()
+    parts: dict[str, list] = {name: [] for name in columns}
+    for meta in source.segments_for("fleet_events"):
+        stats.segments_total += 1
+        if not all(p.may_match(meta, spec) for p, spec in tests):
+            stats.segments_skipped += 1
+            continue
+        loaded = source.columns_for(meta)
+        mask = None
+        for predicate, _spec in tests:
+            part = predicate.mask(loaded[predicate.column])
+            mask = part if mask is None else mask & part
+        matched = meta.rows if mask is None else int(mask.sum())
+        stats.segments_scanned += 1
+        stats.rows_scanned += meta.rows
+        stats.rows_matched += matched
+        if matched:
+            for name in columns:
+                parts[name].append(loaded[name] if mask is None
+                                   else loaded[name][mask])
+    arrays = {name: (np.concatenate(chunks) if chunks else
+                     np.empty(0, dtype=kind.column(name).numpy_dtype))
+              for name, chunks in parts.items()}
+    return arrays, stats
+
+
+def _oracle_grouped(arrays, keys) -> list[dict]:
+    """Grouped rows of ``_ORACLE_AGGS`` by a Python grouping of the rows."""
+    groups: dict[tuple, list[int]] = {}
+    for index, key in enumerate(zip(*(arrays[k].tolist() for k in keys))):
+        groups.setdefault(key, []).append(index)
+    rows = []
+    for key in sorted(groups):
+        members = np.array(groups[key])
+        row = dict(zip(keys, key))
+        for out, (column, fn) in _ORACLE_AGGS.items():
+            row[out] = kernels.REFERENCE_REDUCERS[fn](arrays[column][members])
+        rows.append(row)
+    return rows
+
+
+def _assert_matches_oracle(source, oracle_source, predicates, keys, workers,
+                           label):
+    """Every terminal over ``source`` equals the oracle over its twin."""
+    from repro.store.query import AGGREGATIONS
+
+    kind = kind_for("fleet_events")
+    names = kind.column_names
+    expected, expected_stats = _oracle_scan(oracle_source, predicates, names)
+
+    def query():
+        built = source.query("fleet_events", max_workers=workers)
+        for column, op, value in predicates:
+            built.where(column, op, value)
+        return built
+
+    scan = query()
+    arrays = scan.arrays()
+    assert list(arrays) == list(names), label
+    for name in names:
+        assert arrays[name].dtype.kind == expected[name].dtype.kind, (label,
+                                                                      name)
+        if arrays[name].dtype.kind != "U":
+            assert arrays[name].dtype == expected[name].dtype, (label, name)
+        assert np.array_equal(arrays[name], expected[name]), (label, name)
+    assert scan.stats == expected_stats, label
+    counted = query()
+    assert counted.count() == expected_stats.rows_matched, label
+    assert counted.stats == expected_stats, label
+
+    rows = _oracle_grouped(expected, keys)
+    grouped = query().group_by(*keys).agg(**_ORACLE_AGGS)
+    assert _typed(grouped.aggregate()) == _typed(rows), label
+    assert grouped.stats == expected_stats, label
+    columns = query().group_by(*keys).agg(**_ORACLE_AGGS).aggregate_arrays()
+    assert _typed(_zip_columns(columns)) == _typed(rows), label
+    length = expected_stats.rows_matched
+    # Ungrouped reductions over the numeric columns (the ungrouped string
+    # min/max has no NumPy loop, in either engine).
+    numeric = {out: spec for out, spec in _ORACLE_AGGS.items()
+               if kind.column(spec[0]).is_numeric}
+    ungrouped = query().agg(**numeric).aggregate()
+    assert ungrouped == {
+        out: (AGGREGATIONS[fn](expected[column]) if length
+              else (0 if fn == "count" else None))
+        for out, (column, fn) in numeric.items()}, label
+
+
 class TestParallelBitIdentity:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_SEGMENT_FORMATS),
@@ -600,6 +718,63 @@ class TestParallelBitIdentity:
                 assert _typed(aggregate) == _typed(expected[1]), label
                 assert (scan_stats, grouped_stats) == expected[2:], label
 
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_SEGMENT_FORMATS),
+                              st.integers(1, 80), st.integers(0, 3)),
+                    min_size=1, max_size=3),
+           st.lists(st.tuples(st.sampled_from(_SEGMENT_FORMATS),
+                              st.integers(1, 70), st.integers(4, 6)),
+                    min_size=1, max_size=2),
+           st.lists(_PRUNING_PREDICATES, max_size=2),
+           st.lists(st.sampled_from(("device_name", "region", "target",
+                                     "cloud_api")),
+                    min_size=1, max_size=2, unique=True))
+    def test_view_equals_per_segment_oracle(self, chunks, appended,
+                                            predicates, keys):
+        """The column view through a store's life equals the per-segment
+        loop: append+flush, an older pinned snapshot, compaction and a
+        fresh handle, for every mmap x worker count."""
+        for mmap in (False, True):
+            for workers in (1, 2):
+                with tempfile.TemporaryDirectory() as tmp:
+                    root = _drawn_store(Path(tmp) / "s", chunks).root
+                    live = ResultStore(root, mmap=mmap)
+                    label = f"mmap={mmap} workers={workers}"
+                    _assert_matches_oracle(live, ResultStore(root),
+                                           predicates, keys, workers,
+                                           f"{label} initial")
+                    pinned = live.open_snapshot()
+                    kind = kind_for("fleet_events")
+                    for index, (fmt, rows, seed) in enumerate(appended):
+                        batch = synthetic_fleet_batch(50 + index, rows,
+                                                      seed=seed)
+                        if fmt == "jsonl":
+                            append_jsonl(live, "fleet_events",
+                                         _rows_of(kind, batch),
+                                         rows_per_segment=32)
+                            live.refresh()
+                        else:
+                            with live.writer(
+                                    rows_per_segment=32,
+                                    compress=fmt == "compressed") as writer:
+                                writer.append_batch("fleet_events", batch)
+                                writer.flush()
+                    _assert_matches_oracle(live, ResultStore(root),
+                                           predicates, keys, workers,
+                                           f"{label} appended")
+                    _assert_matches_oracle(
+                        pinned,
+                        ResultStore(root).open_snapshot(
+                            generation=pinned.generation),
+                        predicates, keys, workers, f"{label} pinned")
+                    compact_store(live, rows_per_segment=48)
+                    _assert_matches_oracle(live, ResultStore(root),
+                                           predicates, keys, workers,
+                                           f"{label} compacted")
+                    _assert_matches_oracle(ResultStore(root, mmap=mmap),
+                                           ResultStore(root), predicates,
+                                           keys, workers, f"{label} fresh")
+
     @pytest.mark.parametrize("workers", [2, 8, None])
     def test_thread_scans_identical(self, tmp_path, workers):
         store = mixed_store(tmp_path / "s")
@@ -611,7 +786,7 @@ class TestParallelBitIdentity:
         for name in expected:
             assert expected[name].dtype == actual[name].dtype
             assert np.array_equal(expected[name], actual[name])
-        assert parallel.stats == sequential.stats  # exact-addition merge
+        assert parallel.stats == sequential.stats
         assert (full_query(store, max_workers=workers).aggregate()
                 == full_query(store).aggregate())
         assert (full_query(store, max_workers=workers).count()
@@ -819,60 +994,97 @@ class TestRowsVectorised:
 
 
 # --------------------------------------------------------------------------- #
-# Cached queries ride the same hook
+# Column views: kept per kind, reused and extended
 # --------------------------------------------------------------------------- #
-class TestCachedQueryHook:
-    def test_hits_bit_identical_including_coded_groups(self, tmp_path):
-        from repro.serve import ServeCache
-        from repro.serve.cache import CachedQuery
-
+class TestKindViewReuse:
+    def test_reused_view_bit_identical_including_coded_groups(self,
+                                                              tmp_path):
         store = mixed_store(tmp_path / "s")
-        kind = kind_for("fleet_events")
-        cache = ServeCache()
 
-        def build():
-            query = CachedQuery(store, kind, cache=cache, fragment="f")
-            return (query.where("target", "==", "device")
+        def build(source):
+            return (source.query("fleet_events")
+                    .where("target", "==", "device")
                     .group_by("device_name")
                     .agg(n=("latency_ms", "count"),
                          s=("latency_ms", "sum")))
 
-        cold = build()
+        cold = build(store)
         cold_result = cold.aggregate()
         assert cold.stats.segments_scanned + cold.stats.segments_skipped \
             == cold.stats.segments_total
-        warm = build()
+        built = store.view_stats()
+        assert (built["entries"], built["misses"]) == (1, 1)
+        warm = build(store)
         assert warm.aggregate() == cold_result
-        assert warm.stats.segments_cached == warm.stats.segments_total
-        plain = (store.query("fleet_events").where("target", "==", "device")
-                 .group_by("device_name")
-                 .agg(n=("latency_ms", "count"), s=("latency_ms", "sum")))
-        assert plain.aggregate() == cold_result
+        assert warm.stats == cold.stats
+        assert warm.stats.segments_cached == 0
+        reused = store.view_stats()
+        assert reused["misses"] == 1 and reused["hits"] == built["hits"] + 1
+        assert reused["segments"] == len(store.segments_for("fleet_events"))
+        # A snapshot reads the same kept view.
+        assert build(store.open_snapshot()).aggregate() == cold_result
+        assert store.view_stats()["misses"] == 1
+        assert build(ResultStore(store.root)).aggregate() == cold_result
 
-    def test_cached_count_and_stats(self, tmp_path):
-        from repro.serve import ServeCache
-        from repro.serve.cache import CachedQuery
-
+    def test_count_and_stats_from_reused_view(self, tmp_path):
         store = mixed_store(tmp_path / "s")
-        kind = kind_for("fleet_events")
-        cache = ServeCache()
-        first = CachedQuery(store, kind, cache=cache, fragment="c")
-        first.where("target", "==", "cloud")
+        first = store.query("fleet_events").where("target", "==", "cloud")
         expected = first.count()
-        second = CachedQuery(store, kind, cache=cache, fragment="c")
-        second.where("target", "==", "cloud")
+        second = store.query("fleet_events").where("target", "==", "cloud")
         assert second.count() == expected
-        assert second.stats.segments_cached == second.stats.segments_total
-        assert second.stats.rows_scanned == 0
+        assert second.stats == first.stats
+        assert store.view_stats()["misses"] == 1
+        # Counting every row reads no column at all.
+        fresh = ResultStore(store.root)
+        assert fresh.query("fleet_events").count() \
+            == store.num_rows("fleet_events")
+        assert fresh.view_stats()["entries"] == 0
 
+    def test_append_extends_and_vocabulary_growth_widens_codes(self,
+                                                               tmp_path):
+        """New values remap held codes into a wider buffer; a snapshot
+        pinned before the append still reads its own prefix."""
+        store = ResultStore(tmp_path / "s")
+        with store.writer(rows_per_segment=40) as writer:
+            writer.append_batch("fleet_events", synthetic_fleet_batch(0, 80))
+        query = store.query("fleet_events").group_by("model_name").agg(
+            n=("latency_ms", "count"))
+        before = query.aggregate()
+        pinned = store.open_snapshot()
+        batch = synthetic_fleet_batch(1, 300)
+        batch["model_name"] = np.array([f"m{index:03d}"
+                                        for index in range(300)])
+        with store.writer(rows_per_segment=100) as writer:
+            writer.append_batch("fleet_events", batch)
+        grown = store.query("fleet_events").group_by("model_name").agg(
+            n=("latency_ms", "count")).aggregate()
+        assert len(grown) == len(before) + 300
+        assert store.view_stats()["misses"] == 1
+        assert store.view_stats()["segments"] == 5
+        codes = store._views["fleet_events"]._state.columns["model_name"]
+        assert codes.data.dtype == np.uint16
+        assert pinned.query("fleet_events").group_by("model_name").agg(
+            n=("latency_ms", "count")).aggregate() == before
+        names = store.query("fleet_events").arrays("model_name")["model_name"]
+        expected = np.concatenate([synthetic_fleet_batch(0, 80)["model_name"],
+                                   batch["model_name"]])
+        assert np.array_equal(names, expected)
 
-class TestQueryStatsMerge:
-    def test_merge_is_exact_addition(self):
-        total = QueryStats()
-        total.merge(QueryStats(segments_total=1, segments_scanned=1,
-                               rows_scanned=10, rows_matched=3))
-        total.merge(QueryStats(segments_total=1, segments_skipped=1))
-        total.merge(QueryStats(segments_total=1, segments_cached=1))
-        assert total == QueryStats(segments_total=3, segments_skipped=1,
-                                   segments_scanned=1, segments_cached=1,
-                                   rows_scanned=10, rows_matched=3)
+    def test_replacement_commit_rebuilds_the_view(self, tmp_path):
+        store = mixed_store(tmp_path / "s")
+        expected = store.query("fleet_events").arrays("latency_ms", "region")
+        pinned = store.open_snapshot()
+        compact_store(store, rows_per_segment=100)
+        assert store.view_stats()["entries"] == 0  # dropped, not patched
+        again = store.query("fleet_events").arrays("latency_ms", "region")
+        for name in expected:
+            assert np.array_equal(again[name], expected[name])
+        assert store.view_stats()["misses"] == 2
+        assert store.view_stats()["segments"] == len(
+            store.segments_for("fleet_events"))
+        # The pre-compaction snapshot's files are gone; its read fails
+        # rather than answering from the rebuilt view.
+        with pytest.raises(StoreCorruptionError):
+            pinned.query("fleet_events").arrays("latency_ms")
+        assert store.view_stats()["segments"] == len(
+            store.segments_for("fleet_events"))

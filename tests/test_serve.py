@@ -4,8 +4,8 @@ The contract under test is the PR 9 tentpole: every served response is
 evaluated against one pinned manifest generation and is bit-identical to
 the offline ``store query`` / ``store report --json`` paths at that
 generation — including while a StoreWriter commits into the same
-directory — and the serve cache accelerates repeats without changing a
-byte.  Bit-identity is always asserted through JSON text, the wire
+directory — and the result cache and the store's column views accelerate
+repeats without changing a byte.  Bit-identity is always asserted through JSON text, the wire
 format, so float formatting differences cannot hide.
 """
 
@@ -328,14 +328,18 @@ class TestQueryServiceAndRouter:
         assert cache.stats()["result"]["hits"] == hits_before + 1
         assert dumps(first) == dumps(second)
 
-    def test_segment_cache_survives_generation_advance(self, stack):
+    def test_view_extends_across_generation_advance(self, stack):
         manager, service, router, cache = stack
         target = "/v1/query?kind=fleet_events&group_by=region&agg=discharge_mah:sum"
         _, first = router.dispatch("GET", target)
-        old_segments = len(manager.store.segments)
+        views = cache.stats()["segment"]
+        assert views["entries"] == 1 and views["misses"] == 1
+        assert views["segments"] == first["stats"]["segments_scanned"]
+        assert views["bytes"] > 0
         assert first["stats"]["segments_cached"] == 0
-        # New commits arrive; the result tier is evicted but the segment tier
-        # answers every previously seen segment without a scan.
+        # New commits arrive; the result tier is evicted, and the kind's
+        # column view extends by the two new segments instead of being
+        # rebuilt.
         with ResultStore(manager.store.root).writer(
                 rows_per_segment=128) as writer:
             writer.append_batch("fleet_events", synthetic_fleet_batch(7, 200))
@@ -343,7 +347,11 @@ class TestQueryServiceAndRouter:
         assert manager.poll() is True
         _, second = router.dispatch("GET", target)
         assert second["generation"] > first["generation"]
-        assert second["stats"]["segments_cached"] == old_segments
+        extended = cache.stats()["segment"]
+        assert extended["misses"] == 1
+        assert extended["hits"] == views["hits"] + 1
+        assert extended["segments"] == views["segments"] + 2
+        assert second["stats"]["segments_scanned"] == extended["segments"]
         # And the sums still equal a cold offline evaluation.
         offline = (ResultStore(manager.store.root).query("fleet_events")
                    .group_by("region").agg(discharge_mah_sum=("discharge_mah",
