@@ -6,10 +6,11 @@ A campaign run is four deterministic steps:
    contiguous, balanced half-open ranges.  Contiguity matters: adopting
    shard segments in shard order then reproduces the unsharded run's
    (user, time) event order exactly.
-2. **Simulate** — each :class:`ShardTask` runs in its own process
-   (:func:`~repro.runtime.pool.iter_mapped_chunks` over the task list),
-   streaming its users into a shard-local store a simulated block at a
-   time (:func:`~repro.fleet.simulator.append_block`, exactly the
+2. **Simulate** — the coordinator runs the first :class:`ShardTask` (and
+   every ``max_parallel``-th after it) itself and the rest in shard
+   processes (:func:`~repro.runtime.pool.iter_mapped_chunks` over the task
+   list), each streaming its users into a shard-local store a simulated
+   block at a time (:func:`~repro.fleet.simulator.append_block`, exactly the
    ``run_to_store`` path) and counting each block's offloads into the
    shard's :class:`~repro.cloud.load.LoadProfile`
    (:meth:`~repro.cloud.load.LoadProfile.add_block`).  Per-user seeds
@@ -81,7 +82,8 @@ def shard_ranges(num_users: int, shards: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One shard's work order (pickled into its worker process)."""
+    """One shard's work order (pickled into its shard process, unless the
+    coordinator runs it itself)."""
 
     spec: FleetSpec
     shard_index: int
@@ -107,12 +109,13 @@ class ShardResult:
 
 
 def _run_shard(task: ShardTask) -> ShardResult:
-    """Simulate one user range into its shard-local store (worker body).
+    """Simulate one user range into its shard-local store (shard body).
 
     ``ShardResult.seconds`` derives from the shard's ``campaign.shard``
     span (forced, so it measures even with telemetry off); with telemetry
-    on the same span rides back through the pool and re-parents under the
-    coordinator's ``campaign.simulate``.
+    on the span lands under the coordinator's ``campaign.simulate`` —
+    directly for the shard the coordinator runs itself, re-parented after
+    riding back through the pool for the others.
     """
     span = obs.span("campaign.shard", shard=task.shard_index,
                     items=task.hi - task.lo, force=True)
@@ -174,11 +177,14 @@ def run_campaign(spec: FleetSpec, root: Union[str, Path], *,
     ``root`` becomes the campaign directory: ``shard-NNNN.store`` per
     shard plus the queryable ``merged.store``.  ``shards`` fixes the
     user-range split (output is bit-identical for any value);
-    ``max_parallel`` caps concurrently running shard processes (default:
-    one per CPU; never more processes than shards).  Shard stores are
-    left in place after the merge — their event segments are hard links to
-    the merged store's files, so they cost directory entries, not data;
-    delete them freely.
+    ``max_parallel`` caps the shards simulated at once, this process
+    included (default: one per CPU; never more than shards).  This
+    process simulates the first of every ``max_parallel`` consecutive
+    shards itself while a pool of ``max_parallel - 1`` shard processes
+    takes the others, so ``max_parallel=1`` forks nothing.  Shard stores
+    are left in place after the merge — their event segments are hard
+    links to the merged store's files, so they cost directory entries, not
+    data; delete them freely.
     """
     root = Path(root)
     merged = ResultStore(root / "merged.store")
@@ -202,7 +208,7 @@ def run_campaign(spec: FleetSpec, root: Union[str, Path], *,
         shard_results = tuple(iter_mapped_chunks(
             _run_shard_chunk, tasks,
             max_workers=max_parallel, chunk_size=1,
-            use_processes=use_processes and len(tasks) > 1,
+            use_processes=use_processes,
         ))
 
     merge_span = obs.span("campaign.merge", items=len(tasks), force=True)

@@ -1335,9 +1335,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="cloud demand-grid bin width")
     campaign_run.add_argument("--max-parallel", type=_positive_int,
                               default=None,
-                              help="concurrently running shard processes "
-                                   "(default: one per CPU; never more than "
-                                   "--shards)")
+                              help="shards simulated at once, this "
+                                   "process included: it runs the first "
+                                   "of every N shards itself, so 1 forks "
+                                   "nothing (default: one per CPU; never "
+                                   "more than --shards)")
     campaign_run.add_argument("--telemetry", default=None, metavar="PATH",
                               help="run with telemetry enabled and persist "
                                    "the metrics/spans into a sidecar store "

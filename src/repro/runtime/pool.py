@@ -22,20 +22,27 @@ cost.  Process fan-out (``use_processes``, with a picklable chunk
 callable) belongs to the campaign coordinator's shard processes
 (:func:`repro.campaign.run_campaign`), whose per-shard work does.
 
+On the process branch the caller is one of the workers: of every
+``max_workers`` consecutive slices it runs the first itself, unpickled,
+while a pool one worker smaller works on the others, and it drains the
+pool's results in slice order.  A worker cap therefore counts the
+caller, and a cap of one (or a single slice) forks nothing.
+
 Being the single fan-out point also makes this the single telemetry
 stitch point (:mod:`repro.obs`): when a collector is enabled, process
 workers run each chunk under a fresh worker-local collector and ship its
 snapshot back alongside the results — exactly as ``MergeStats`` rides
 back from campaign shards — and the coordinator absorbs it, re-parenting
-the worker's spans under whichever span submitted the fan-out.  Thread
-workers share the coordinator's collector directly and only need their
-parent stack seeded.  With telemetry disabled (the default), the only
-extra cost on this path is one ``get_collector()`` check per call.
+the worker's spans under whichever span submitted the fan-out.  The
+slice the caller runs itself records straight into the coordinator's
+collector, under that same span.  Thread workers share the coordinator's
+collector directly and only need their parent stack seeded.  With
+telemetry disabled (the default), the only extra cost on this path is one
+``get_collector()`` check per call.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from collections import deque
 from concurrent import futures
@@ -76,11 +83,13 @@ def iter_mapped_chunks(
     slice's results in slice order (one per item, or one per group of
     items, as the fleet simulator's blocks are); the iterator yields the
     concatenation in the original item order.  Slices hold ``chunk_size``
-    items (one when it is not given) and the pool never gets more workers
-    than slices.  With one worker (and no process pool) everything runs
-    inline — no pool, no reordering risk, no pickling.  ``run_chunk`` must
-    be picklable when ``use_processes`` is set (e.g. a bound method of a
-    picklable object).
+    items (one when it is not given) and never more workers run than
+    there are slices.  With one worker everything runs inline — no pool,
+    no reordering risk, no pickling.  With ``use_processes`` the caller
+    counts as one of the ``max_workers``: it runs every ``max_workers``-th
+    slice itself, the first among them, beside a process pool one worker
+    smaller that takes the rest.  ``run_chunk`` must be picklable when
+    ``use_processes`` is set (e.g. a bound method of a picklable object).
     """
     if chunk_size is not None and chunk_size <= 0:
         raise ValueError("chunk_size must be positive when given")
@@ -92,38 +101,63 @@ def iter_mapped_chunks(
         collector.count("pool.items_mapped", len(items))
     chunk = chunk_size or 1
     workers = resolve_workers(-(-len(items) // chunk), max_workers)
-    if workers <= 1 and not use_processes:
+    if workers <= 1:
         for lo in range(0, len(items), chunk):
             yield from run_chunk(items[lo:lo + chunk])
         return
 
-    chunk_iter = (items[i:i + chunk] for i in range(0, len(items), chunk))
+    slices = enumerate(items[i:i + chunk]
+                       for i in range(0, len(items), chunk))
 
+    submitted = run_chunk
+    pool_workers = workers
     stitch_parent: Optional[int] = None
-    if collector is not None:
-        parent_id = collector.current_span_id()
-        if use_processes:
-            run_chunk = _CollectingChunk(run_chunk)
-            stitch_parent = parent_id
-        else:
-            run_chunk = _seeded_chunk(run_chunk, collector, parent_id)
+    if use_processes:
+        # The caller is a worker too: it runs every ``workers``-th slice,
+        # the first among them, and the pool is one worker smaller, so
+        # forking never outnumbers the cap.
+        pool_workers -= 1
+        if collector is not None:
+            submitted = _CollectingChunk(run_chunk)
+            stitch_parent = collector.current_span_id()
+    elif collector is not None:
+        submitted = _seeded_chunk(run_chunk, collector,
+                                  collector.current_span_id())
 
     pool_cls = (futures.ProcessPoolExecutor if use_processes
                 else futures.ThreadPoolExecutor)
-    with pool_cls(max_workers=workers) as pool:
-        in_flight: deque = deque()
-        for slice_ in itertools.islice(chunk_iter, workers * 2):
-            in_flight.append(pool.submit(run_chunk, slice_))
-        while in_flight:
-            batch = in_flight.popleft().result()
-            next_slice = next(chunk_iter, None)
-            if next_slice is not None:
-                in_flight.append(pool.submit(run_chunk, next_slice))
+    with pool_cls(max_workers=pool_workers) as pool:
+        # In slice order: the pool's futures and the caller's own slices.
+        pending: deque = deque()
+        in_pool = 0
+
+        def top_up() -> None:
+            nonlocal in_pool
+            while in_pool < pool_workers * 2:
+                index, slice_ = next(slices, (0, None))
+                if slice_ is None:
+                    return
+                if use_processes and index % workers == 0:
+                    pending.append(slice_)
+                else:
+                    pending.append(pool.submit(submitted, slice_))
+                    in_pool += 1
+
+        top_up()
+        while pending:
+            head = pending.popleft()
+            if not isinstance(head, futures.Future):
+                # Runs while the pool works, its spans directly under the
+                # submitting span.
+                yield from run_chunk(head)
+                continue
+            batch = head.result()
+            in_pool -= 1
+            top_up()
             if stitch_parent is not None:
                 batch, snapshot = batch
                 collector.absorb(snapshot, parent_id=stitch_parent)
             yield from batch
-
 
 def iter_mapped(
     run_item: Callable[[ItemT], ResultT],

@@ -39,9 +39,16 @@ column's buffer section (values table + codes for dict columns, the array
 memory for raw ones) is stored zlib-deflated, with ``"raw_nbytes"``
 recording the uncompressed section length and ``"nbytes"`` the stored
 (compressed) length.  Compression is chosen per column at pack time and
-only kept when it actually shrinks the section, so incompressible float
-noise stays raw (and zero-copy readable) while repetitive columns shrink.
-The segment checksum always covers the durable bytes — i.e. the
+only kept when it actually shrinks the section; a section it does not
+shrink stays raw (and zero-copy readable).  A raw section whose values
+are wider than one byte is byte-shuffled before it is deflated — byte
+``k`` of every value stored together, the HDF5/Blosc shuffle filter — and
+its entry records ``"shuffle": <itemsize>``.  Shuffling puts the
+near-constant high bytes of integers and the sign/exponent bytes of
+floats into long runs that deflate well even at the fast level 1, where
+interleaved float columns barely shrink.  Entries without ``"shuffle"``
+(every segment written before it existed) inflate straight to the value
+buffer.  The segment checksum always covers the durable bytes — i.e. the
 *compressed* payload for compressed columns.
 
 Reads come in two flavours: :func:`unpack_columns` decodes every column
@@ -101,9 +108,10 @@ _HEADER_LEN = struct.Struct("<I")
 #: would eat the savings and every read would pay a pointless inflate.
 COMPRESS_MIN_BYTES = 64
 
-#: zlib level for compressed columns: 6 is the speed/size sweet spot for
-#: the repetitive integer/string sections that actually win here.
-COMPRESS_LEVEL = 6
+#: zlib level for compressed columns.  Byte-shuffled numeric sections are
+#: long runs that level 1 already deflates about as well as level 6, at a
+#: fraction of the compression time.
+COMPRESS_LEVEL = 1
 
 
 def coerce_batch(kind: RowKind, columns: Mapping[str, np.ndarray]
@@ -219,17 +227,43 @@ def _codes_dtype(num_values: int) -> str:
     return "<u4"
 
 
-def _maybe_compress(entry: dict, section: bytes, compress: bool) -> bytes:
+def _shuffle(section: bytes, itemsize: int) -> bytes:
+    """Byte-shuffle a value buffer (byte ``k`` of every value together)."""
+    return np.frombuffer(section, np.uint8).reshape(-1, itemsize).T.tobytes()
+
+
+def _unshuffle(section: bytes, dtype: np.dtype) -> np.ndarray:
+    """The values of a byte-shuffled buffer, as a read-only array.
+
+    The inverse of :func:`_shuffle`; the array owns its memory and is
+    read-only through its whole base chain.
+    """
+    count = len(section) // dtype.itemsize
+    planes = np.frombuffer(section, np.uint8).reshape(dtype.itemsize, count)
+    values = np.ascontiguousarray(planes.T)
+    values.setflags(write=False)
+    return values.view(dtype).reshape(count)
+
+
+def _maybe_compress(entry: dict, section: bytes, compress: bool, *,
+                    shuffle: int = 0) -> bytes:
     """Deflate one column's buffer section when that actually helps.
 
     Mutates ``entry`` to record the compression and both byte lengths; the
     stored ``nbytes`` is always the on-disk section length (what offsets
-    are computed from), ``raw_nbytes`` the decoded one.
+    are computed from), ``raw_nbytes`` the decoded one.  ``shuffle`` (the
+    value width of a raw numeric section, 0 for none) byte-shuffles the
+    section before it is deflated; it is recorded only when the deflated
+    section is kept.
     """
     if compress and len(section) >= COMPRESS_MIN_BYTES:
-        deflated = zlib.compress(section, COMPRESS_LEVEL)
+        deflated = zlib.compress(
+            _shuffle(section, shuffle) if shuffle else section,
+            COMPRESS_LEVEL)
         if len(deflated) < len(section):
             entry["compression"] = "zlib"
+            if shuffle:
+                entry["shuffle"] = shuffle
             entry["raw_nbytes"] = len(section)
             entry["nbytes"] = len(deflated)
             return deflated
@@ -246,8 +280,9 @@ def pack_columns(kind: RowKind, columns: Mapping[str, np.ndarray], *,
     distinct-value array — computed here anyway to choose the encoding, and
     reusable for the manifest's pruning stats so sealing a segment runs
     ``np.unique`` once per column, not twice.  ``compress`` opts each
-    column's buffer section into per-column zlib (kept only when smaller;
-    see the module docstring for the header fields).
+    column's buffer section into per-column zlib (kept only when smaller,
+    numeric values byte-shuffled first; see the module docstring for the
+    header fields).
     """
     buffers: list[bytes] = []
     entries: list[dict] = []
@@ -277,7 +312,10 @@ def pack_columns(kind: RowKind, columns: Mapping[str, np.ndarray], *,
                 continue
         entry = {"name": column.name, "encoding": "raw",
                  "dtype": array.dtype.str}
-        buffers.append(_maybe_compress(entry, array.tobytes(), compress))
+        itemsize = array.dtype.itemsize
+        numeric = array.dtype.kind in "iuf" and itemsize > 1
+        buffers.append(_maybe_compress(entry, array.tobytes(), compress,
+                                       shuffle=itemsize if numeric else 0))
         entries.append(entry)
     header = json.dumps({"kind": kind.name, "rows": rows,
                          "columns": entries},
@@ -322,7 +360,8 @@ def _parse_entry(entry: Mapping, offset: int, payload_len: int,
     plan = {"name": name, "offset": offset, "nbytes": nbytes,
             "raw_nbytes": raw_nbytes, "dtype": dtype,
             "compression": compression,
-            "encoding": entry.get("encoding", "raw")}
+            "encoding": entry.get("encoding", "raw"),
+            "shuffle": _parse_shuffle(entry, name, dtype, compression)}
     if plan["encoding"] == "dict":
         try:
             values_nbytes = int(entry["values_nbytes"])
@@ -355,6 +394,28 @@ def _parse_entry(entry: Mapping, offset: int, payload_len: int,
                 f"column {name!r} decodes to {raw_nbytes // dtype.itemsize} "
                 f"values, expected {rows}")
     return plan
+
+
+def _parse_shuffle(entry: Mapping, name: str, dtype: np.dtype,
+                   compression: Optional[str]) -> bool:
+    """Whether a header entry's section is byte-shuffled, validated.
+
+    ``"shuffle"`` is legal only on a compressed raw entry and only as the
+    integer width of its values (wider than one byte); anything else is
+    a corrupt header.
+    """
+    if "shuffle" not in entry:
+        return False
+    shuffle = entry["shuffle"]
+    if compression is None or entry.get("encoding", "raw") != "raw":
+        raise ValueError(
+            f"column {name!r} is shuffled but not a compressed raw section")
+    if type(shuffle) is not int or shuffle < 2 \
+            or shuffle != dtype.itemsize:
+        raise ValueError(
+            f"column {name!r} has shuffle {shuffle!r}, which is not the "
+            f"width of its {dtype} values")
+    return True
 
 
 def _decode_dict(source, start: int, plan: dict, rows: int) -> CodedColumn:
@@ -410,8 +471,9 @@ def _decode_column(payload, plan: dict, rows: int) -> np.ndarray:
 
     Uncompressed sections decode as zero-copy ``frombuffer`` views of
     ``payload`` (bytes or an ``mmap``); compressed ones inflate into a
-    fresh immutable ``bytes`` first.  Dictionary columns additionally
-    gather their decoded values — the one materialising step.
+    fresh immutable ``bytes`` first, and shuffled ones are then gathered
+    back into value order.  Dictionary columns additionally gather their
+    decoded values — the one materialising step.
     """
     name = plan["name"]
     source, start = _inflated_section(payload, plan)
@@ -420,9 +482,12 @@ def _decode_column(payload, plan: dict, rows: int) -> np.ndarray:
         array = _decode_dict(source, start, plan, rows).decode()
         array.setflags(write=False)
         return array
-    array = np.frombuffer(source, dtype=dtype,
-                          count=plan["raw_nbytes"] // dtype.itemsize,
-                          offset=start)
+    if plan["shuffle"]:
+        array = _unshuffle(source, dtype)
+    else:
+        array = np.frombuffer(source, dtype=dtype,
+                              count=plan["raw_nbytes"] // dtype.itemsize,
+                              offset=start)
     if array.size != rows:
         raise ValueError(
             f"column {name!r} decodes to {array.size} values, "

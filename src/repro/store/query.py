@@ -79,6 +79,20 @@ __all__ = ["Predicate", "Query", "QueryStats", "AGGREGATIONS",
 
 _OPS = ("==", "!=", "<", "<=", ">", ">=", "in")
 
+
+def _extremum(a: np.ndarray, *, last: bool):
+    """``min``/``max`` of a 1-D array as a native scalar.
+
+    NumPy has no min/max loop for unicode arrays, so a string column
+    reads the end of its sorted values instead — what
+    :meth:`~repro.store.kernels.GroupedReducer.reduce_array` answers for
+    a single group.
+    """
+    if a.dtype.kind == "U":
+        return np.sort(a)[-1 if last else 0].item()
+    return (a.max() if last else a.min()).item()
+
+
 #: Reduction name -> NumPy implementation over a 1-D array.  These define
 #: the *ungrouped* aggregation semantics; grouped aggregation is defined
 #: by :data:`repro.store.kernels.REFERENCE_REDUCERS` (identical except for
@@ -88,8 +102,8 @@ AGGREGATIONS: dict[str, Callable[[np.ndarray], float]] = {
     "sum": lambda a: a.sum().item(),
     "mean": lambda a: np.mean(a).item(),
     "median": lambda a: np.median(a).item(),
-    "min": lambda a: a.min().item(),
-    "max": lambda a: a.max().item(),
+    "min": lambda a: _extremum(a, last=False),
+    "max": lambda a: _extremum(a, last=True),
     "std": lambda a: np.std(a).item(),
     # Tail percentiles (fleet tail-latency reports under load).
     "p50": lambda a: np.quantile(a, 0.50).item(),

@@ -98,6 +98,29 @@ class TestBitIdentity:
         for name, ref in _events(baseline.store).items():
             assert np.array_equal(_events(result.store)[name], ref), name
 
+    def test_one_parallel_shard_forks_nothing(self, spec, baseline,
+                                              tmp_path, monkeypatch):
+        """``max_parallel`` counts the coordinator, so a cap of one runs
+        every shard in this process, identically to the inline run."""
+        from repro.runtime import pool
+
+        class NoFork:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was constructed")
+
+        monkeypatch.setattr(pool.futures, "ProcessPoolExecutor", NoFork)
+        result = run_campaign(spec, tmp_path / "one", shards=3,
+                              bin_seconds=BIN_S, max_parallel=1)
+        inline = run_campaign(spec, tmp_path / "inline", shards=3,
+                              bin_seconds=BIN_S, use_processes=False)
+        ref_events, got_events = _events(inline.store), _events(result.store)
+        assert set(got_events) == set(ref_events)
+        for name, ref in ref_events.items():
+            assert np.array_equal(got_events[name], ref), name
+            assert got_events[name].dtype == ref.dtype
+        assert [shard.events for shard in result.shard_results] \
+            == [shard.events for shard in inline.shard_results]
+
     def test_zoo_spec_ships_to_shard_processes(self, tmp_path):
         """The dense zoo spec pickles into shard processes and reproduces
         direct single-thread ingestion exactly."""

@@ -210,6 +210,25 @@ class TestFleetCommand:
                      "--agg", "latency_ms:p50,p99"]) == 0
         assert "latency_ms_p99" in capsys.readouterr().out
 
+    def test_store_query_ungrouped_string_extremes(self, tmp_path, capsys):
+        """Ungrouped min/max over a string column answer what the grouped
+        path gives for one group, instead of a NumPy traceback."""
+        from repro.campaign import ingest_fleet_batches
+
+        store = ingest_fleet_batches(tmp_path / "s.store", 2,
+                                     rows_per_batch=100)
+        assert main(["store", "query", str(store.root), "--kind",
+                     "fleet_events", "--agg", "model_name:min,max"]) == 0
+        output = capsys.readouterr().out
+        names = sorted(store.query("fleet_events")
+                       .arrays("model_name")["model_name"].tolist())
+        grouped = (store.query("fleet_events").group_by("scenario")
+                   .agg(lo=("model_name", "min"), hi=("model_name", "max"))
+                   .aggregate())
+        assert len(grouped) == 1
+        assert (grouped[0]["lo"], grouped[0]["hi"]) == (names[0], names[-1])
+        assert names[0] in output and names[-1] in output
+
 
     def test_in_memory_and_store_device_tables_agree(self, tmp_path, capsys,
                                                      monkeypatch):

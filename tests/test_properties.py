@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.ecdf import Ecdf
@@ -11,6 +12,8 @@ from repro.dnn.layers import OpType
 from repro.dnn.tensor import DType, TensorSpec, WeightTensor
 from repro.formats.payload import decode_graph, encode_graph
 from repro.runtime.latency_model import LatencyModel
+from repro.store.columnar import pack_columns, unpack_columns
+from repro.store.schema import Column, RowKind
 
 
 # --------------------------------------------------------------------------- #
@@ -146,3 +149,67 @@ def test_ecdf_is_a_distribution(samples):
     assert ecdf(min(samples) - 1.0) == 0.0
     assert ecdf(max(samples)) == 1.0
     assert 0.0 <= ecdf(sum(samples) / len(samples)) <= 1.0
+
+
+# --------------------------------------------------------------------------- #
+# Columnar codec round trips
+# --------------------------------------------------------------------------- #
+_CODEC_DTYPES = ["?", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8",
+                 "f4", "f8"]
+
+
+@st.composite
+def codec_columns(draw):
+    """One numeric column: dtype (either byte order), length and values."""
+    code = draw(st.sampled_from(_CODEC_DTYPES))
+    order = draw(st.sampled_from("<>")) if code not in ("?", "i1", "u1") \
+        else "|"
+    dtype = np.dtype(order + code)
+    rows = draw(st.one_of(st.sampled_from([0, 1]),
+                          st.integers(min_value=2, max_value=3000)))
+    shape = draw(st.sampled_from(["constant", "random", "smooth", "nan"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if dtype.kind == "b":
+        values = rng.integers(0, 2, rows).astype(bool)
+        if shape == "constant":
+            values[:] = bool(rng.integers(0, 2))
+        return values
+    # Random bytes cover every bit pattern: NaN payloads, infinities,
+    # signed zeros and subnormals included.
+    values = rng.integers(0, 256, rows * dtype.itemsize,
+                          dtype=np.uint8).view(dtype)
+    if shape == "constant" and rows:
+        values = np.full(rows, values[0], dtype=dtype)
+    elif shape == "smooth":
+        values = np.cumsum(rng.integers(0, 3, rows)).astype(dtype)
+    elif shape == "nan" and dtype.kind == "f":
+        values = rng.normal(0.0, 100.0, rows).astype(dtype)
+        values[rng.random(rows) < 0.2] = np.nan
+        values[rng.random(rows) < 0.05] = -0.0
+    return values
+
+
+@given(values=codec_columns(), compress=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_columnar_codec_round_trips_bit_for_bit(values, compress):
+    """pack -> unpack returns every value bit for bit, in its dtype (made
+    little-endian); compression never makes a section larger than it is
+    plain, and only compressed wide numeric sections are shuffled."""
+    kind = RowKind("codec", (Column("v", "f8"),), to_row=dict)
+    payload = pack_columns(kind, {"v": values}, compress=compress)
+    decoded = unpack_columns(payload, kind, expected_rows=values.size)["v"]
+    little = values.dtype.newbyteorder("<")
+    assert decoded.dtype == little
+    assert decoded.tobytes() == values.astype(little).tobytes()
+    assert not decoded.flags.writeable
+
+    plain = pack_columns(kind, {"v": values})
+
+    def sections(payload: bytes) -> int:
+        return len(payload) - 8 - int.from_bytes(payload[4:8], "little")
+
+    assert sections(payload) <= sections(plain) == values.nbytes
+    header = payload[8:8 + int.from_bytes(payload[4:8], "little")]
+    if b'"shuffle"' in header:
+        assert compress and values.dtype.itemsize > 1
+        assert b'"compression": "zlib"' in header

@@ -806,9 +806,8 @@ class TestParallelBitIdentity:
 
     def test_pool_never_sized_past_its_tasks(self, monkeypatch):
         """A forking pool starts every worker it is sized for, so an
-        explicit ``max_workers`` is capped at the task count."""
-        from concurrent import futures
-
+        explicit ``max_workers`` is capped at the task count; the caller
+        is one of the workers, so the process pool is one worker smaller."""
         from repro.runtime import pool
 
         assert pool.resolve_workers(2, 8) == 2
@@ -819,22 +818,75 @@ class TestParallelBitIdentity:
                 pool.resolve_workers(3, bad)
 
         sizes = []
-
-        class RecordingExecutor(futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        # Stands in for the process pool so the test forks nothing.
-        monkeypatch.setattr(pool.futures, "ProcessPoolExecutor",
-                            RecordingExecutor)
+        self._recording_process_pool(monkeypatch, sizes)
         assert list(pool.iter_mapped_chunks(
             list, ["a", "b"], max_workers=8, chunk_size=1,
             use_processes=True)) == ["a", "b"]
         assert list(pool.iter_mapped_chunks(
             list, list(range(10)), max_workers=8, chunk_size=4,
             use_processes=True)) == list(range(10))
-        assert sizes == [2, 3]
+        assert sizes == [1, 2]
+
+    @staticmethod
+    def _recording_process_pool(monkeypatch, sizes):
+        """Stand a recording thread pool in for the process pool, so a
+        test forks nothing."""
+        from concurrent import futures
+
+        from repro.runtime import pool
+
+        class RecordingExecutor(futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(pool.futures, "ProcessPoolExecutor",
+                            RecordingExecutor)
+
+    def test_one_process_worker_forks_nothing(self, monkeypatch):
+        """A cap of one counts the caller, and so does a single slice:
+        either runs inline and constructs no pool."""
+        from repro.runtime import pool
+
+        sizes = []
+        self._recording_process_pool(monkeypatch, sizes)
+        assert list(pool.iter_mapped_chunks(
+            list, list(range(7)), max_workers=1, chunk_size=2,
+            use_processes=True)) == list(range(7))
+        assert list(pool.iter_mapped_chunks(
+            list, list(range(5)), max_workers=4, chunk_size=8,
+            use_processes=True)) == list(range(5))
+        assert sizes == []
+
+    def test_caller_slices_keep_process_results_in_order(self, monkeypatch):
+        """More slices than workers: the caller runs every ``max_workers``-th
+        slice, the first among them, and results come back in slice order
+        whatever order the slices finish in."""
+        import threading
+        import time
+
+        from repro.runtime import pool
+
+        sizes = []
+        self._recording_process_pool(monkeypatch, sizes)
+        caller = threading.get_ident()
+        ran_on = {}
+
+        def slow_early(items):
+            ran_on[items[0]] = threading.get_ident()
+            # Earlier slices finish last.
+            time.sleep(0.002 * (20 - items[0]) / 3)
+            return [item * item for item in items]
+
+        items = list(range(20))
+        assert list(pool.iter_mapped_chunks(
+            slow_early, items, max_workers=3, chunk_size=3,
+            use_processes=True)) == [item * item for item in items]
+        assert sizes == [2]
+        # Slices start at items 0, 3, ..., 18; the caller runs slices 0, 3
+        # and 6.
+        assert sorted(first for first, ident in ran_on.items()
+                      if ident == caller) == [0, 9, 18]
 
 
 # --------------------------------------------------------------------------- #

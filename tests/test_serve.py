@@ -312,6 +312,16 @@ class TestQueryServiceAndRouter:
         _, post_payload = router.dispatch("POST", "/v1/query", body)
         assert dumps(get_payload) == dumps(post_payload)
 
+    def test_ungrouped_string_extremes_are_a_200(self, stack, fleet_store):
+        _, _, router, _ = stack
+        status, payload = router.dispatch(
+            "GET", "/v1/query?kind=fleet_events&agg=device_name:min,max")
+        assert status == 200
+        names = sorted(fleet_store.query("fleet_events")
+                       .arrays("device_name")["device_name"].tolist())
+        assert payload["rows"] == [{"device_name_min": names[0],
+                                    "device_name_max": names[-1]}]
+
     def test_report_equals_offline_payload(self, stack, fleet_store):
         _, _, router, _ = stack
         for table in ("summary", "tail_latency", "drain", "latency_ecdf"):

@@ -1488,6 +1488,117 @@ class TestCompressedColumns:
             dict(lazy)
 
 
+    @staticmethod
+    def _rewrite_header(payload: bytes, mutate) -> bytes:
+        """``payload`` with its JSON header passed through ``mutate``."""
+        header_len = int.from_bytes(payload[4:8], "little")
+        header = json.loads(payload[8:8 + header_len])
+        mutate({entry["name"]: entry for entry in header["columns"]})
+        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+        return (payload[:4] + len(encoded).to_bytes(4, "little") + encoded
+                + payload[8 + header_len:])
+
+    def test_numeric_sections_deflate_shuffled(self, compressible):
+        from repro.store.columnar import (coerce_batch, pack_columns,
+                                          unpack_columns)
+        from repro.store.schema import kind_for
+
+        kind = kind_for("fleet_load")
+        coerced = coerce_batch(kind, compressible)
+        payload = pack_columns(kind, coerced, compress=True)
+        header = json.loads(
+            payload[8:8 + int.from_bytes(payload[4:8], "little")])
+        by_name = {entry["name"]: entry for entry in header["columns"]}
+        for name in ("bin_index", "bin_start_s", "bin_seconds",
+                     "requests", "payload_bytes"):
+            assert by_name[name]["shuffle"] == 8, name
+        for name in ("region", "cloud_api"):
+            assert by_name[name]["encoding"] == "dict"
+            assert "shuffle" not in by_name[name]
+        decoded = unpack_columns(payload, kind,
+                                 expected_rows=coerced["bin_index"].size)
+        for name, array in coerced.items():
+            assert np.array_equal(decoded[name], array), name
+            assert decoded[name].dtype == array.dtype
+            assert not decoded[name].flags.writeable
+
+    @pytest.mark.parametrize("column,value", [
+        ("bin_seconds", 4), ("bin_seconds", 1), ("bin_seconds", 0),
+        ("bin_seconds", -8), ("bin_seconds", 8.0), ("bin_seconds", "8"),
+        ("bin_seconds", True), ("bin_seconds", None),
+        # Only a compressed raw section may be shuffled.
+        ("region", 4), ("payload_bytes", 8),
+    ])
+    def test_tampered_shuffle_is_corruption(self, tmp_path, compressible,
+                                            column, value):
+        from repro.store.columnar import (coerce_batch, open_columns,
+                                          pack_columns)
+        from repro.store.schema import kind_for
+
+        kind = kind_for("fleet_load")
+        rng = np.random.default_rng(0)
+        # Random payload sizes stay uncompressed, so they carry no shuffle.
+        batch = dict(compressible,
+                     payload_bytes=rng.integers(0, 2 ** 62, 512,
+                                                dtype=np.int64))
+        coerced = coerce_batch(kind, batch)
+        payload = pack_columns(kind, coerced, compress=True)
+
+        def tamper(entries):
+            entries[column]["shuffle"] = value
+
+        tampered = self._rewrite_header(payload, tamper)
+        with pytest.raises(ValueError, match="shuffle"):
+            open_columns(tampered, kind, expected_rows=512)
+        # Through the store it is a corrupt segment.
+        store = ResultStore(tmp_path / "s.store")
+        with store.writer(compress=True) as writer:
+            writer.append_batch(kind, coerced)
+        meta = store.segments[0]
+        path = store.segments_dir / meta.data_filename
+        assert path.read_bytes() == payload
+        path.write_bytes(tampered)
+        for mmap in (False, True):
+            with pytest.raises(StoreCorruptionError):
+                dict(ResultStore(store.root, mmap=mmap).columns_for(meta))
+
+    def test_legacy_unshuffled_level6_payload_decodes(self, tmp_path,
+                                                      compressible):
+        """Segments written before shuffling (level-6 deflate of the plain
+        value buffer, no ``shuffle`` key) still read bit for bit."""
+        import zlib
+
+        from repro.store.columnar import (COLUMNAR_MAGIC, coerce_batch,
+                                          unpack_columns)
+        from repro.store.schema import kind_for
+
+        kind = kind_for("fleet_load")
+        rng = np.random.default_rng(1)
+        coerced = coerce_batch(kind, dict(
+            compressible, bin_start_s=np.round(rng.uniform(0, 9e4, 512), 1),
+            requests=rng.integers(0, 40, 512)))
+        entries, sections = [], []
+        for column in kind.columns:
+            array = coerced[column.name]
+            section = zlib.compress(array.tobytes(), 6)
+            entries.append({"name": column.name, "encoding": "raw",
+                            "dtype": array.dtype.str,
+                            "compression": "zlib",
+                            "raw_nbytes": array.nbytes,
+                            "nbytes": len(section)})
+            sections.append(section)
+        header = json.dumps({"kind": kind.name, "rows": 512,
+                             "columns": entries},
+                            sort_keys=True).encode("utf-8")
+        payload = b"".join([COLUMNAR_MAGIC,
+                            len(header).to_bytes(4, "little"), header,
+                            *sections])
+        decoded = unpack_columns(payload, kind, expected_rows=512)
+        for name, array in coerced.items():
+            assert decoded[name].dtype == array.dtype, name
+            assert decoded[name].tobytes() == array.tobytes(), name
+
+
 class TestStoreByteAccounting:
     """`store info` and compaction account every byte a segment owns."""
 
