@@ -22,8 +22,7 @@ enforces:
   process on wall clock, so gating it would measure the machine, not
   the code.  The per-shard process isolation it buys — flat memory in
   population size — is what makes the 10M-user record below possible
-  at all.  On multi-core hardware the same numbers show the near-linear
-  scaling.
+  at all.
 
 The ``ten_million_user_day`` section of ``BENCH_campaign.json`` records
 the one-box 10M-user Ambient-workload day (produced by a full-scale
@@ -118,8 +117,11 @@ def single_store(spec, tmp_path_factory):
 def test_bench_sharded_bit_identical(campaign, single_store):
     """Acceptance: the sharded merged store equals the unsharded run exactly.
 
-    The wall-time ratio is recorded ungated (see module docstring): on one
-    core it hovers near process-spawn overhead; on N cores it approaches N.
+    The wall-time ratio (single-process seconds over sharded seconds) is
+    recorded ungated (see module docstring).  At this benchmark's size
+    shard start-up and the merge outweigh the parallel simulation: the
+    committed ``BENCH_campaign.json`` reads 0.51 on a 2-vCPU host, the
+    sharded run taking about twice the single process's wall time.
     """
     merged = campaign.store
     assert merged.verify_integrity() == len(merged.segments)

@@ -348,13 +348,10 @@ def cmd_store_query(args: argparse.Namespace) -> int:
         for row in rows:
             print("  ".join(_format_cell(row[name]) for name in header))
     else:
-        shown = 0
-        for row in query.rows():
-            if args.limit is not None and shown >= args.limit:
-                break
+        rows = query.rows(limit=args.limit)
+        for row in rows:
             print(row)
-            shown += 1
-        if shown == 0:
+        if not rows:
             print("no matching rows")
     stats = query.stats
     print(f"\nscanned {stats.segments_scanned}/{stats.segments_total} segments "

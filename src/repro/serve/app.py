@@ -2,10 +2,15 @@
 
 A deliberately small HTTP/1.1 server on :func:`asyncio.start_server`:
 request lines and headers are parsed by hand, bodies read by
-``Content-Length``, responses are JSON with keep-alive connections.  The
-event loop only shuttles bytes — every dispatch runs on a thread pool, so
-a store-scanning query never stalls the accept loop, and NumPy evaluation
-gets real threads (it releases the GIL in the kernels that matter).
+``Content-Length``, responses are JSON with keep-alive connections.
+Requests that need no scan — ``/v1/health``, ``/v1/kinds`` and a
+``/v1/query`` or ``/v1/report`` answer the result cache holds — are
+dispatched on the event loop itself, a dictionary lookup with no thread
+hand-off.  Every scan runs on a thread pool, so a store-scanning query
+never stalls the accept loop, and NumPy evaluation gets real threads (it
+releases the GIL in the kernels that matter); a cached answer that a
+commit invalidates between the check and the dispatch goes to the pool
+too.
 
 :class:`ServeApp` wires the whole stack: live store → snapshot manager →
 query service → router, plus the background refresh worker.  ``repro
@@ -26,7 +31,7 @@ from typing import Optional, Union
 from repro import obs
 from repro.serve.cache import ServeCache
 from repro.serve.routes import Router
-from repro.serve.service import QueryService
+from repro.serve.service import QueryService, ScanRequired
 from repro.serve.snapshot import SnapshotManager
 from repro.serve.worker import RefreshWorker
 from repro.store.store import ResultStore
@@ -164,8 +169,8 @@ class ServeApp:
                 method, target, version, headers, body = request
 
                 obs.count("serve.requests")
-                status, payload = await loop.run_in_executor(
-                    self._executor, self._dispatch, method, target, body)
+                status, payload = await self._answer(loop, method, target,
+                                                     body)
 
                 default = "keep-alive" if version == "HTTP/1.1" else "close"
                 keep = headers.get("connection", default).lower() != "close"
@@ -235,12 +240,34 @@ class ServeApp:
         body = await reader.readexactly(length) if length else b""
         return (*parts, headers, body)
 
+    async def _answer(self, loop: asyncio.AbstractEventLoop, method: str,
+                      target: str, body: bytes) -> tuple[int, dict]:
+        """Dispatch one request: on the loop when it needs no scan.
+
+        A scan-free request (:meth:`Router.scan_free`: health, kinds, a
+        result-tier hit) is dispatched right here, sparing it the round
+        trip to a handler thread.  Every other request — and a hit that a
+        commit turned into a miss since the check, which
+        :class:`ScanRequired` reports uncounted — is dispatched on the
+        handler pool, so no scan ever runs on the loop.
+        """
+        if self.router.scan_free(method, target, body):
+            try:
+                with self.service.cached_only():
+                    return self._dispatch(method, target, body)
+            except ScanRequired:
+                pass
+        return await loop.run_in_executor(
+            self._executor, self._dispatch, method, target, body)
+
     def _dispatch(self, method: str, target: str,
                   body: bytes) -> tuple[int, dict]:
-        """Router dispatch on a pool thread, shielded against handler bugs."""
+        """Router dispatch, shielded against handler bugs."""
         try:
             with obs.span("serve.request"):
                 return self.router.dispatch(method, target, body)
+        except ScanRequired:
+            raise
         except Exception as exc:  # a handler bug must not kill the connection
             obs.count("serve.errors")
             return 500, {"error": f"internal error: {exc}"}

@@ -52,18 +52,27 @@ class _LruTier:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Any) -> Optional[Any]:
+    def get(self, key: Any, *, count_miss: bool = True) -> Optional[Any]:
+        """The entry under ``key``, or ``None``; a miss is counted only
+        when ``count_miss`` (a caller that will not compute the entry
+        leaves the miss to the attempt that does)."""
         with self._lock:
             try:
                 value = self._entries[key]
             except KeyError:
-                self.misses += 1
-                obs.count(f"serve.cache_{self.name}_misses")
+                if count_miss:
+                    self.misses += 1
+                    obs.count(f"serve.cache_{self.name}_misses")
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
             obs.count(f"serve.cache_{self.name}_hits")
             return value
+
+    def __contains__(self, key: Any) -> bool:
+        """Membership, with no hit/miss counted and no LRU touch."""
+        with self._lock:
+            return key in self._entries
 
     def put(self, key: Any, value: Any) -> None:
         with self._lock:
@@ -106,8 +115,14 @@ class ServeCache:
         self._store = store
 
     # -- result tier ---------------------------------------------------- #
-    def get_result(self, generation: int, fragment: str) -> Optional[dict]:
-        return self._results.get((generation, fragment))
+    def get_result(self, generation: int, fragment: str, *,
+                   count_miss: bool = True) -> Optional[dict]:
+        return self._results.get((generation, fragment),
+                                 count_miss=count_miss)
+
+    def has_result(self, generation: int, fragment: str) -> bool:
+        """Whether the tier holds the entry (uncounted; see ``get``)."""
+        return (generation, fragment) in self._results
 
     def put_result(self, generation: int, fragment: str,
                    payload: dict) -> None:

@@ -46,11 +46,39 @@ class Router:
             status = 404 if "unknown report table" in str(message) else 400
             return status, {"error": str(message)}
 
-    def _route(self, method: str, target: str, body: bytes) -> dict:
-        url = urlsplit(target)
-        path = url.path.rstrip("/") or "/"
-        params = parse_qsl(url.query, keep_blank_values=False)
+    def scan_free(self, method: str, target: str,
+                  body: Optional[bytes] = None) -> bool:
+        """Whether ``dispatch`` can answer the request without a scan.
 
+        True for ``GET /v1/health`` and ``/v1/kinds``, and for a
+        ``/v1/query`` or ``/v1/report/<table>`` request whose answer the
+        result tier holds at the served generation.  A check only: no
+        cache hit or miss is counted, and a request the router would
+        reject is not scan-free (its error comes from :meth:`dispatch`).
+        """
+        path, params = self._split(target)
+        try:
+            if path in ("/v1/health", "/v1/kinds"):
+                return method == "GET"
+            if path == "/v1/query":
+                return self.service.holds_query(
+                    self._query_spec(method, path, params, body or b""))
+            if path.startswith("/v1/report/") and method == "GET":
+                table, device, min_apps = self._report_args(path, params)
+                return self.service.holds_report(table, device=device,
+                                                 min_apps=min_apps)
+        except Exception:  # ``dispatch`` answers whatever went wrong
+            pass
+        return False
+
+    @staticmethod
+    def _split(target: str) -> tuple[str, list[tuple[str, str]]]:
+        url = urlsplit(target)
+        return (url.path.rstrip("/") or "/",
+                parse_qsl(url.query, keep_blank_values=False))
+
+    def _route(self, method: str, target: str, body: bytes) -> dict:
+        path, params = self._split(target)
         if path == "/v1/health":
             self._require(method, "GET")
             return self.service.health()
@@ -61,31 +89,41 @@ class Router:
             self._require(method, "GET")
             return self.service.stats()
         if path == "/v1/query":
-            if method == "GET":
-                spec = QuerySpec.from_params(params)
-            elif method == "POST":
-                try:
-                    decoded = json.loads(body.decode("utf-8") or "{}")
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    raise RouteError(400, f"invalid JSON body: {exc}")
-                spec = QuerySpec.from_json(decoded)
-            else:
-                raise RouteError(405, f"{method} not allowed on {path}")
-            return self.service.query(spec)
+            return self.service.query(
+                self._query_spec(method, path, params, body))
         if path.startswith("/v1/report/"):
             self._require(method, "GET")
-            table = path[len("/v1/report/"):]
-            device: Optional[str] = None
-            min_apps = 0
-            for key, value in params:
-                if key == "device":
-                    device = value
-                elif key == "min_apps":
-                    min_apps = int(value)
-                else:
-                    raise RouteError(400, f"unknown report parameter {key!r}")
+            table, device, min_apps = self._report_args(path, params)
             return self.service.report(table, device=device, min_apps=min_apps)
         raise RouteError(404, f"no route for {path}")
+
+    @staticmethod
+    def _query_spec(method: str, path: str, params: list[tuple[str, str]],
+                    body: bytes) -> QuerySpec:
+        if method == "GET":
+            return QuerySpec.from_params(params)
+        if method == "POST":
+            try:
+                decoded = json.loads(body.decode("utf-8") or "{}")
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise RouteError(400, f"invalid JSON body: {exc}")
+            return QuerySpec.from_json(decoded)
+        raise RouteError(405, f"{method} not allowed on {path}")
+
+    @staticmethod
+    def _report_args(path: str, params: list[tuple[str, str]]
+                     ) -> tuple[str, Optional[str], int]:
+        """``(table, device, min_apps)`` of a report request."""
+        device: Optional[str] = None
+        min_apps = 0
+        for key, value in params:
+            if key == "device":
+                device = value
+            elif key == "min_apps":
+                min_apps = int(value)
+            else:
+                raise RouteError(400, f"unknown report parameter {key!r}")
+        return path[len("/v1/report/"):], device, min_apps
 
     @staticmethod
     def _require(method: str, expected: str) -> None:

@@ -16,7 +16,9 @@ SnapshotManager`'s pinned generation, consulting the
 
 from __future__ import annotations
 
+import contextlib
 import json
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -24,7 +26,8 @@ from repro.store.query import AGGREGATIONS, parse_agg_expr, parse_predicate
 from repro.store.schema import ROW_KINDS
 from repro.store.store import ResultStore
 
-__all__ = ["QuerySpec", "QueryService", "REPORT_TABLES", "report_payload"]
+__all__ = ["QuerySpec", "QueryService", "REPORT_TABLES", "ScanRequired",
+           "report_payload"]
 
 #: Report tables the serve layer and ``store report`` both offer.  The
 #: figure tables ride on :class:`~repro.store.serving.ReportServer`; the
@@ -220,6 +223,24 @@ def report_payload(source, table: str, *, device: Optional[str] = None,
     return payload
 
 
+class ScanRequired(Exception):
+    """A scan-free answer was asked for, but the request needs a scan.
+
+    Raised by :class:`QueryService` inside :meth:`QueryService.cached_only`
+    when the result tier lacks the answer (a commit advanced the served
+    generation since the caller checked); no miss is counted, so the
+    caller can run the request again where scans are allowed.
+    """
+
+
+def _query_fragment(spec: QuerySpec) -> str:
+    return "query:" + spec.fragment()
+
+
+def _report_fragment(table: str, device: Optional[str], min_apps: int) -> str:
+    return f"report:{table}|device={device}|min_apps={min_apps}"
+
+
 class QueryService:
     """Request execution over the snapshot manager's pinned generation."""
 
@@ -231,6 +252,7 @@ class QueryService:
         #: sequential — the default; results are bit-identical either way,
         #: so this is purely a latency knob for many-segment stores).
         self.scan_workers = scan_workers
+        self._local = threading.local()
 
     # ------------------------------------------------------------------ #
     # Lightweight endpoints
@@ -260,6 +282,49 @@ class QueryService:
         return payload
 
     # ------------------------------------------------------------------ #
+    # Result tier
+    # ------------------------------------------------------------------ #
+    @contextlib.contextmanager
+    def cached_only(self):
+        """Within this block, on this thread, a request that would scan
+        raises :class:`ScanRequired` instead (the serve event loop answers
+        result-tier hits this way and never runs a scan itself)."""
+        self._local.cached_only = True
+        try:
+            yield
+        finally:
+            self._local.cached_only = False
+
+    def holds_query(self, spec: QuerySpec) -> bool:
+        """Whether the result tier holds ``spec``'s answer at the served
+        generation (a check only: no hit or miss is counted)."""
+        return self._holds(_query_fragment(spec))
+
+    def holds_report(self, table: str, *, device: Optional[str] = None,
+                     min_apps: int = 0) -> bool:
+        """:meth:`holds_query` for a report table."""
+        return self._holds(_report_fragment(table, device, min_apps))
+
+    def _holds(self, fragment: str) -> bool:
+        return (self.cache is not None
+                and self.cache.has_result(self.manager.generation, fragment))
+
+    def _cached(self, generation: int, fragment: str) -> Optional[dict]:
+        """The result tier's payload, or ``None`` when the request scans.
+
+        Counts one hit or one miss — except that inside :meth:`cached_only`
+        a miss raises :class:`ScanRequired` uncounted, leaving the count
+        to the attempt that scans.
+        """
+        cached_only = getattr(self._local, "cached_only", False)
+        cached = (self.cache.get_result(generation, fragment,
+                                        count_miss=not cached_only)
+                  if self.cache is not None else None)
+        if cached is None and cached_only:
+            raise ScanRequired(fragment)
+        return cached
+
+    # ------------------------------------------------------------------ #
     # Queries and reports
     # ------------------------------------------------------------------ #
     def _build_query(self, snapshot, spec: QuerySpec):
@@ -272,20 +337,17 @@ class QueryService:
     def query(self, spec: QuerySpec) -> dict:
         """Execute one query spec at the served generation (result-cached)."""
         snapshot = self.manager.current()
-        fragment = "query:" + spec.fragment()
-        if self.cache is not None:
-            cached = self.cache.get_result(snapshot.generation, fragment)
-            if cached is not None:
-                return cached
+        fragment = _query_fragment(spec)
+        cached = self._cached(snapshot.generation, fragment)
+        if cached is not None:
+            return cached
         query = self._build_query(snapshot, spec)
         spec.apply(query)
         if spec.agg:
             output = query.aggregate()
             rows = output if isinstance(output, list) else [output]
         else:
-            rows = query.rows()
-            if spec.limit is not None:
-                rows = rows[:spec.limit]
+            rows = query.rows(limit=spec.limit)
         stats = query.stats
         payload = {
             "kind": spec.kind,
@@ -308,11 +370,10 @@ class QueryService:
                min_apps: int = 0) -> dict:
         """One report table at the served generation (result-cached)."""
         snapshot = self.manager.current()
-        fragment = f"report:{table}|device={device}|min_apps={min_apps}"
-        if self.cache is not None:
-            cached = self.cache.get_result(snapshot.generation, fragment)
-            if cached is not None:
-                return cached
+        fragment = _report_fragment(table, device, min_apps)
+        cached = self._cached(snapshot.generation, fragment)
+        if cached is not None:
+            return cached
         payload = report_payload(snapshot, table, device=device,
                                  min_apps=min_apps)
         if self.cache is not None:

@@ -7,8 +7,8 @@ replaces that loop with flat array kernels over the whole matched row
 set at once:
 
 * ``count``        — one ``bincount`` over the group indices;
-* ``sum``/``mean``/``std`` — integer/bool sums via ``np.add.reduceat``
-  in int64 (exact, associative), float accumulation via ``np.bincount``
+* ``sum``/``mean``/``std`` — integer/bool sums via ``np.add.at`` in
+  int64 (exact, associative), float accumulation via ``np.bincount``
   weights (sequential in row order, which is also what makes a
   :mod:`repro.store.diff` self-diff zero bit for bit); ``std`` composes
   the same two passes the per-row definition uses (mean, then mean of
@@ -26,8 +26,9 @@ The group index itself is built by counting, not sorting: group keys
 are small dense integers, so :func:`dense_unique` replaces
 ``np.unique`` with ``bincount`` + rank lookup, and
 :class:`GroupedReducer` derives its group starts from a ``bincount``
-prefix sum and its group-contiguous row order from a stable argsort
-(a 16-bit radix sort up to 65,536 groups).
+prefix sum.  Its group-contiguous row order (a stable argsort, a 16-bit
+radix sort up to 65,536 groups) is built only when a reduction gathers
+or sorts by group; ``count``/``sum``/``mean``/``std`` never do.
 
 **The reference defines the semantics.**  :data:`REFERENCE_REDUCERS` is
 the per-group slow path the kernels are held bit-identical to (the
@@ -50,7 +51,7 @@ no per-group loop to replace it still evaluates the plain
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -237,10 +238,10 @@ class GroupedReducer:
 
     The group layout is counted, not sorted: ``counts`` is one
     ``bincount`` of ``key_inverse`` and ``starts`` its exclusive prefix
-    sum.  The group-contiguous row order is a stable argsort — with at
-    most 65,536 groups over ``key_inverse`` cast to ``uint16``, which
-    NumPy sorts with an O(n) radix sort; above that a stable sort of the
-    int64 indices — so each group's rows keep their original order.
+    sum.  The group-contiguous row order (:attr:`order`) is built the
+    first time a reduction gathers or sorts by group — ``min``, ``max``,
+    ``median`` and the percentiles; ``count``, ``sum``, ``mean`` and
+    ``std`` work on the original rows and never build it.
 
     Every reduction — :meth:`reduce_array`, or :meth:`reduce` as native
     scalars — is bit-identical to applying the matching
@@ -252,28 +253,41 @@ class GroupedReducer:
         self.key_inverse = key_inverse
         self.num_groups = int(num_groups)
         counts = np.bincount(key_inverse, minlength=self.num_groups)
-        if self.num_groups <= _RADIX_GROUPS:
-            order = np.argsort(key_inverse.astype(np.uint16), kind="stable")
-        else:
-            order = np.argsort(key_inverse, kind="stable")
-        self._order = order
         self._starts = np.cumsum(counts) - counts
         self._counts = counts
+        self._order: Optional[np.ndarray] = None
         self._gathered: dict[str, np.ndarray] = {}
         self._sorted: dict[str, np.ndarray] = {}
 
     # -- derived views --------------------------------------------------- #
+    @property
+    def order(self) -> np.ndarray:
+        """The group-contiguous row order, built on first use.
+
+        A stable argsort of ``key_inverse`` — over ``uint16`` keys (an
+        O(n) radix sort) up to 65,536 groups, over the int64 indices
+        above that — so each group's rows keep their original order.
+        Only the reductions that gather or sort by group (``min``,
+        ``max``, ``median`` and the percentiles) read it.
+        """
+        if self._order is None:
+            if self.num_groups <= _RADIX_GROUPS:
+                keys = self.key_inverse.astype(np.uint16)
+            else:
+                keys = self.key_inverse
+            self._order = np.argsort(keys, kind="stable")
+        return self._order
+
     def _gather(self, name: str, values: np.ndarray) -> np.ndarray:
         """``values`` re-ordered group-contiguous, row order kept per group.
 
-        Row order within a group is kept because the reducer's order is
-        a stable argsort; no kernel relies on it (integer sums are exact
-        in any order, extrema and sorted order statistics are order-free,
-        and float sums go through ``bincount`` over the original rows).
+        Row order within a group is kept because :attr:`order` is a
+        stable argsort; no kernel relies on it (extrema and sorted order
+        statistics are order-free).
         """
         gathered = self._gathered.get(name)
         if gathered is None:
-            gathered = values[self._order]
+            gathered = values.take(self.order)
             self._gathered[name] = gathered
         return gathered
 
@@ -296,11 +310,18 @@ class GroupedReducer:
         return ordered
 
     # -- kernels ---------------------------------------------------------- #
-    def _sums(self, name: str, values: np.ndarray) -> np.ndarray:
-        """Per-group sums under the reference discipline (see module doc)."""
+    def _sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-group sums under the reference discipline (see module doc).
+
+        Integer/bool sums accumulate in int64 with the unbuffered
+        ``np.add.at`` over the original rows: exact (and wrapping) in any
+        order, so they need no group order.
+        """
         if values.dtype.kind in "ibu":
-            gathered = self._gather(name, values).astype(np.int64, copy=False)
-            return np.add.reduceat(gathered, self._starts)
+            sums = np.zeros(self.num_groups, dtype=np.int64)
+            np.add.at(sums, self.key_inverse,
+                      values.astype(np.int64, copy=False))
+            return sums
         return self._float_sums(values)
 
     def _float_sums(self, values: np.ndarray) -> np.ndarray:
@@ -378,7 +399,7 @@ class GroupedReducer:
             if fn == "count":
                 return self._counts.copy()
             if fn == "sum":
-                return self._sums(name, values)
+                return self._sums(values)
             if fn == "mean":
                 return self._float_sums(values) / self._counts
             if fn == "std":

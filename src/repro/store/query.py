@@ -36,10 +36,10 @@ to the sequential/decoded/per-group semantics it replaces:
   width of the view's vocabulary (its longest value);
 * **grouped reduction kernels** — :meth:`Query.aggregate` evaluates its
   groups through the vectorised kernels of :mod:`repro.store.kernels`
-  (``bincount``/``reduceat`` sums, sorted-segment order statistics);
-  ``aggregate(engine="reference")`` keeps the per-group loop as the
-  enforced semantic reference (see that module for the row-order float
-  discipline both paths share).
+  (``bincount`` sums, ``reduceat`` extrema, sorted-segment order
+  statistics); ``aggregate(engine="reference")`` keeps the per-group
+  loop as the enforced semantic reference (see that module for the
+  row-order float discipline both paths share).
 
 **Columnar results.**  :meth:`Query.aggregate_arrays` is the grouped
 terminal: one array per group key and per reduction, in ascending
@@ -62,6 +62,7 @@ assert pushdown actually happened.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -290,8 +291,12 @@ def _evaluate_segment(loaded: ViewRows, predicates: Sequence[Predicate],
     mask the integer codes; only rows surviving *all* masks are ever
     decoded (columns named in ``coded`` are not decoded at all — they
     come back as :class:`~repro.store.columnar.CodedColumn` for the
-    group-by kernels).  Returns ``(payload, matched)``; payload is
-    ``None`` when nothing matched.
+    group-by kernels).  The combined mask becomes row indices once, and
+    every numeric column and code array is gathered from them with
+    ``take`` — on a dense mask several times cheaper than one boolean
+    mask pass per column; a mask that keeps every row gathers nothing
+    (the view's arrays come back as they are).  Returns
+    ``(payload, matched)``; payload is ``None`` when nothing matched.
     """
     mask: Optional[np.ndarray] = None
     for predicate in predicates:
@@ -301,19 +306,22 @@ def _evaluate_segment(loaded: ViewRows, predicates: Sequence[Predicate],
         else:
             part = predicate.mask(loaded[predicate.column])
         mask = part if mask is None else (mask & part)
-    matched = int(mask.sum()) if mask is not None else loaded.rows
+    matched = (int(np.count_nonzero(mask)) if mask is not None
+               else loaded.rows)
     if matched == 0:
         return None, 0
+    rows = (np.flatnonzero(mask) if mask is not None and matched < loaded.rows
+            else None)
     payload: dict[str, Any] = {}
     for name in columns:
         view = loaded.coded(name)
         if view is not None:
-            kept = view.codes if mask is None else view.codes[mask]
+            kept = view.codes if rows is None else view.codes.take(rows)
             payload[name] = (CodedColumn(kept, view.values) if name in coded
-                             else view.values[kept])
+                             else view.values.take(kept))
         else:
             array = loaded[name]
-            payload[name] = array if mask is None else array[mask]
+            payload[name] = array if rows is None else array.take(rows)
     return payload, matched
 
 
@@ -556,20 +564,21 @@ class Query:
         """Number of matching rows (no column data materialised)."""
         return self._scan(())[1]
 
-    def rows(self) -> list[dict]:
+    def rows(self, limit: Optional[int] = None) -> list[dict]:
         """Matching rows as dicts, in ingestion order.
 
         One ``tolist()`` pass per column (native scalars fall straight
         out), then a zip into dicts — no per-row, per-column NumPy
-        indexing.
+        indexing.  ``limit`` keeps the first ``limit`` matching rows
+        (``rows()[:limit]``): the gathered columns are cut before
+        ``tolist()``, so only those rows are ever built.
         """
-        arrays = self._gather(self.kind.column_names)
-        columns = [(name, arrays[name].tolist())
-                   for name in self.kind.column_names]
-        if not columns:
-            return []
-        return [{name: values[i] for name, values in columns}
-                for i in range(len(columns[0][1]))]
+        if limit is not None and limit < 0:
+            raise ValueError("limit must be non-negative")
+        names = self.kind.column_names
+        arrays = self._gather(names)
+        values = [arrays[name][:limit].tolist() for name in names]
+        return [dict(zip(names, row)) for row in zip(*values)]
 
     def objects(self) -> list:
         """Matching rows rebuilt as their pipeline dataclass."""
@@ -691,42 +700,63 @@ class Query:
 
         The (possibly multi-column) key is folded into one int64 mixed-radix
         vector in ``[0, space)``, ``space`` being the product of the
-        columns' cardinalities; ``group_keys`` are its sorted distinct
-        values and ``key_inverse`` maps each matching row to its 0-based
-        group.  The index is counted, not sorted, wherever the key space
-        is small: a coded column's codes already index the view's sorted
-        vocabulary, so it factorizes by
-        :func:`~repro.store.kernels.dense_unique` over them, and when ``space``
-        is at most ``max(rows, 65536)`` the folded key goes through
-        :func:`~repro.store.kernels.dense_unique` (``bincount`` + rank
-        lookup, O(rows + space)).  A sparser key space — several fine
-        columns, say — keeps ``np.unique``, whose sort is then cheaper
-        than a count array larger than the data.
+        columns' radices (each column's ``len(uniques[i])``);
+        ``group_keys`` are its sorted distinct values and ``key_inverse``
+        maps each matching row to its 0-based group.  Group labels are
+        ``uniques[i][d]`` for the digits ``d`` that
+        :func:`~repro.store.kernels.decompose_keys` peels off a key.
+
+        The index is counted, not sorted, wherever the key space is
+        small.  A coded column's codes already index the view's sorted
+        vocabulary, so it folds in at full-vocabulary radix (its uniques
+        are the whole vocabulary, present or not) with no per-column
+        pass, and when the product of the radices is at most
+        ``max(rows, 65536)`` one :func:`~repro.store.kernels.dense_unique`
+        over the folded key (``bincount`` + rank lookup, O(rows + space))
+        is the only counting pass.  Past that bound each coded column is
+        first ranked down to the codes present
+        (:func:`~repro.store.kernels.dense_unique` over its codes), so a
+        query whose vocabularies are large but whose present values are
+        few keeps its small key space; a key space still sparser than
+        the bound — several fine columns, say — keeps ``np.unique``,
+        whose sort is then cheaper than a count array larger than the
+        data.  Group order is ascending key order either way.
         """
-        key = np.zeros(length, dtype=np.int64)
-        uniques: list[np.ndarray] = []
-        space = 1
         with obs.span("store.kernels.factorize"):
+            parts: list[tuple[np.ndarray, np.ndarray]] = []
             for name in self._group_by:
                 if name in coded:
                     column = arrays[name]
-                    present, inverse = kernels.dense_unique(
-                        column.codes, column.values.size)
-                    u = column.values[present]
+                    parts.append((column.values, column.codes))
                 else:
-                    u, inverse = np.unique(arrays[name], return_inverse=True)
-                uniques.append(u)
+                    parts.append(np.unique(arrays[name], return_inverse=True))
+            bound = max(length, _DENSE_KEY_SPACE)
+            if math.prod(len(u) for u, _ in parts) > bound:
+                parts = [self._present(u, inverse) if name in coded
+                         else (u, inverse)
+                         for name, (u, inverse) in zip(self._group_by, parts)]
+            key = parts[0][1].astype(np.int64)
+            space = len(parts[0][0])
+            for u, inverse in parts[1:]:
                 space *= len(u)
                 if space > _MAX_KEY_SPACE:
                     raise ValueError(
                         f"group_by over {self._group_by}: key cardinality "
                         f"exceeds the int64 group-key space")
-                key = key * len(u) + inverse
-            if space <= max(length, _DENSE_KEY_SPACE):
+                key *= len(u)
+                key += inverse
+            if space <= bound:
                 group_keys, key_inverse = kernels.dense_unique(key, space)
             else:
                 group_keys, key_inverse = np.unique(key, return_inverse=True)
-        return uniques, group_keys, key_inverse
+        return [u for u, _ in parts], group_keys, key_inverse
+
+    @staticmethod
+    def _present(vocabulary: np.ndarray, codes: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """A coded column ranked down to its present values: ``(u, inverse)``."""
+        present, inverse = kernels.dense_unique(codes, vocabulary.size)
+        return vocabulary[present], inverse
 
     def _empty_columns(self) -> dict[str, np.ndarray]:
         """The zero-group result of :meth:`aggregate_arrays`."""

@@ -20,10 +20,14 @@ engine promises bit-identity, not closeness):
   :func:`kernels.factorize_parts` equal ``np.unique(...,
   return_inverse=True)``, and grouped queries on either side of the
   dense-key-space and 65,536-group cutoffs equal the reference and a
-  plain Python grouping; order statistics agree on the zero sign.
+  plain Python grouping; order statistics agree on the zero sign;
+  coded group keys folded at full-vocabulary radix (one count over the
+  folded key, or present-code ranking past the dense bound) equal the
+  reference for drawn vocabularies, predicates and every reducer, and
+  ``count``/``sum``/``mean``/``std`` never build the group order.
 
 Plus the satellite fixes: the ``in`` textual grammar, numeric ``!=``
-pushdown, vectorised ``rows()``; and the column views: every terminal
+pushdown, vectorised ``rows()`` and ``rows(limit)``; and the column views: every terminal
 through a store's life (append, pinned snapshot, compaction, fresh
 handle) equals the per-segment loop they replaced, kept here as the
 oracle, and a kept view is reused, extended and rebuilt as commits
@@ -1140,3 +1144,187 @@ class TestKindViewReuse:
             pinned.query("fleet_events").arrays("latency_ms")
         assert store.view_stats()["segments"] == len(
             store.segments_for("fleet_events"))
+
+
+# --------------------------------------------------------------------------- #
+# Gather by index, coded keys counted once, group order on demand
+# --------------------------------------------------------------------------- #
+#: String group columns whose vocabularies the drawn stores control.
+_VOCAB_KEYS = ("device_name", "backend", "region")
+
+#: Predicate sets matching every row, none, some, or dropping vocabulary
+#: values from the matched rows.
+_VOCAB_PREDICATES = {
+    "all": (("latency_ms", "<", 1e18),),
+    "none": (("latency_ms", "<", -1.0),),
+    "some": (("latency_ms", "<", 60.0),),
+    "drop": (("device_name", "in", ("d00", "d02", "d05")),),
+    "drop-two": (("backend", "!=", "b01"), ("region", "in", ("r00", "r03"))),
+}
+
+
+def _vocab_store(root, sizes, rows: int, rows_per_segment: int,
+                 seed: int) -> ResultStore:
+    """One batch whose ``_VOCAB_KEYS`` columns draw from ``sizes`` values,
+    each present wherever the row count allows."""
+    rng = np.random.default_rng(seed)
+    batch = synthetic_fleet_batch(0, rows, seed=seed)
+    for name, size in zip(_VOCAB_KEYS, sizes):
+        codes = rng.integers(0, size, rows)
+        shown = min(size, rows)
+        codes[:shown] = rng.permutation(size)[:shown]
+        batch[name] = np.array([f"{name[0]}{code:02d}" for code in codes],
+                               dtype=np.str_)
+    store = ResultStore(root)
+    with store.writer(rows_per_segment=rows_per_segment) as writer:
+        writer.append_batch("fleet_events", batch)
+    return store
+
+
+def _vocab_query(store, strings, numeric: bool, binned: bool,
+                 predicates, string_agg: bool):
+    query = store.query("fleet_events")
+    for column, op, value in predicates:
+        query.where(column, op, value)
+    keys = list(strings)
+    if numeric:
+        keys.append("user_id")
+    if binned:
+        query.bin("latency_ms", 25.0)
+        keys.append("latency_ms_bin")
+    aggs = {f"lat_{fn}": ("latency_ms", fn) for fn in ALL_FNS}
+    aggs.update({f"bytes_{fn}": ("cloud_bytes", fn) for fn in ALL_FNS})
+    aggs.update(model_min=("model_name", "min"),
+                model_max=("model_name", "max"))
+    if string_agg:  # a group key also reduced: it is decoded, not coded
+        aggs["first_device"] = ("device_name", "min")
+    return query.group_by(*keys).agg(**aggs)
+
+
+def _assert_engines_agree(build) -> list[dict]:
+    reference = build().aggregate(engine="reference")
+    expected = repr(_typed(reference))
+    assert repr(_typed(_zip_columns(build().aggregate_arrays()))) == expected
+    assert repr(_typed(build().aggregate())) == expected
+    return reference
+
+
+class TestCodedKeysCountedOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.tuples(*[st.integers(1, 7)] * 3),
+           rows=st.integers(1, 400),
+           rows_per_segment=st.sampled_from((16, 64, 1024)),
+           seed=st.integers(0, 3),
+           strings=st.lists(st.sampled_from(_VOCAB_KEYS), min_size=1,
+                            max_size=3, unique=True),
+           numeric=st.booleans(), binned=st.booleans(),
+           predicates=st.sampled_from(sorted(_VOCAB_PREDICATES)),
+           string_agg=st.booleans())
+    @example(sizes=(48, 48, 48), rows=300, rows_per_segment=64, seed=1,
+             strings=list(_VOCAB_KEYS), numeric=False, binned=False,
+             predicates="drop-two", string_agg=False)
+    @example(sizes=(48, 48, 48), rows=300, rows_per_segment=1024, seed=2,
+             strings=list(_VOCAB_KEYS), numeric=True, binned=True,
+             predicates="all", string_agg=True)
+    def test_kernel_engines_equal_reference(self, sizes, rows,
+                                            rows_per_segment, seed, strings,
+                                            numeric, binned, predicates,
+                                            string_agg):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = _vocab_store(Path(tmp) / "s", sizes, rows,
+                                 rows_per_segment, seed)
+            _assert_engines_agree(lambda: _vocab_query(
+                store, strings, numeric, binned,
+                _VOCAB_PREDICATES[predicates], string_agg))
+
+    def test_one_count_over_the_folded_key(self, tmp_path, monkeypatch):
+        store = _vocab_store(tmp_path / "s", (5, 3, 4), 500, 64, seed=0)
+        build = lambda: _vocab_query(store, _VOCAB_KEYS, False, False,
+                                     _VOCAB_PREDICATES["drop"], False)
+        reference = _assert_engines_agree(build)
+        # The predicate dropped vocabulary values; labels still come out
+        # right.
+        assert {row["device_name"] for row in reference} == {"d00", "d02"}
+        matched = build().count()
+        calls = _key_space_spy(monkeypatch)
+        build().aggregate_arrays()
+        # One dense_unique, over the key folded at full-vocabulary radix.
+        assert calls == [(matched, 5 * 3 * 4)]
+
+    def test_wide_vocabularies_rank_present_codes(self, tmp_path,
+                                                  monkeypatch):
+        """Past the dense bound each coded column is ranked down to its
+        present codes first, so a query whose vocabulary product is huge
+        but whose present values are few neither raises nor sorts."""
+        sizes = (48, 48, 48)
+        store = _vocab_store(tmp_path / "s", sizes, 300, 64, seed=1)
+        assert math.prod(sizes) > max(300, 2 ** 16)
+        calls = _key_space_spy(monkeypatch)
+        reference = _assert_engines_agree(lambda: _vocab_query(
+            store, _VOCAB_KEYS, False, False, _VOCAB_PREDICATES["drop-two"],
+            False))
+        assert reference
+        assert (math.prod(sizes) not in {size for _rows, size in calls})
+        assert {size for _rows, size in calls} >= {48}
+
+    def test_additive_reductions_never_build_the_group_order(
+            self, tmp_path, monkeypatch):
+        store = _vocab_store(tmp_path / "s", (4, 3, 2), 600, 64, seed=0)
+        reads = []
+        order = kernels.GroupedReducer.order
+
+        def counted(reducer):
+            reads.append(reducer)
+            return order.fget(reducer)
+
+        monkeypatch.setattr(kernels.GroupedReducer, "order",
+                            property(counted))
+
+        def build(*fns):
+            return (store.query("fleet_events").where("latency_ms", "<", 90.0)
+                    .group_by("device_name", "backend")
+                    .agg(**{f"{column}_{fn}": (column, fn)
+                            for column in ("latency_ms", "cloud_bytes",
+                                           "user_id") for fn in fns}))
+
+        additive = ("count", "sum", "mean", "std")
+        columns = build(*additive).aggregate_arrays()
+        assert reads == []
+        assert _zip_columns(columns) == \
+            build(*additive).aggregate(engine="reference")
+        build(*additive, "p90").aggregate_arrays()
+        assert len(reads) >= 1
+
+
+class TestRowsLimit:
+    def test_limit_is_the_prefix_and_builds_only_those_rows(
+            self, tmp_path, monkeypatch):
+        from repro.store import query as query_module
+
+        store = ResultStore(tmp_path / "s")
+        with store.writer(rows_per_segment=4096) as writer:
+            writer.append_batch("fleet_events",
+                                synthetic_fleet_batch(0, 12_000, seed=1))
+        build = lambda: (store.query("fleet_events")
+                         .where("latency_ms", "<", 1e9))
+        everything = build().rows()
+        assert len(everything) >= 10_000
+        for limit in (0, 1, 10, len(everything), len(everything) + 5):
+            assert build().rows(limit=limit) == everything[:limit]
+        with pytest.raises(ValueError):
+            build().rows(limit=-1)
+
+        built = []
+
+        class CountingDict(dict):
+            def __init__(self, *args, **kwargs):
+                if args or kwargs:
+                    built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(query_module, "dict", CountingDict, raising=False)
+        assert build().rows(limit=10) == everything[:10]
+        assert len(built) <= 10
+        built.clear()
+        build().rows()
+        assert len(built) == len(everything)  # the counter sees every row

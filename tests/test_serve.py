@@ -563,6 +563,188 @@ class TestServeHTTP:
 
 
 # --------------------------------------------------------------------------- #
+# Scan-free answers on the event loop
+# --------------------------------------------------------------------------- #
+_GROUPED = ("/v1/query?kind=fleet_events&where=latency_ms<120"
+            "&group_by=device_name,backend&agg=latency_ms:mean,p99")
+
+
+def _raw_request(url: str, request: bytes) -> tuple[list[str], bytes]:
+    """Send ``request`` on a fresh socket; read until the server closes."""
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head.decode("latin-1").split("\r\n"), body
+
+
+class TestLoopAnswers:
+    """Result-tier hits, health and kinds are dispatched on the event loop;
+    scans never are, and the bytes are those of the handler-thread path."""
+
+    @pytest.fixture()
+    def server(self, fleet_store):
+        # No background polls: the tests advance the generation themselves.
+        app = ServeApp(fleet_store.root, port=0, refresh_s=3600.0)
+        with ServerThread(app) as thread:
+            yield thread
+
+    @staticmethod
+    def fetch(connection, target: str) -> bytes:
+        connection.request("GET", target)
+        response = connection.getresponse()
+        assert response.status == 200
+        return response.read()
+
+    @staticmethod
+    def offline_query(source) -> dict:
+        query = (source.query("fleet_events").where("latency_ms", "<", 120)
+                 .group_by("device_name", "backend")
+                 .agg(latency_ms_mean=("latency_ms", "mean"),
+                      latency_ms_p99=("latency_ms", "p99")))
+        rows = query.aggregate()
+        stats = query.stats
+        return {"kind": "fleet_events", "generation": source.generation,
+                "rows": rows,
+                "stats": {name: getattr(stats, name) for name in (
+                    "segments_total", "segments_skipped", "segments_scanned",
+                    "segments_cached", "rows_scanned", "rows_matched")}}
+
+    def test_repeats_are_counted_hits_with_identical_bytes(self, server,
+                                                            fleet_store):
+        cache = server.app.cache
+        host, port = server.url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        offline = {
+            _GROUPED: json.dumps(self.offline_query(
+                fleet_store.open_snapshot())).encode(),
+            "/v1/report/drain": json.dumps(
+                report_payload(fleet_store, "drain")).encode(),
+        }
+        try:
+            for target, expected in offline.items():
+                before = cache.stats()["result"]
+                first = self.fetch(connection, target)
+                after_first = cache.stats()["result"]
+                assert (after_first["misses"], after_first["hits"]) == \
+                    (before["misses"] + 1, before["hits"])
+                assert first == expected
+                for repeat in range(1, 4):
+                    assert self.fetch(connection, target) == first
+                    counted = cache.stats()["result"]
+                    assert (counted["misses"], counted["hits"]) == \
+                        (after_first["misses"], after_first["hits"] + repeat)
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("request_line, headers", [
+        ("GET {target} HTTP/1.0", ""),
+        ("GET {target} HTTP/1.1", "Connection: close\r\n"),
+    ], ids=["http-1.0", "connection-close"])
+    def test_hit_honours_connection_close(self, server, request_line,
+                                          headers):
+        for _ in range(2):  # a miss, then a hit
+            request = (request_line.format(target=_GROUPED) + "\r\n"
+                       + "Host: x\r\n" + headers + "\r\n").encode()
+            lines, body = _raw_request(server.url, request)
+            assert lines[0] == "HTTP/1.1 200 OK"
+            assert "Connection: close" in lines
+            assert json.loads(body)["rows"]
+        assert server.app.cache.stats()["result"]["hits"] == 1
+
+    def test_every_request_dispatches_where_it_should(self, server,
+                                                      monkeypatch):
+        """Through ``_dispatch`` always: on the loop for health, kinds and
+        hits, on a handler thread for misses and ``/v1/stats``."""
+        dispatched = []
+        original = ServeApp._dispatch
+
+        def recording(app, method, target, body):
+            dispatched.append((target, threading.get_ident()))
+            return original(app, method, target, body)
+
+        monkeypatch.setattr(ServeApp, "_dispatch", recording)
+        host, port = server.url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        targets = ["/v1/health", "/v1/kinds", "/v1/stats", _GROUPED,
+                   _GROUPED, "/v1/report/drain", "/v1/report/drain"]
+        try:
+            for target in targets:
+                self.fetch(connection, target)
+        finally:
+            connection.close()
+        loop = server._thread.ident
+        assert [target for target, _ in dispatched] == targets
+        assert [thread == loop for _, thread in dispatched] == \
+            [True, True, False, False, True, False, True]
+
+    def test_scans_never_run_on_the_loop(self, server, monkeypatch):
+        from repro.serve.routes import Router as RouterClass
+        from repro.store.query import Query
+
+        scan_threads = []
+        original_scan = Query._scan
+
+        def recording_scan(self, *args, **kwargs):
+            scan_threads.append(threading.get_ident())
+            return original_scan(self, *args, **kwargs)
+
+        monkeypatch.setattr(Query, "_scan", recording_scan)
+        app = server.app
+        loop_thread = server._thread.ident
+        root = app.store.root
+
+        def commit(index: int) -> None:
+            with ResultStore(root).writer(rows_per_segment=256) as writer:
+                writer.append_batch("fleet_events",
+                                    synthetic_fleet_batch(index, 50))
+            assert app.manager.poll() is True
+
+        host, port = server.url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            self.fetch(connection, _GROUPED)
+            self.fetch(connection, "/v1/report/tail_latency")
+            # A commit and a poll between two identical requests.
+            commit(10)
+            after_commit = json.loads(self.fetch(connection, _GROUPED))
+            assert after_commit["generation"] == app.manager.generation
+            # A commit between the loop's scan-free decision and its answer:
+            # the request goes to a handler thread, counted once, as a miss.
+            decided = []
+            original_check = RouterClass.scan_free
+
+            def racing_check(router, method, target, body=None):
+                free = original_check(router, method, target, body)
+                if free and target.startswith("/v1/query") and not decided:
+                    decided.append(target)
+                    commit(11)
+                return free
+
+            monkeypatch.setattr(RouterClass, "scan_free", racing_check)
+            before = app.cache.stats()["result"]
+            raced = json.loads(self.fetch(connection, _GROUPED))
+            counted = app.cache.stats()["result"]
+            assert decided == [_GROUPED]
+            assert (counted["misses"], counted["hits"]) == \
+                (before["misses"] + 1, before["hits"])
+            snapshot = ResultStore(root).open_snapshot(
+                generation=raced["generation"])
+            assert raced["generation"] == app.manager.generation
+            assert dumps(raced) == dumps(self.offline_query(snapshot))
+            # Health and kinds answer on the loop with no scan at all.
+            for target in ("/v1/health", "/v1/kinds", _GROUPED):
+                self.fetch(connection, target)
+        finally:
+            connection.close()
+        assert len(scan_threads) >= 4
+        assert loop_thread not in scan_threads
+
+
+# --------------------------------------------------------------------------- #
 # Satellite: CLI `store info --json` / `store report --json`
 # --------------------------------------------------------------------------- #
 class TestServeCLI:
