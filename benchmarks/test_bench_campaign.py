@@ -4,9 +4,9 @@ The campaign coordinator (:mod:`repro.campaign`) shards a population
 into contiguous user ranges, simulates each shard into its own store,
 and merges by **segment adoption** — hard links plus one manifest
 commit — instead of rewriting rows.  The read side maps v3 columnar
-payloads directly (``mmap`` + per-column ``frombuffer`` views) instead
-of materialising per-column ``.npy`` mirrors.  This module measures and
-enforces:
+payloads directly (``mmap`` + per-column ``frombuffer`` views), the one
+way a store reads a ``.colseg``, instead of materialising per-column
+``.npy`` mirrors.  This module measures and enforces:
 
 * **adoption merge speedup** — merging the shard stores by segment
   adoption must beat the row-rewrite alternative (read every shard's
@@ -14,7 +14,7 @@ enforces:
   by >= 5x, with bit-identical query results.  The gap is algorithmic:
   adoption is O(segments), re-ingestion O(rows).
 * **zero-copy read speedup** — cold reads of columnar segments through
-  the mmap path must beat the sidecar-materialisation baseline
+  a store's mapped read path must beat the sidecar-materialisation baseline
   (decode all columns, write ``.npy`` mirrors, read them back) by
   >= 5x, bit-identically.
 * **sharded end-to-end wall time** — recorded, *not* gated: on a
@@ -243,14 +243,14 @@ def test_bench_zero_copy_reads(campaign, tmp_path):
     # Zero-copy: map the .colseg payload, expose frombuffer views.
     mmap_seconds = []
     for _ in range(3):
-        store = ResultStore(merged.root, mmap=True)  # cold: no column cache
+        store = ResultStore(merged.root)  # cold: a fresh handle
         started = time.perf_counter()
         mapped_rows = sum(touch(store.columns_for(meta)) for meta in metas)
         mmap_seconds.append(time.perf_counter() - started)
     assert mapped_rows == rows
 
     # Identity: both paths serve the same values.
-    mapped_store = ResultStore(merged.root, mmap=True)
+    mapped_store = ResultStore(merged.root)
     for meta in metas[:2]:
         mirrored = materialise(meta, "identity")
         mapped = mapped_store.columns_for(meta)

@@ -19,7 +19,7 @@ immutable checksummed files whose names are free to change.  The result
 is bit-identical to an unsharded run for any shard count —
 ``tests/test_campaign.py`` pins that, and
 ``benchmarks/test_bench_campaign.py`` holds the merge and the zero-copy
-``.colseg`` mmap read path to their speedup gates.
+mapped ``.colseg`` reads to their speedup gates.
 
 :mod:`repro.campaign.workloads` defines the sparse "Ambient" workload
 that makes a 10M-user simulated day tractable on a single machine.

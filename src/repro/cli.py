@@ -1056,7 +1056,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     app = ServeApp(args.path, host=args.host, port=args.port,
                    refresh_s=args.refresh, cache=not args.no_cache,
-                   compact_segments=args.compact_segments, mmap=args.mmap,
+                   compact_segments=args.compact_segments,
                    handler_threads=args.threads,
                    scan_workers=args.scan_workers)
     app.run()
@@ -1362,9 +1362,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="background-compact a kind once it exceeds N "
                             "committed segments (invalidates the result cache "
                             "and column views)")
-    serve.add_argument("--mmap", action="store_true",
-                       help="map columnar segments read-only in place "
-                            "(JSONL segments read resident)")
     serve.add_argument("--scan-workers", type=_positive_int, default=None,
                        metavar="N",
                        help="thread fan-out for per-request scans "

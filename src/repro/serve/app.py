@@ -78,10 +78,10 @@ class ServeApp:
     def __init__(self, root: Union[str, Path], *, host: str = "127.0.0.1",
                  port: int = 8736, refresh_s: float = 1.0, cache: bool = True,
                  max_result_entries: int = 256,
-                 compact_segments: Optional[int] = None, mmap: bool = False,
+                 compact_segments: Optional[int] = None,
                  handler_threads: int = 8,
                  scan_workers: Optional[int] = None) -> None:
-        self.store = ResultStore(root, mmap=mmap)
+        self.store = ResultStore(root)
         self.cache = (ServeCache(max_result_entries=max_result_entries)
                       if cache else None)
         self.manager = SnapshotManager(self.store, cache=self.cache)

@@ -51,8 +51,7 @@ interleaved float columns barely shrink.  Entries without ``"shuffle"``
 buffer.  The segment checksum always covers the durable bytes — i.e. the
 *compressed* payload for compressed columns.
 
-Reads come in two flavours: :func:`unpack_columns` decodes every column
-eagerly into a plain dict, and :func:`open_columns` returns a lazy
+Reads go through :func:`open_columns`, which returns a lazy
 :class:`LazyColumns` mapping that decodes a column on first access — over
 an ``mmap`` buffer, raw uncompressed columns become true zero-copy views
 of the on-disk pages, which is what keeps queries over multi-gigabyte
@@ -75,8 +74,8 @@ import numpy as np
 
 from repro.store.schema import RowKind
 
-__all__ = ["COLUMNAR_MAGIC", "CodedColumn", "pack_columns", "unpack_columns",
-           "open_columns", "LazyColumns", "coerce_batch"]
+__all__ = ["COLUMNAR_MAGIC", "CodedColumn", "pack_columns", "open_columns",
+           "LazyColumns", "coerce_batch"]
 
 
 class CodedColumn(NamedTuple):
@@ -606,17 +605,3 @@ def open_columns(payload, kind: RowKind, *,
                 f"columnar payload is missing column {column.name!r}")
     ordered = {column.name: parsed[column.name] for column in kind.columns}
     return LazyColumns(payload, rows, ordered)
-
-
-def unpack_columns(payload: bytes, kind: RowKind, *,
-                   expected_rows: int) -> dict[str, np.ndarray]:
-    """Unpack a columnar payload into read-only column arrays, eagerly.
-
-    The materialised counterpart of :func:`open_columns`: every column is
-    decoded up front, so corruption anywhere in the payload surfaces here.
-    Uncompressed columns are zero-copy views over ``payload`` (immutable
-    bytes keep them read-only, matching the JSONL cache path's
-    ``setflags(write=False)``).
-    """
-    lazy = open_columns(payload, kind, expected_rows=expected_rows)
-    return {name: lazy[name] for name in lazy}

@@ -38,12 +38,12 @@ import mmap as mmap_module
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.store import columnar
-from repro.store.schema import RowKind
+from repro.store.schema import RowKind, kind_for
 
 __all__ = ["SegmentMeta", "StoreCorruptionError", "write_segment",
            "write_columnar_segment", "load_rows", "load_columns",
@@ -289,20 +289,31 @@ def _write_cache(path: Path, log_sha256: str,
 
 
 def _read_payload(directory: Path, meta: SegmentMeta, *,
-                  verify: bool) -> bytes:
-    """Read a segment's durable artifact, optionally verifying its checksum.
+                  verify: bool) -> Union[bytes, mmap_module.mmap]:
+    """A segment's durable artifact, optionally verified against its checksum.
 
-    The artifact is the JSONL row log for row-oriented segments and the
-    packed columnar payload for columnar ones — either way the bytes that
-    the manifest's sha256 covers.
+    The artifact is the bytes the manifest's sha256 covers.  A columnar
+    segment's packed payload is mapped read-only in place: its raw columns
+    decode as zero-copy views of the mapped pages, and a read touches only
+    the pages of the columns it decodes.  A JSONL segment's row log is
+    read resident.  ``verify`` hashes those same bytes.
     """
     path = directory / meta.data_filename
     try:
-        payload = path.read_bytes()
+        if meta.is_columnar:
+            with open(path, "rb") as handle:
+                payload = mmap_module.mmap(handle.fileno(), 0,
+                                           access=mmap_module.ACCESS_READ)
+        else:
+            payload = path.read_bytes()
     except FileNotFoundError:
         raise StoreCorruptionError(
             f"segment {meta.name!r} is in the manifest but its "
             f"{meta.format} data file {path} is missing") from None
+    except ValueError as error:  # mmap refuses an empty file
+        raise StoreCorruptionError(
+            f"segment {meta.name!r} columnar payload cannot be mapped: "
+            f"{error}") from None
     if verify and hashlib.sha256(payload).hexdigest() != meta.sha256:
         raise StoreCorruptionError(
             f"segment {meta.name!r} {meta.format} data does not match its "
@@ -334,18 +345,6 @@ def segment_bytes(directory: Path, meta: SegmentMeta) -> int:
     return total
 
 
-def _unpack_columnar(payload: bytes, meta: SegmentMeta,
-                     kind: RowKind) -> dict[str, np.ndarray]:
-    """Decode a columnar payload, mapping codec errors to corruption."""
-    try:
-        return columnar.unpack_columns(payload, kind,
-                                       expected_rows=meta.rows)
-    except (ValueError, TypeError, KeyError) as error:
-        raise StoreCorruptionError(
-            f"segment {meta.name!r} columnar payload is corrupt: {error}"
-        ) from None
-
-
 def load_rows(directory: Path, meta: SegmentMeta, *,
               verify: bool = False) -> list[dict]:
     """Load a committed segment's rows, whichever format it was sealed in.
@@ -354,12 +353,11 @@ def load_rows(directory: Path, meta: SegmentMeta, *,
     column arrays back into plain-scalar dicts (:func:`rows_from_columns`),
     which compare ``==`` to the dicts the equivalent JSONL rows parse to.
     """
-    payload = _read_payload(directory, meta, verify=verify)
     if meta.is_columnar:
-        from repro.store.schema import kind_for
-
         kind = kind_for(meta.kind)
-        return rows_from_columns(kind, _unpack_columnar(payload, meta, kind))
+        return rows_from_columns(
+            kind, load_columns(directory, meta, kind, verify=verify))
+    payload = _read_payload(directory, meta, verify=verify)
     rows = [json.loads(line) for line in payload.splitlines() if line]
     if len(rows) != meta.rows:
         raise StoreCorruptionError(
@@ -369,36 +367,29 @@ def load_rows(directory: Path, meta: SegmentMeta, *,
 
 
 def load_columns(directory: Path, meta: SegmentMeta, kind: RowKind, *,
-                 verify: bool = False,
-                 mmap: bool = False) -> Mapping[str, np.ndarray]:
+                 verify: bool = False) -> Mapping[str, np.ndarray]:
     """Load a segment's column arrays, rebuilding the cache if needed.
 
-    The npz cache is only trusted when its embedded checksum matches the
-    manifest entry; otherwise (missing file, torn write, stale generation)
-    the columns are rebuilt from the row log and the cache is rewritten.
-    With ``verify`` the row log itself is checksummed too, even when the
-    cache is valid — the paranoid mode for auditing a copied store.
+    A columnar segment's durable artifact already *is* the column payload,
+    so a load maps it read-only (:func:`_read_payload`) and returns lazy
+    views (:class:`_SegmentColumns`): the payload structure is validated
+    eagerly, a column decodes on first access (raw ones as zero-copy
+    ``frombuffer`` views of the mapped pages), and dict-encoded columns
+    also expose their codes + vocabulary through ``.coded`` for the query
+    engine.  A malformed payload raises :class:`StoreCorruptionError` at
+    open for structural damage and at column access for per-column
+    damage; there is no row log to rebuild from.  The mapping stays open
+    while any of its columns is referenced.
 
-    Columnar segments skip all of that: their durable artifact already *is*
-    the column payload, so a load is one read plus lazy zero-copy
-    ``frombuffer`` views (:class:`_SegmentColumns` — mmap'd or not, the
-    payload structure is validated eagerly, columns decode on first
-    access, and dict-encoded columns additionally expose their
-    codes + vocabulary through ``.coded`` for the query engine) — a
-    malformed payload raises :class:`StoreCorruptionError` at open for
-    structural damage and at column access for per-column damage (there
-    is no row log to rebuild from; the checksummed file itself is the
-    source of truth).
-
-    With ``mmap`` a columnar segment's payload is mapped read-only in
-    place (:func:`_map_columnar`), so opening it costs page-table entries
-    instead of resident memory — the read path for >10M-row stores.  A
-    JSONL segment has no mappable column payload and reads resident
-    either way; ``store compact --format columnar`` upgrades it.
+    A JSONL segment trusts its npz cache only when the cache's embedded
+    checksum matches the manifest entry; otherwise (missing file, torn
+    write, stale generation) the columns are rebuilt from the row log and
+    the cache is rewritten.  ``verify`` checksums the durable artifact
+    (the mapped payload, or the row log even when the cache is valid) —
+    the paranoid mode for auditing a copied store.
     """
     if meta.is_columnar:
-        read = _map_columnar if mmap else _read_payload
-        payload = read(directory, meta, verify=verify)
+        payload = _read_payload(directory, meta, verify=verify)
         try:
             lazy = columnar.open_columns(payload, kind,
                                          expected_rows=meta.rows)
@@ -436,8 +427,8 @@ class _SegmentColumns(Mapping):
     """A segment's lazily-decoded columns with the store's error contract.
 
     Wraps :class:`repro.store.columnar.LazyColumns` so that a decode
-    failure at column-access time (torn mmap'd payload, bad compressed
-    section) surfaces as :class:`StoreCorruptionError` — the same
+    failure at column-access time (a bad compressed section or dictionary)
+    surfaces as :class:`StoreCorruptionError` — the same
     exception the eager load path raises — instead of the codec's raw
     :class:`ValueError`.
     """
@@ -478,30 +469,3 @@ class _SegmentColumns(Mapping):
 
     def __len__(self) -> int:
         return len(self._lazy)
-
-
-def _map_columnar(directory: Path, meta: SegmentMeta, *,
-                  verify: bool) -> mmap_module.mmap:
-    """Map a columnar segment's payload read-only, zero-copy.
-
-    The mapped counterpart of :func:`_read_payload`: the header is then
-    parsed in place (:func:`repro.store.columnar.open_columns`) and each
-    raw column is a ``frombuffer`` view of the mapped pages — no second
-    copy of the data on disk, and columns a query never touches are never
-    decoded.  ``verify`` checksums the file before it is mapped.
-    """
-    if verify:
-        _read_payload(directory, meta, verify=True)
-    path = directory / meta.data_filename
-    try:
-        with open(path, "rb") as handle:
-            return mmap_module.mmap(handle.fileno(), 0,
-                                    access=mmap_module.ACCESS_READ)
-    except FileNotFoundError:
-        raise StoreCorruptionError(
-            f"segment {meta.name!r} is in the manifest but its "
-            f"{meta.format} data file {path} is missing") from None
-    except (OSError, ValueError) as error:
-        raise StoreCorruptionError(
-            f"segment {meta.name!r} columnar payload cannot be mapped: "
-            f"{error}") from None

@@ -84,25 +84,21 @@ class ResultStore:
     Opening a path that holds no manifest yields an empty store; nothing is
     written until a :class:`~repro.store.writer.StoreWriter` commits its first
     segment.  The store object is cheap to hold open across ingestion —
-    :meth:`refresh` picks up newly committed segments without invalidating
-    the cache of already-loaded ones.
+    :meth:`refresh` picks up newly committed segments and keeps the column
+    views of those already read.
     """
 
-    def __init__(self, root: Union[str, Path], *, verify: bool = False,
-                 mmap: bool = False) -> None:
+    def __init__(self, root: Union[str, Path], *,
+                 verify: bool = False) -> None:
         self.root = Path(root)
+        #: Checksum every segment read, and check at each manifest read
+        #: that every listed data file exists.
         self.verify = verify
-        #: Map columnar segments' ``.colseg`` payloads read-only in place
-        #: instead of reading them resident — the >10M-row read path.  JSONL
-        #: segments read resident either way.  Query results are identical.
-        self.mmap = mmap
         #: The committed manifest's header (the list is ``_segments``).
         self._manifest: dict = {"format_version": FORMAT_VERSION,
                                 "sequence": 0, "generation": 0,
                                 "generations": []}
         self._segments: tuple[SegmentMeta, ...] = ()
-        #: Segments read through :meth:`columns_for` (compaction, export).
-        self._columns_cache: dict[str, Mapping[str, np.ndarray]] = {}
         #: kind -> the column view queries scan (:meth:`view_rows`).
         self._views: dict[str, KindView] = {}
         self._views_lock = threading.Lock()
@@ -149,17 +145,23 @@ class ResultStore:
         if "generation" not in data:
             data["generation"] = int(data.get("sequence", 0))
             data["generations"] = [[data["generation"], len(segments)]]
+        if self.verify:
+            missing = [meta.name for meta in segments if not
+                       (self.segments_dir / meta.data_filename).exists()]
+            if missing:
+                raise StoreCorruptionError(
+                    f"segments {missing} are in the manifest but their data "
+                    f"files are missing from {self.segments_dir}")
         self._manifest = data
         self._segments = segments
         self._evict_dropped()
 
     def _evict_dropped(self) -> None:
-        """Drop the caches of segments no longer in the committed list,
-        and the views that no longer describe a prefix of it."""
+        """Drop the encoded entries of segments no longer in the committed
+        list, and the views that no longer describe a prefix of it."""
         live = {meta.name for meta in self._segments}
-        for cache in (self._columns_cache, self._encoded):
-            for name in [name for name in cache if name not in live]:
-                del cache[name]
+        for name in [name for name in self._encoded if name not in live]:
+            del self._encoded[name]
         with self._views_lock:
             for kind, view in list(self._views.items()):
                 if not view.follows(self.segments_for(kind)):
@@ -355,27 +357,16 @@ class ResultStore:
     # Reads
     # ------------------------------------------------------------------ #
     def columns_for(self, meta: SegmentMeta) -> Mapping[str, np.ndarray]:
-        """Column arrays of one committed segment (cached in memory).
+        """Column arrays of one committed segment, read on every call.
 
-        With ``mmap`` and a columnar segment the mapping is lazy: a
-        column decodes (zero-copy where possible) on first subscript.
+        A columnar segment is mapped read-only and its columns decode on
+        first subscript (raw ones zero-copy); a JSONL segment reads its
+        npz cache (:func:`~repro.store.segment.load_columns`).  Nothing is
+        cached here: the column views are the query cache, and compaction
+        and export read each segment once.
         """
-        cached = self._columns_cache.get(meta.name)
-        if cached is None:
-            cached = segment_io.load_columns(
-                self.segments_dir, meta, kind_for(meta.kind),
-                verify=self.verify, mmap=self.mmap)
-            self._columns_cache[meta.name] = cached
-        return cached
-
-    def _load_segment(self, meta: SegmentMeta) -> Mapping[str, np.ndarray]:
-        """One segment's columns for a view, without caching them here."""
-        cached = self._columns_cache.get(meta.name)
-        if cached is not None:
-            return cached
         return segment_io.load_columns(
-            self.segments_dir, meta, kind_for(meta.kind),
-            verify=self.verify, mmap=self.mmap)
+            self.segments_dir, meta, kind_for(meta.kind), verify=self.verify)
 
     def view_rows(self, kind: RowKind, metas: Sequence[SegmentMeta],
                   names: Sequence[str], ranges: Sequence[tuple[int, int]],
@@ -399,7 +390,7 @@ class ResultStore:
                 self._view_misses += 1
                 if tuple(metas) == self.segments_for(kind)[:len(metas)]:
                     self._views[kind.name] = view
-        return view.rows(metas, names, ranges, self._load_segment,
+        return view.rows(metas, names, ranges, self.columns_for,
                          max_workers)
 
     def view_stats(self) -> dict:
@@ -507,7 +498,7 @@ class StoreSnapshot:
         """No-op: a snapshot never sees commits made after its pin."""
 
     def columns_for(self, meta: SegmentMeta) -> Mapping[str, np.ndarray]:
-        """Column arrays of one pinned segment (parent store's cache)."""
+        """Column arrays of one pinned segment, read through the parent."""
         return self._store.columns_for(meta)
 
     def rows_for(self, meta: SegmentMeta) -> list[dict]:

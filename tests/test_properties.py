@@ -12,7 +12,7 @@ from repro.dnn.layers import OpType
 from repro.dnn.tensor import DType, TensorSpec, WeightTensor
 from repro.formats.payload import decode_graph, encode_graph
 from repro.runtime.latency_model import LatencyModel
-from repro.store.columnar import pack_columns, unpack_columns
+from repro.store.columnar import open_columns, pack_columns
 from repro.store.schema import Column, RowKind
 
 
@@ -197,7 +197,7 @@ def test_columnar_codec_round_trips_bit_for_bit(values, compress):
     plain, and only compressed wide numeric sections are shuffled."""
     kind = RowKind("codec", (Column("v", "f8"),), to_row=dict)
     payload = pack_columns(kind, {"v": values}, compress=compress)
-    decoded = unpack_columns(payload, kind, expected_rows=values.size)["v"]
+    decoded = open_columns(payload, kind, expected_rows=values.size)["v"]
     little = values.dtype.newbyteorder("<")
     assert decoded.dtype == little
     assert decoded.tobytes() == values.astype(little).tobytes()

@@ -685,15 +685,15 @@ class TestParallelBitIdentity:
            st.lists(st.sampled_from(("device_name", "region", "target",
                                      "backend", "cloud_api")),
                     min_size=1, max_size=2, unique=True))
-    def test_mmap_and_fanout_identical(self, chunks, predicates, keys):
-        """mmap x worker count: same arrays, aggregates and stats."""
+    def test_fanout_identical(self, chunks, predicates, keys):
+        """Any worker count: same arrays, aggregates and stats."""
         with tempfile.TemporaryDirectory() as tmp:
             root = _drawn_store(Path(tmp) / "s", chunks).root
             formats = {meta.format for meta in ResultStore(root).segments}
             assert formats <= {"jsonl", "columnar"}
 
-            def run(mmap, workers):
-                store = ResultStore(root, mmap=mmap)  # cold column cache
+            def run(workers):
+                store = ResultStore(root)  # cold column views
                 scan = store.query("fleet_events", max_workers=workers)
                 grouped = store.query("fleet_events", max_workers=workers)
                 for column, op, value in predicates:
@@ -710,11 +710,10 @@ class TestParallelBitIdentity:
                              .aggregate())
                 return arrays, aggregate, scan.stats, grouped.stats
 
-            expected = run(False, 1)
-            for mmap, workers in ((False, 2), (True, 1), (True, 2)):
-                arrays, aggregate, scan_stats, grouped_stats = run(mmap,
-                                                                   workers)
-                label = f"mmap={mmap} workers={workers}"
+            expected = run(1)
+            for workers in (2, 8):
+                arrays, aggregate, scan_stats, grouped_stats = run(workers)
+                label = f"workers={workers}"
                 assert list(arrays) == list(expected[0]), label
                 for name, array in expected[0].items():
                     assert arrays[name].dtype == array.dtype, (label, name)
@@ -737,47 +736,46 @@ class TestParallelBitIdentity:
                                             predicates, keys):
         """The column view through a store's life equals the per-segment
         loop: append+flush, an older pinned snapshot, compaction and a
-        fresh handle, for every mmap x worker count."""
-        for mmap in (False, True):
-            for workers in (1, 2):
-                with tempfile.TemporaryDirectory() as tmp:
-                    root = _drawn_store(Path(tmp) / "s", chunks).root
-                    live = ResultStore(root, mmap=mmap)
-                    label = f"mmap={mmap} workers={workers}"
-                    _assert_matches_oracle(live, ResultStore(root),
-                                           predicates, keys, workers,
-                                           f"{label} initial")
-                    pinned = live.open_snapshot()
-                    kind = kind_for("fleet_events")
-                    for index, (fmt, rows, seed) in enumerate(appended):
-                        batch = synthetic_fleet_batch(50 + index, rows,
-                                                      seed=seed)
-                        if fmt == "jsonl":
-                            append_jsonl(live, "fleet_events",
-                                         _rows_of(kind, batch),
-                                         rows_per_segment=32)
-                            live.refresh()
-                        else:
-                            with live.writer(
-                                    rows_per_segment=32,
-                                    compress=fmt == "compressed") as writer:
-                                writer.append_batch("fleet_events", batch)
-                                writer.flush()
-                    _assert_matches_oracle(live, ResultStore(root),
-                                           predicates, keys, workers,
-                                           f"{label} appended")
-                    _assert_matches_oracle(
-                        pinned,
-                        ResultStore(root).open_snapshot(
-                            generation=pinned.generation),
-                        predicates, keys, workers, f"{label} pinned")
-                    compact_store(live, rows_per_segment=48)
-                    _assert_matches_oracle(live, ResultStore(root),
-                                           predicates, keys, workers,
-                                           f"{label} compacted")
-                    _assert_matches_oracle(ResultStore(root, mmap=mmap),
-                                           ResultStore(root), predicates,
-                                           keys, workers, f"{label} fresh")
+        fresh handle, for every worker count."""
+        for workers in (1, 2):
+            with tempfile.TemporaryDirectory() as tmp:
+                root = _drawn_store(Path(tmp) / "s", chunks).root
+                live = ResultStore(root)
+                label = f"workers={workers}"
+                _assert_matches_oracle(live, ResultStore(root),
+                                       predicates, keys, workers,
+                                       f"{label} initial")
+                pinned = live.open_snapshot()
+                kind = kind_for("fleet_events")
+                for index, (fmt, rows, seed) in enumerate(appended):
+                    batch = synthetic_fleet_batch(50 + index, rows,
+                                                  seed=seed)
+                    if fmt == "jsonl":
+                        append_jsonl(live, "fleet_events",
+                                     _rows_of(kind, batch),
+                                     rows_per_segment=32)
+                        live.refresh()
+                    else:
+                        with live.writer(
+                                rows_per_segment=32,
+                                compress=fmt == "compressed") as writer:
+                            writer.append_batch("fleet_events", batch)
+                            writer.flush()
+                _assert_matches_oracle(live, ResultStore(root),
+                                       predicates, keys, workers,
+                                       f"{label} appended")
+                _assert_matches_oracle(
+                    pinned,
+                    ResultStore(root).open_snapshot(
+                        generation=pinned.generation),
+                    predicates, keys, workers, f"{label} pinned")
+                compact_store(live, rows_per_segment=48)
+                _assert_matches_oracle(live, ResultStore(root),
+                                       predicates, keys, workers,
+                                       f"{label} compacted")
+                _assert_matches_oracle(ResultStore(root), ResultStore(root),
+                                       predicates, keys, workers,
+                                       f"{label} fresh")
 
     @pytest.mark.parametrize("workers", [2, 8, None])
     def test_thread_scans_identical(self, tmp_path, workers):

@@ -672,26 +672,19 @@ class TestCompaction:
 
 class TestMmapColumns:
     def test_queries_identical_to_in_memory(self, legacy, results):
-        mapped = ResultStore(legacy.root, mmap=True)
-        plain = ResultStore(legacy.root)
-        for meta in plain.segments:
-            for name, array in plain.columns_for(meta).items():
-                mirrored = mapped.columns_for(meta)[name]
-                assert not mirrored.flags.writeable
-                assert np.array_equal(np.asarray(mirrored), array)
-        assert mapped.query("executions").rows() \
-            == plain.query("executions").rows()
-        assert mapped.query("executions").objects() == results
-        agg = lambda store: (store.query("executions")  # noqa: E731
-                             .group_by("device_name", "backend")
-                             .agg(n=("latency_ms", "count"),
-                                  p99=("latency_ms", "p99"))
-                             .aggregate())
-        assert agg(mapped) == agg(plain)
+        from repro.store.segment import build_columns
+
+        store = ResultStore(legacy.root)
+        for meta in store.segments:
+            expected = build_columns(kind_for(meta.kind), store.rows_for(meta))
+            for name, array in store.columns_for(meta).items():
+                assert not array.flags.writeable
+                assert np.array_equal(np.asarray(array), expected[name])
+        assert store.query("executions").objects() == results
 
     def test_verify_checksums_jsonl_log_under_mmap(self, legacy):
         """verify=True must not be bypassed by a valid npz cache."""
-        mapped = ResultStore(legacy.root, mmap=True)
+        mapped = ResultStore(legacy.root)
         meta = mapped.segments[0]
         assert (mapped.segments_dir / meta.cache_filename).exists()
 
@@ -700,15 +693,15 @@ class TestMmapColumns:
         payload[:10] = b"corrupted!"
         log_path.write_bytes(bytes(payload))
 
-        paranoid = ResultStore(legacy.root, verify=True, mmap=True)
+        paranoid = ResultStore(legacy.root, verify=True)
         with pytest.raises(StoreCorruptionError):
             paranoid.columns_for(meta)
         # Without verify the (checksum-tagged, still valid) cache serves.
-        relaxed = ResultStore(legacy.root, mmap=True)
+        relaxed = ResultStore(legacy.root)
         assert relaxed.columns_for(meta)
 
     def test_verify_checksums_colseg_under_mmap(self, populated):
-        """verify=True checksums a columnar payload before mapping it."""
+        """verify=True checksums a columnar payload's mapped bytes."""
         meta = populated.segments[0]
         assert meta.is_columnar
         path = populated.segments_dir / meta.data_filename
@@ -716,12 +709,32 @@ class TestMmapColumns:
         payload[-3] ^= 0xFF  # flip a byte inside the last column buffer
         path.write_bytes(bytes(payload))
 
-        paranoid = ResultStore(populated.root, verify=True, mmap=True)
+        paranoid = ResultStore(populated.root, verify=True)
         with pytest.raises(StoreCorruptionError):
             paranoid.columns_for(meta)
         # Without verify the structurally intact payload still maps.
-        relaxed = ResultStore(populated.root, mmap=True)
+        relaxed = ResultStore(populated.root)
         assert relaxed.columns_for(meta)
+
+    @pytest.mark.parametrize("fixture", ["populated", "legacy"])
+    def test_verifying_open_fails_on_missing_data_file(self, request,
+                                                       fixture):
+        """verify=True checks at open that every listed data file exists."""
+        store = request.getfixturevalue(fixture)
+        meta = store.segments[1]
+        (store.segments_dir / meta.data_filename).unlink()
+        with pytest.raises(StoreCorruptionError, match=meta.name):
+            ResultStore(store.root, verify=True)
+
+    def test_zero_byte_colseg_is_corruption(self, populated):
+        """An emptied payload cannot be mapped: the segment is corrupt."""
+        meta = populated.segments[0]
+        assert meta.is_columnar
+        (populated.segments_dir / meta.data_filename).write_bytes(b"")
+        with pytest.raises(StoreCorruptionError, match="cannot be mapped"):
+            ResultStore(populated.root).columns_for(meta)
+        with pytest.raises(StoreCorruptionError):
+            ResultStore(populated.root).query("executions").objects()
 
 
 class TestQueryBin:
@@ -1014,17 +1027,20 @@ class TestColumnarSegments:
         with pytest.raises(StoreCorruptionError):
             ResultStore(columnar.root).query("executions").objects()
 
-    def test_mmap_over_columnar_identical(self, columnar, results):
+    def test_mmap_over_columnar_identical(self, columnar, batch_columns,
+                                          results):
         """Columnar segments map their payload in place, zero-copy."""
         import mmap as mmap_module
 
-        mapped = ResultStore(columnar.root, mmap=True)
+        mapped = ResultStore(columnar.root)
+        start = 0
         for meta in columnar.segments:
             loaded = mapped.columns_for(meta)
-            for name, array in columnar.columns_for(meta).items():
+            for name, array in batch_columns.items():
                 mirrored = loaded[name]
                 assert not mirrored.flags.writeable
-                assert np.array_equal(np.asarray(mirrored), array)
+                assert np.array_equal(np.asarray(mirrored),
+                                      array[start:start + meta.rows])
                 if mirrored.dtype.kind != "U":
                     # Raw columns are zero-copy views of the mapped file
                     # (frombuffer wraps the mmap in a memoryview).
@@ -1032,6 +1048,7 @@ class TestColumnarSegments:
                     if isinstance(base, memoryview):
                         base = base.obj
                     assert isinstance(base, mmap_module.mmap)
+            start += meta.rows
         assert mapped.query("executions").objects() == results
         # The zero-copy path writes nothing: segments/ holds only payloads.
         assert {path.suffix for path in mapped.segments_dir.iterdir()} \
@@ -1230,8 +1247,6 @@ class TestCacheAudit:
         (legacy.segments_dir / meta.cache_filename).unlink()
         with pytest.raises(StoreCorruptionError, match="rows"):
             ResultStore(legacy.root).columns_for(meta)
-        with pytest.raises(StoreCorruptionError):
-            ResultStore(legacy.root, mmap=True).columns_for(meta)
 
 class TestColumnarHardening:
     """Review follow-ups: header corruption and segment-size bounds."""
@@ -1382,7 +1397,7 @@ class TestCompressedColumns:
         assert du(packed) <= du(plain)
 
     def test_header_records_compression_when_it_wins(self, compressible):
-        from repro.store.columnar import pack_columns, unpack_columns
+        from repro.store.columnar import open_columns, pack_columns
         from repro.store.schema import kind_for
 
         kind = kind_for("fleet_load")
@@ -1394,8 +1409,8 @@ class TestCompressedColumns:
         assert len(payload) < len(raw_payload)
         assert b'"compression"' in payload and b'"zlib"' in payload
         assert b'"raw_nbytes"' in payload
-        decoded = unpack_columns(payload, kind,
-                                 expected_rows=coerced["bin_index"].size)
+        decoded = open_columns(payload, kind,
+                               expected_rows=coerced["bin_index"].size)
         for name, array in coerced.items():
             assert np.array_equal(decoded[name], array), name
             assert decoded[name].dtype == array.dtype
@@ -1438,7 +1453,7 @@ class TestCompressedColumns:
         store = ResultStore(tmp_path / "z.store")
         with store.writer(compress=True) as writer:
             writer.append_batch(kind, coerced)
-        mapped = ResultStore(store.root, mmap=True)
+        mapped = ResultStore(store.root)
         for meta in mapped.segments:
             columns = mapped.columns_for(meta)
             for name, array in coerced.items():
@@ -1461,9 +1476,6 @@ class TestCompressedColumns:
         reopened = ResultStore(store.root)
         with pytest.raises(StoreCorruptionError):
             dict(reopened.columns_for(meta))
-        mapped = ResultStore(store.root, mmap=True)
-        with pytest.raises(StoreCorruptionError):
-            dict(mapped.columns_for(meta))
 
     def test_raw_nbytes_mismatch_detected(self, compressible):
         from repro.store.columnar import (coerce_batch, open_columns,
@@ -1499,8 +1511,8 @@ class TestCompressedColumns:
                 + payload[8 + header_len:])
 
     def test_numeric_sections_deflate_shuffled(self, compressible):
-        from repro.store.columnar import (coerce_batch, pack_columns,
-                                          unpack_columns)
+        from repro.store.columnar import (coerce_batch, open_columns,
+                                          pack_columns)
         from repro.store.schema import kind_for
 
         kind = kind_for("fleet_load")
@@ -1515,8 +1527,8 @@ class TestCompressedColumns:
         for name in ("region", "cloud_api"):
             assert by_name[name]["encoding"] == "dict"
             assert "shuffle" not in by_name[name]
-        decoded = unpack_columns(payload, kind,
-                                 expected_rows=coerced["bin_index"].size)
+        decoded = open_columns(payload, kind,
+                               expected_rows=coerced["bin_index"].size)
         for name, array in coerced.items():
             assert np.array_equal(decoded[name], array), name
             assert decoded[name].dtype == array.dtype
@@ -1558,9 +1570,8 @@ class TestCompressedColumns:
         path = store.segments_dir / meta.data_filename
         assert path.read_bytes() == payload
         path.write_bytes(tampered)
-        for mmap in (False, True):
-            with pytest.raises(StoreCorruptionError):
-                dict(ResultStore(store.root, mmap=mmap).columns_for(meta))
+        with pytest.raises(StoreCorruptionError):
+            dict(ResultStore(store.root).columns_for(meta))
 
     def test_legacy_unshuffled_level6_payload_decodes(self, tmp_path,
                                                       compressible):
@@ -1569,7 +1580,7 @@ class TestCompressedColumns:
         import zlib
 
         from repro.store.columnar import (COLUMNAR_MAGIC, coerce_batch,
-                                          unpack_columns)
+                                          open_columns)
         from repro.store.schema import kind_for
 
         kind = kind_for("fleet_load")
@@ -1593,7 +1604,7 @@ class TestCompressedColumns:
         payload = b"".join([COLUMNAR_MAGIC,
                             len(header).to_bytes(4, "little"), header,
                             *sections])
-        decoded = unpack_columns(payload, kind, expected_rows=512)
+        decoded = open_columns(payload, kind, expected_rows=512)
         for name, array in coerced.items():
             assert decoded[name].dtype == array.dtype, name
             assert decoded[name].tobytes() == array.tobytes(), name
@@ -1611,7 +1622,7 @@ class TestStoreByteAccounting:
                                 execution_results_to_columns(results))
         before = ResultStore(store.root).format_summary()
         listing = sorted(store.segments_dir.iterdir())
-        mapped = ResultStore(store.root, mmap=True)
+        mapped = ResultStore(store.root)
         for meta in mapped.segments:
             mapped.columns_for(meta)
         assert sorted(store.segments_dir.iterdir()) == listing
@@ -1620,9 +1631,9 @@ class TestStoreByteAccounting:
     def test_compact_reports_bytes_reclaimed(self, legacy):
         from repro.store import compact_store
 
-        mapped = ResultStore(legacy.root, mmap=True)
-        for meta in mapped.segments:
-            mapped.columns_for(meta)  # mapped reads leave no extra files
+        reader = ResultStore(legacy.root)
+        for meta in reader.segments:
+            reader.columns_for(meta)  # reads leave no extra files
 
         def du(store):
             total = 0
