@@ -1,4 +1,4 @@
-"""Query engine v2 benchmark: kernels, coded predicates, parallel scans.
+"""Query engine v2 benchmark: kernels, coded predicates, served identity.
 
 The PR 10 acceptance measurements, recorded in ``BENCH_query.json``:
 
@@ -13,13 +13,7 @@ The PR 10 acceptance measurements, recorded in ``BENCH_query.json``:
     string filter against the vocabulary + integer codes vs decoding the
     unicode column and masking it, over the same columnar payloads,
     gated at >= 5x.  Correctness gate: identical match masks.
-(c) **Parallel segment scans** — cold-store (empty column cache) query
-    latency sequential vs thread fan-out on a compressed multi-segment
-    campaign store; speedups *recorded* (threads pay off with
-    GIL-releasing decompression/decode work, but this is not gated), and
-    ``arrays()``/``aggregate()``/``QueryStats`` asserted bit-identical
-    across 1/2/8 workers.
-(d) **Served byte-identity** — ``/v1/query`` responses (including an
+(c) **Served byte-identity** — ``/v1/query`` responses (including an
     ``in`` textual predicate) byte-equal to the offline engine at the
     same generation, the CLI grammar on both sides.
 """
@@ -69,25 +63,6 @@ def coded_store(tmp_path_factory) -> ResultStore:
         for index in range(2):
             writer.append_batch("fleet_events",
                                 synthetic_fleet_batch(10 + index, ROWS // 2))
-    store.refresh()
-    return store
-
-
-@pytest.fixture(scope="module")
-def compressed_store(tmp_path_factory) -> ResultStore:
-    """Compressed campaign store: 12 segments for the parallel-scan section.
-
-    Each segment holds ``ROWS // 3`` rows (4x the kernel store's total
-    row count across the 12 segments) so the per-segment decompress +
-    decode work is large enough for thread fan-out to overlap it.
-    """
-    root = tmp_path_factory.mktemp("bench_query") / "campaign.store"
-    store = ResultStore(root)
-    rows = max(ROWS // 3, 2000)
-    with store.writer(rows_per_segment=rows, compress=True) as writer:
-        for index in range(12):
-            writer.append_batch("fleet_events",
-                                synthetic_fleet_batch(20 + index, rows))
     store.refresh()
     return store
 
@@ -210,61 +185,6 @@ class TestQueryBench:
         }
         assert_speedup(speedup, 5.0, "dict-coded predicate evaluation")
 
-    def test_c_parallel_scan_identity_and_speedup(self, compressed_store,
-                                                  payload):
-        def cold_query(max_workers):
-            # Fresh store object = empty column cache: every segment pays
-            # its read + decompress + decode, the work threads overlap.
-            fresh = ResultStore(compressed_store.root)
-            query = (fresh.query("fleet_events", max_workers=max_workers)
-                     .where("target", "==", "device")
-                     .where("latency_ms", "<", 200.0))
-            arrays = query.arrays("latency_ms", "energy_mj", "device_name",
-                                  "model_name")
-            return arrays, query.stats
-
-        expected, expected_stats = cold_query(1)
-        for workers in (2, 8):
-            actual, stats = cold_query(workers)
-            label = f"workers={workers}"
-            for name in expected:
-                assert expected[name].dtype == actual[name].dtype, label
-                assert np.array_equal(expected[name], actual[name]), label
-            assert stats == expected_stats, label
-
-        def grouped_at(workers):
-            fresh = ResultStore(compressed_store.root)
-            return (fresh.query("fleet_events", max_workers=workers)
-                    .group_by("device_name")
-                    .agg(p99=("latency_ms", "p99"),
-                         total=("energy_mj", "sum")).aggregate())
-
-        assert grouped_at(1) == grouped_at(2) == grouped_at(8)
-
-        def cold_scan(max_workers):
-            # Timed variant without predicates: the per-segment work is
-            # read + decompress + decode (all GIL-releasing), which is
-            # what thread fan-out can actually overlap.
-            fresh = ResultStore(compressed_store.root)
-            return (fresh.query("fleet_events", max_workers=max_workers)
-                    .arrays("latency_ms", "energy_mj", "device_name",
-                            "model_name"))
-
-        _, sequential_s = best_of(3, cold_scan, 1)
-        _, threads2_s = best_of(3, cold_scan, 2)
-        _, threads8_s = best_of(3, cold_scan, 8)
-        payload["parallel_scans"] = {
-            "segments": len(compressed_store.segments_for("fleet_events")),
-            "rows": compressed_store.num_rows("fleet_events"),
-            "sequential_s": sequential_s,
-            "threads2_s": threads2_s,
-            "threads8_s": threads8_s,
-            "threads2_speedup": sequential_s / threads2_s,
-            "threads8_speedup": sequential_s / threads8_s,
-        }
-        # Recorded, not gated: thread wins ride on GIL-releasing
-        # decompress/decode work and vary with segment size and core count.
-
     def test_d_served_byte_identity(self, query_store, payload):
         params = [("kind", "fleet_events"),
                   ("where", "target in device|cloud"),
@@ -295,7 +215,7 @@ class TestQueryBench:
 
     def test_write_baseline(self, payload):
         for section in ("grouped_kernels", "dict_predicates",
-                        "parallel_scans", "served_identity"):
+                        "served_identity"):
             assert section in payload, \
                 f"missing {section} (earlier test failed?)"
         path = write_baseline(
@@ -305,6 +225,4 @@ class TestQueryBench:
         print(f"grouped kernels: "
               f"{payload['grouped_kernels']['speedup']:.1f}x, "
               f"dict predicates: "
-              f"{payload['dict_predicates']['speedup']:.1f}x, "
-              f"parallel threads x8: "
-              f"{payload['parallel_scans']['threads8_speedup']:.2f}x")
+              f"{payload['dict_predicates']['speedup']:.1f}x")

@@ -319,11 +319,6 @@ def cmd_store_query(args: argparse.Namespace) -> int:
     """Filter / group / aggregate over a persisted campaign."""
     store = ResultStore(args.path)
     query = store.query(args.kind)
-    if args.workers < 0:
-        print("error: --workers must be >= 0", file=sys.stderr)
-        return 2
-    if args.workers != 1:
-        query.parallel(args.workers or None)
     try:
         for column, op, value in args.where:
             query.where(column, op, value)
@@ -1057,8 +1052,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     app = ServeApp(args.path, host=args.host, port=args.port,
                    refresh_s=args.refresh, cache=not args.no_cache,
                    compact_segments=args.compact_segments,
-                   handler_threads=args.threads,
-                   scan_workers=args.scan_workers)
+                   handler_threads=args.threads)
     app.run()
     return 0
 
@@ -1143,10 +1137,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(repeatable)")
     query.add_argument("--limit", type=_positive_int, default=20,
                        help="max rows printed for non-aggregate queries")
-    query.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="parallel scan workers (1 = sequential, "
-                            "0 = one per CPU; results are bit-identical "
-                            "for any worker count)")
     query.set_defaults(func=cmd_store_query)
 
     report = store_sub.add_parser(
@@ -1362,11 +1352,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="background-compact a kind once it exceeds N "
                             "committed segments (invalidates the result cache "
                             "and column views)")
-    serve.add_argument("--scan-workers", type=_positive_int, default=None,
-                       metavar="N",
-                       help="thread fan-out for per-request scans "
-                            "(default sequential; results are bit-identical "
-                            "for any worker count)")
     serve.set_defaults(func=cmd_serve)
 
     obs_parser = subparsers.add_parser(

@@ -1,8 +1,8 @@
 """Ordered, bounded fan-out over a thread or process pool.
 
-The fleet sweep, the fleet traffic simulator, the query engine's segment
-scans and the campaign coordinator all dispatch many deterministic jobs
-and need the same streaming discipline:
+The fleet sweep, the fleet traffic simulator and the campaign
+coordinator all dispatch many deterministic jobs and need the same
+streaming discipline:
 
 * results come back **in submission order** regardless of completion order,
   so downstream consumers (store writers, reports) see a deterministic
@@ -16,11 +16,13 @@ and need the same streaming discipline:
 
 :func:`iter_mapped_chunks` is that discipline, extracted once; callers
 provide a per-chunk callable and consume a flat iterator of per-item
-results.  The simulators and the query engine fan out on threads only:
-their slices are too small to repay a process pool's fork and pickling
-cost.  Process fan-out (``use_processes``, with a picklable chunk
-callable) belongs to the campaign coordinator's shard processes
-(:func:`repro.campaign.run_campaign`), whose per-shard work does.
+results.  The simulators fan out on threads only: their slices are too
+small to repay a process pool's fork and pickling cost.  Process fan-out
+(``use_processes``, with a picklable chunk callable) belongs to the
+campaign coordinator's shard processes (:func:`repro.campaign.run_campaign`),
+whose per-shard work does.  Query scans do not fan out at all: one pass
+over a column view is cheaper on the calling thread than split across
+threads.
 
 On the process branch the caller is one of the workers: of every
 ``max_workers`` consecutive slices it runs the first itself, unpickled,
@@ -50,7 +52,7 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from repro import obs
 
-__all__ = ["iter_mapped", "iter_mapped_chunks", "resolve_workers"]
+__all__ = ["iter_mapped_chunks", "resolve_workers"]
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
@@ -158,24 +160,6 @@ def iter_mapped_chunks(
                 batch, snapshot = batch
                 collector.absorb(snapshot, parent_id=stitch_parent)
             yield from batch
-
-def iter_mapped(
-    run_item: Callable[[ItemT], ResultT],
-    items: Sequence[ItemT],
-    *,
-    max_workers: Optional[int] = None,
-) -> Iterator[ResultT]:
-    """Per-item thread fan-out over :func:`iter_mapped_chunks`.
-
-    Same streaming/ordering/backpressure discipline, but the caller
-    provides a one-item callable instead of a chunk callable, dispatched
-    one item per task.  This is the fan-out point the query engine's
-    parallel segment scans use: one segment per item, results reassembled
-    in manifest order.
-    """
-    return iter_mapped_chunks(
-        lambda chunk: [run_item(item) for item in chunk], items,
-        max_workers=max_workers)
 
 
 class _CollectingChunk:

@@ -79,14 +79,12 @@ class ServeApp:
                  port: int = 8736, refresh_s: float = 1.0, cache: bool = True,
                  max_result_entries: int = 256,
                  compact_segments: Optional[int] = None,
-                 handler_threads: int = 8,
-                 scan_workers: Optional[int] = None) -> None:
+                 handler_threads: int = 8) -> None:
         self.store = ResultStore(root)
         self.cache = (ServeCache(max_result_entries=max_result_entries)
                       if cache else None)
         self.manager = SnapshotManager(self.store, cache=self.cache)
-        self.service = QueryService(self.manager, cache=self.cache,
-                                    scan_workers=scan_workers)
+        self.service = QueryService(self.manager, cache=self.cache)
         self.router = Router(self.service)
         self.worker = RefreshWorker(self.manager, interval_s=refresh_s,
                                     compact_segments=compact_segments)

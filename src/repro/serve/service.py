@@ -244,14 +244,9 @@ def _report_fragment(table: str, device: Optional[str], min_apps: int) -> str:
 class QueryService:
     """Request execution over the snapshot manager's pinned generation."""
 
-    def __init__(self, manager, *, cache=None,
-                 scan_workers: Optional[int] = None) -> None:
+    def __init__(self, manager, *, cache=None) -> None:
         self.manager = manager
         self.cache = cache
-        #: Thread fan-out for per-request segment scans (``None``/``1`` =
-        #: sequential — the default; results are bit-identical either way,
-        #: so this is purely a latency knob for many-segment stores).
-        self.scan_workers = scan_workers
         self._local = threading.local()
 
     # ------------------------------------------------------------------ #
@@ -327,13 +322,6 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Queries and reports
     # ------------------------------------------------------------------ #
-    def _build_query(self, snapshot, spec: QuerySpec):
-        """A query over the pinned snapshot, fanned out when configured."""
-        query = snapshot.query(spec.kind)
-        if self.scan_workers is not None and self.scan_workers != 1:
-            query.parallel(self.scan_workers)
-        return query
-
     def query(self, spec: QuerySpec) -> dict:
         """Execute one query spec at the served generation (result-cached)."""
         snapshot = self.manager.current()
@@ -341,7 +329,7 @@ class QueryService:
         cached = self._cached(snapshot.generation, fragment)
         if cached is not None:
             return cached
-        query = self._build_query(snapshot, spec)
+        query = snapshot.query(spec.kind)
         spec.apply(query)
         if spec.agg:
             output = query.aggregate()

@@ -16,15 +16,9 @@ array math:
   aggregations or an explicit ``arrays(...)`` projection are materialised
   (and only those are built into the view).
 
-The execution engine adds three layers on top, each held bit-identical
-to the sequential/decoded/per-group semantics it replaces:
+The execution engine adds two layers on top, each held bit-identical
+to the decoded/per-group semantics it replaces:
 
-* **parallel scans** — :meth:`Query.parallel` reads the segments the view
-  lacks and evaluates consecutive row chunks on threads through
-  :func:`repro.runtime.pool.iter_mapped` (the work releases the GIL
-  inside NumPy kernels).  Chunks join back in row order and
-  :class:`QueryStats` comes from pruning alone, so every terminal is
-  bit-identical for any worker count;
 * **dictionary-coded predicates + late materialisation** — every string
   column of a view is held as codes into one sorted vocabulary, so
   predicates evaluate once against the (tiny) vocabulary and mask the
@@ -284,8 +278,7 @@ def _evaluate_segment(loaded: ViewRows, predicates: Sequence[Predicate],
     """Mask the loaded rows and materialise the survivors.
 
     A pure function of the loaded columns — the single evaluation point,
-    run once over a query's row ranges of the column view (or once per
-    range chunk on threads), so the paths cannot diverge.  Dict-coded
+    run once over a query's row ranges of the column view.  Dict-coded
     columns (every string column of a view: ``loaded.coded`` answers
     codes + vocabulary) evaluate predicates against their vocabulary and
     mask the integer codes; only rows surviving *all* masks are ever
@@ -325,28 +318,10 @@ def _evaluate_segment(loaded: ViewRows, predicates: Sequence[Predicate],
     return payload, matched
 
 
-def _concat_payloads(payloads: list[dict], columns: Sequence[str],
-                     coded: frozenset) -> dict:
-    """Chunk payloads of one scan joined in row order."""
-    if len(payloads) == 1:
-        return payloads[0]
-    joined: dict[str, Any] = {}
-    for name in columns:
-        parts = [payload[name] for payload in payloads]
-        if name in coded:
-            joined[name] = CodedColumn(
-                np.concatenate([part.codes for part in parts]),
-                parts[0].values)
-        else:
-            joined[name] = np.concatenate(parts)
-    return joined
-
-
 class Query:
     """Filter / group / aggregate builder over one row kind of a store."""
 
-    def __init__(self, store, kind: RowKind, *,
-                 max_workers: Optional[int] = 1) -> None:
+    def __init__(self, store, kind: RowKind) -> None:
         self.store = store
         self.kind = kind
         self._predicates: list[Predicate] = []
@@ -354,9 +329,6 @@ class Query:
         self._aggregations: dict[str, tuple[str, str]] = {}
         #: Derived bin columns: label -> (source column, bin width).
         self._bins: dict[str, tuple[str, float]] = {}
-        #: Scan fan-out: 1 = sequential (the default), ``None`` = one
-        #: worker per CPU; see :meth:`parallel`.
-        self._max_workers = max_workers
         #: Populated by the terminal methods.
         self.stats = QueryStats()
 
@@ -372,22 +344,6 @@ class Query:
         for name, wanted in equalities.items():
             self._predicates.append(
                 Predicate(name, "==", self._coerce(name, "==", wanted)))
-        return self
-
-    def parallel(self, max_workers: Optional[int] = None) -> "Query":
-        """Builder step: fan the scan out across a thread pool.
-
-        ``max_workers=None`` sizes the pool to the machine (one worker
-        per CPU).  Segments the column view still lacks are read on the
-        pool (decompression and decoding release the GIL), and the scan
-        splits the view's rows into consecutive chunks, one per worker,
-        joined back in row order.  :class:`QueryStats` comes from
-        pruning alone, so every terminal returns bit-identical output
-        for any worker count.
-        """
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive when given")
-        self._max_workers = max_workers
         return self
 
     def bin(self, column: str, width: float,
@@ -471,13 +427,9 @@ class Query:
         Segments whose stats rule a predicate out become excluded row
         ranges; the surviving ranges of the view (one range, a zero-copy
         slice, when nothing is pruned) are evaluated by one
-        :func:`_evaluate_segment` call — or, under :meth:`parallel`, by
-        one call per consecutive chunk of rows on threads, joined in row
-        order.  Returns ``(payload, matched)`` and sets :attr:`stats`:
-        per-segment counts from pruning, identical for any worker count.
+        :func:`_evaluate_segment` call.  Returns ``(payload, matched)``
+        and sets :attr:`stats`: per-segment counts from pruning.
         """
-        from repro.runtime.pool import iter_mapped, resolve_workers
-
         metas = self.store.segments_for(self.kind)
         predicates = self._predicates
         ranges: list[tuple[int, int]] = []
@@ -500,21 +452,9 @@ class Query:
         matched = scanned_rows
         if ranges and names:
             loaded = self.store.view_rows(self.kind, metas, tuple(names),
-                                          ranges, self._max_workers)
-            workers = (1 if self._max_workers == 1
-                       else resolve_workers(loaded.rows, self._max_workers))
-            if workers == 1:
-                payload, matched = _evaluate_segment(loaded, predicates,
-                                                     columns, coded)
-            else:
-                results = list(iter_mapped(
-                    lambda chunk: _evaluate_segment(chunk, predicates,
-                                                    columns, coded),
-                    loaded.split(workers), max_workers=workers))
-                matched = sum(count for _, count in results)
-                kept = [part for part, _ in results if part is not None]
-                payload = (_concat_payloads(kept, columns, coded)
-                           if kept else None)
+                                          ranges)
+            payload, matched = _evaluate_segment(loaded, predicates,
+                                                 columns, coded)
         self.stats = QueryStats(
             segments_total=len(metas), segments_skipped=skipped,
             segments_scanned=len(metas) - skipped,

@@ -369,8 +369,8 @@ class ResultStore:
             self.segments_dir, meta, kind_for(meta.kind), verify=self.verify)
 
     def view_rows(self, kind: RowKind, metas: Sequence[SegmentMeta],
-                  names: Sequence[str], ranges: Sequence[tuple[int, int]],
-                  max_workers: Optional[int] = 1) -> ViewRows:
+                  names: Sequence[str], ranges: Sequence[tuple[int, int]]
+                  ) -> ViewRows:
         """Row ``ranges`` of ``kind``'s column view over ``metas``.
 
         ``metas`` is the kind's segment list as a query source sees it
@@ -378,8 +378,8 @@ class ResultStore:
         over their concatenation, and ``names`` the columns to read.  The
         kind's kept view serves every list that is a prefix of it or
         extends it; a list from before a replacement commit gets a view
-        of its own that is not kept.  Segments the view lacks are read on
-        ``max_workers`` threads.
+        of its own that is not kept.  Segments the view lacks are read
+        one after another, on the calling thread.
         """
         with self._views_lock:
             view = self._views.get(kind.name)
@@ -390,8 +390,7 @@ class ResultStore:
                 self._view_misses += 1
                 if tuple(metas) == self.segments_for(kind)[:len(metas)]:
                     self._views[kind.name] = view
-        return view.rows(metas, names, ranges, self.columns_for,
-                         max_workers)
+        return view.rows(metas, names, ranges, self.columns_for)
 
     def view_stats(self) -> dict:
         """Accounting of the kept column views (``/v1/stats``).
@@ -416,16 +415,15 @@ class ResultStore:
         for meta in self.segments_for(kind):
             yield from self.rows_for(meta)
 
-    def query(self, kind: str, *, max_workers: Optional[int] = 1) -> "Query":
+    def query(self, kind: str) -> "Query":
         """Start a :class:`~repro.store.query.Query` over one row kind.
 
-        ``max_workers`` presets the scan's thread fan-out (``1`` =
-        sequential; see :meth:`~repro.store.query.Query.parallel` for the
-        semantics — results are bit-identical either way).
+        The query scans the kind's column view once, on the calling
+        thread.
         """
         from repro.store.query import Query
 
-        return Query(self, kind_for(kind), max_workers=max_workers)
+        return Query(self, kind_for(kind))
 
     # ------------------------------------------------------------------ #
     # Writes / integrity
@@ -506,10 +504,10 @@ class StoreSnapshot:
         return self._store.rows_for(meta)
 
     def view_rows(self, kind: RowKind, metas: Sequence[SegmentMeta],
-                  names: Sequence[str], ranges: Sequence[tuple[int, int]],
-                  max_workers: Optional[int] = 1) -> ViewRows:
+                  names: Sequence[str], ranges: Sequence[tuple[int, int]]
+                  ) -> ViewRows:
         """Row ranges of the parent store's column view (a prefix of it)."""
-        return self._store.view_rows(kind, metas, names, ranges, max_workers)
+        return self._store.view_rows(kind, metas, names, ranges)
 
     # Pure segment-list reads are identical to the store's; share the
     # implementations so the two views can never diverge.

@@ -177,24 +177,6 @@ class ViewRows:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._pick(self._columns[name].data)
 
-    def split(self, pieces: int) -> list["ViewRows"]:
-        """Consecutive sub-ranges of about equal row counts, in order."""
-        bounds = np.linspace(0, self.rows, pieces + 1).astype(np.int64)
-        parts: list[ViewRows] = []
-        for low, high in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            if high <= low:
-                continue
-            ranges = []
-            seen = 0
-            for start, stop in self._ranges:
-                lo = max(start, start + low - seen)
-                hi = min(stop, start + high - seen)
-                if hi > lo:
-                    ranges.append((lo, hi))
-                seen += stop - start
-            parts.append(ViewRows(self._columns, ranges))
-        return parts
-
 
 class KindView:
     """One row kind's columns over a prefix of its committed segments."""
@@ -222,14 +204,12 @@ class KindView:
 
     def rows(self, metas: Sequence[SegmentMeta], names: Sequence[str],
              ranges: Sequence[tuple[int, int]],
-             load: Callable[[SegmentMeta], Mapping],
-             max_workers: Optional[int] = 1) -> ViewRows:
+             load: Callable[[SegmentMeta], Mapping]) -> ViewRows:
         """``ranges`` of the rows of ``metas``, with ``names`` built.
 
         ``metas`` must be a prefix of the view's segment list or extend it
         (:meth:`follows`).  Missing segments and columns are read through
-        ``load`` — on ``max_workers`` threads when that is not 1 — and
-        added.
+        ``load`` and added.
         """
         state = self._state
         if len(metas) <= len(state.metas) \
@@ -241,21 +221,16 @@ class KindView:
             missing = [name for name in dict.fromkeys(names)
                        if name not in state.columns]
             if new or missing:
-                state = self._extend(state, new, missing, load, max_workers)
+                state = self._extend(state, new, missing, load)
                 self._state = state
         return ViewRows(state.columns, ranges)
 
     def _extend(self, state: _State, new: tuple, missing: list,
-                load: Callable, max_workers: Optional[int]) -> _State:
+                load: Callable) -> _State:
         """A state covering ``new`` segments too, with ``missing`` columns."""
-        from repro.runtime.pool import iter_mapped
-
         # Old segments are read again only for columns they lack.
         reads = (state.metas if missing else ()) + new
-        if max_workers != 1 and len(reads) > 1:
-            loaded = list(iter_mapped(load, reads, max_workers=max_workers))
-        else:
-            loaded = [load(meta) for meta in reads]
+        loaded = [load(meta) for meta in reads]
         fresh = loaded[len(reads) - len(new):]
         held = state.rows
         columns = {}

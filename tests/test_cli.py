@@ -27,6 +27,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["benchmark", "--devices", "Pixel6"])
 
+    @pytest.mark.parametrize("argv", [
+        ["store", "query", "s.store", "--workers", "2"],
+        ["serve", "s.store", "--scan-workers", "2"],
+    ])
+    def test_scan_fanout_flags_rejected(self, argv):
+        # Queries scan on one thread: no flag selects a scan fan-out.
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+
 
 class TestCommands:
     def test_census_runs(self, capsys):

@@ -3,9 +3,9 @@
 Three contracts, each asserted as exact equality (``==`` on floats — the
 engine promises bit-identity, not closeness):
 
-* **parallel == sequential** — ``arrays()``/``count()``/``aggregate()``
-  and :class:`QueryStats` are identical for any worker count,
-  resident or memory-mapped, on randomized mixed JSONL/columnar stores;
+* **view == oracle** — ``arrays()``/``count()``/``aggregate()`` and
+  :class:`QueryStats` over the column view equal the per-segment loop it
+  replaced, on randomized mixed JSONL/columnar stores;
 * **kernel == reference** — every grouped reduction through the
   vectorised kernels equals the per-group reference loop, including
   string min/max, integer sums, empty groups, all-pruned queries and
@@ -85,11 +85,8 @@ def _rows_of(kind, batch) -> list[dict]:
              else batch[name][i] for name in names} for i in range(length)]
 
 
-def full_query(store, **parallel):
-    query = store.query("fleet_events")
-    if parallel:
-        query.parallel(parallel.get("max_workers"))
-    return (query
+def full_query(store):
+    return (store.query("fleet_events")
             .where("latency_ms", "<", 120.0)
             .where("region", "in", ("eu-west", "us-east", "eu", "us"))
             .bin("time_s", 21600)
@@ -629,8 +626,7 @@ def _oracle_grouped(arrays, keys) -> list[dict]:
     return rows
 
 
-def _assert_matches_oracle(source, oracle_source, predicates, keys, workers,
-                           label):
+def _assert_matches_oracle(source, oracle_source, predicates, keys, label):
     """Every terminal over ``source`` equals the oracle over its twin."""
     from repro.store.query import AGGREGATIONS
 
@@ -639,7 +635,7 @@ def _assert_matches_oracle(source, oracle_source, predicates, keys, workers,
     expected, expected_stats = _oracle_scan(oracle_source, predicates, names)
 
     def query():
-        built = source.query("fleet_events", max_workers=workers)
+        built = source.query("fleet_events")
         for column, op, value in predicates:
             built.where(column, op, value)
         return built
@@ -677,49 +673,9 @@ def _assert_matches_oracle(source, oracle_source, predicates, keys, workers,
 
 
 class TestParallelBitIdentity:
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(_SEGMENT_FORMATS),
-                              st.integers(1, 80), st.integers(0, 3)),
-                    min_size=1, max_size=4),
-           st.lists(_PREDICATES, max_size=2),
-           st.lists(st.sampled_from(("device_name", "region", "target",
-                                     "backend", "cloud_api")),
-                    min_size=1, max_size=2, unique=True))
-    def test_fanout_identical(self, chunks, predicates, keys):
-        """Any worker count: same arrays, aggregates and stats."""
-        with tempfile.TemporaryDirectory() as tmp:
-            root = _drawn_store(Path(tmp) / "s", chunks).root
-            formats = {meta.format for meta in ResultStore(root).segments}
-            assert formats <= {"jsonl", "columnar"}
-
-            def run(workers):
-                store = ResultStore(root)  # cold column views
-                scan = store.query("fleet_events", max_workers=workers)
-                grouped = store.query("fleet_events", max_workers=workers)
-                for column, op, value in predicates:
-                    scan.where(column, op, value)
-                    grouped.where(column, op, value)
-                arrays = scan.arrays()
-                aggregate = (grouped.group_by(*keys)
-                             .agg(n=("latency_ms", "count"),
-                                  mean=("latency_ms", "mean"),
-                                  p99=("latency_ms", "p99"),
-                                  energy=("energy_mj", "sum"),
-                                  bytes=("cloud_bytes", "sum"),
-                                  first=("model_name", "min"))
-                             .aggregate())
-                return arrays, aggregate, scan.stats, grouped.stats
-
-            expected = run(1)
-            for workers in (2, 8):
-                arrays, aggregate, scan_stats, grouped_stats = run(workers)
-                label = f"workers={workers}"
-                assert list(arrays) == list(expected[0]), label
-                for name, array in expected[0].items():
-                    assert arrays[name].dtype == array.dtype, (label, name)
-                    assert np.array_equal(arrays[name], array), (label, name)
-                assert _typed(aggregate) == _typed(expected[1]), label
-                assert (scan_stats, grouped_stats) == expected[2:], label
+    """The column view equals the per-segment oracle; the shared pool
+    (:func:`repro.runtime.pool.iter_mapped_chunks`) keeps order and its
+    size."""
 
     @settings(max_examples=12, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_SEGMENT_FORMATS),
@@ -736,75 +692,37 @@ class TestParallelBitIdentity:
                                             predicates, keys):
         """The column view through a store's life equals the per-segment
         loop: append+flush, an older pinned snapshot, compaction and a
-        fresh handle, for every worker count."""
-        for workers in (1, 2):
-            with tempfile.TemporaryDirectory() as tmp:
-                root = _drawn_store(Path(tmp) / "s", chunks).root
-                live = ResultStore(root)
-                label = f"workers={workers}"
-                _assert_matches_oracle(live, ResultStore(root),
-                                       predicates, keys, workers,
-                                       f"{label} initial")
-                pinned = live.open_snapshot()
-                kind = kind_for("fleet_events")
-                for index, (fmt, rows, seed) in enumerate(appended):
-                    batch = synthetic_fleet_batch(50 + index, rows,
-                                                  seed=seed)
-                    if fmt == "jsonl":
-                        append_jsonl(live, "fleet_events",
-                                     _rows_of(kind, batch),
-                                     rows_per_segment=32)
-                        live.refresh()
-                    else:
-                        with live.writer(
-                                rows_per_segment=32,
-                                compress=fmt == "compressed") as writer:
-                            writer.append_batch("fleet_events", batch)
-                            writer.flush()
-                _assert_matches_oracle(live, ResultStore(root),
-                                       predicates, keys, workers,
-                                       f"{label} appended")
-                _assert_matches_oracle(
-                    pinned,
-                    ResultStore(root).open_snapshot(
-                        generation=pinned.generation),
-                    predicates, keys, workers, f"{label} pinned")
-                compact_store(live, rows_per_segment=48)
-                _assert_matches_oracle(live, ResultStore(root),
-                                       predicates, keys, workers,
-                                       f"{label} compacted")
-                _assert_matches_oracle(ResultStore(root), ResultStore(root),
-                                       predicates, keys, workers,
-                                       f"{label} fresh")
-
-    @pytest.mark.parametrize("workers", [2, 8, None])
-    def test_thread_scans_identical(self, tmp_path, workers):
-        store = mixed_store(tmp_path / "s")
-        sequential = full_query(store)
-        expected = sequential.arrays()
-        parallel = full_query(store, max_workers=workers)
-        actual = parallel.arrays()
-        assert set(actual) == set(expected)
-        for name in expected:
-            assert expected[name].dtype == actual[name].dtype
-            assert np.array_equal(expected[name], actual[name])
-        assert parallel.stats == sequential.stats
-        assert (full_query(store, max_workers=workers).aggregate()
-                == full_query(store).aggregate())
-        assert (full_query(store, max_workers=workers).count()
-                == full_query(store).count())
-
-    def test_parallel_rejects_non_positive_workers(self, tmp_path):
-        store = mixed_store(tmp_path / "s")
-        with pytest.raises(ValueError):
-            store.query("fleet_events").parallel(0)
-
-    def test_iter_mapped_preserves_order(self):
-        from repro.runtime.pool import iter_mapped
-
-        items = list(range(57))
-        assert list(iter_mapped(lambda i: i * i, items, max_workers=4)) \
-            == [i * i for i in items]
+        fresh handle."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = _drawn_store(Path(tmp) / "s", chunks).root
+            live = ResultStore(root)
+            _assert_matches_oracle(live, ResultStore(root),
+                                   predicates, keys, "initial")
+            pinned = live.open_snapshot()
+            kind = kind_for("fleet_events")
+            for index, (fmt, rows, seed) in enumerate(appended):
+                batch = synthetic_fleet_batch(50 + index, rows, seed=seed)
+                if fmt == "jsonl":
+                    append_jsonl(live, "fleet_events", _rows_of(kind, batch),
+                                 rows_per_segment=32)
+                    live.refresh()
+                else:
+                    with live.writer(
+                            rows_per_segment=32,
+                            compress=fmt == "compressed") as writer:
+                        writer.append_batch("fleet_events", batch)
+                        writer.flush()
+            _assert_matches_oracle(live, ResultStore(root),
+                                   predicates, keys, "appended")
+            _assert_matches_oracle(
+                pinned,
+                ResultStore(root).open_snapshot(generation=pinned.generation),
+                predicates, keys, "pinned")
+            compact_store(live, rows_per_segment=48)
+            _assert_matches_oracle(live, ResultStore(root),
+                                   predicates, keys, "compacted")
+            _assert_matches_oracle(ResultStore(root), ResultStore(root),
+                                   predicates, keys, "fresh")
 
     def test_pool_never_sized_past_its_tasks(self, monkeypatch):
         """A forking pool starts every worker it is sized for, so an
