@@ -1,16 +1,23 @@
 """The asyncio HTTP front end of :mod:`repro.serve` (stdlib only).
 
-A deliberately small HTTP/1.1 server on :func:`asyncio.start_server`:
-request lines and headers are parsed by hand, bodies read by
-``Content-Length``, responses are JSON with keep-alive connections.
+A deliberately small HTTP/1.1 server on asyncio streams: each request
+head (request line and headers, CRLF or bare-LF lines) is read in one
+call and parsed by hand, bodies are read by ``Content-Length``, and
+responses are JSON with keep-alive connections.  Each connection keeps
+its read deadlines — :data:`IDLE_TIMEOUT_S` waiting for a request,
+:data:`REQUEST_TIMEOUT_S` from a request's first byte to its last — on
+one timer that is re-armed lazily, when it fires, rather than once per
+request.
+
 Requests that need no scan — ``/v1/health``, ``/v1/kinds`` and a
 ``/v1/query`` or ``/v1/report`` answer the result cache holds — are
-dispatched on the event loop itself, a dictionary lookup with no thread
-hand-off.  Every scan runs on a thread pool, so a store-scanning query
-never stalls the accept loop, and NumPy evaluation gets real threads (it
-releases the GIL in the kernels that matter); a cached answer that a
-commit invalidates between the check and the dispatch goes to the pool
-too.
+dispatched on the event loop itself: a hit is one memoised parse of its
+target, one cache lookup and a write of the response bytes the cache
+entry was encoded to when it was put, with no thread hand-off.  Every
+scan runs on a thread pool, so a store-scanning query never stalls the
+accept loop, and NumPy evaluation gets real threads (it releases the GIL
+in the kernels that matter); a cached answer that a commit invalidates
+between the check and the dispatch goes to the pool too.
 
 :class:`ServeApp` wires the whole stack: live store → snapshot manager →
 query service → router, plus the background refresh worker.  ``repro
@@ -29,7 +36,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro import obs
-from repro.serve.cache import ServeCache
+from repro.serve.cache import EncodedPayload, ServeCache
 from repro.serve.routes import Router
 from repro.serve.service import QueryService, ScanRequired
 from repro.serve.snapshot import SnapshotManager
@@ -51,6 +58,8 @@ IDLE_TIMEOUT_S = 30.0
 #: Seconds from a request's first byte until its request line, headers
 #: and body are in; a slower request is answered 408 and closed.
 REQUEST_TIMEOUT_S = 10.0
+#: Bytes a request head may take (the stream reader's buffer limit).
+_READ_LIMIT = 1 << 16
 
 
 class _BadRequest(Exception):
@@ -59,6 +68,157 @@ class _BadRequest(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+class _Expired(Exception):
+    """A read deadline passed: ``idle`` with no byte of a request in."""
+
+    def __init__(self, idle: bool) -> None:
+        super().__init__("idle" if idle else "request not received in time")
+        self.idle = idle
+
+
+def _head_end(buffer: bytearray, start: int) -> int:
+    """End of the first empty line at or after ``start``, or 0."""
+    crlf = buffer.find(b"\n\r\n", start)
+    lf = buffer.find(b"\n\n", start)
+    if lf >= 0 and (crlf < 0 or lf < crlf):
+        return lf + 2
+    return crlf + 3 if crlf >= 0 else 0
+
+
+class _RequestReader(asyncio.StreamReader):
+    """One connection's stream: whole request heads, and its deadlines.
+
+    :meth:`read_head` is ``readuntil`` over the two ways a head can end
+    (an empty line after CRLF or bare-LF lines), written against the
+    stream's own buffer as ``readuntil`` is.  The deadlines live on one
+    timer: between :meth:`start_request` and :meth:`end_request` the
+    connection must see a request's first byte within
+    :data:`IDLE_TIMEOUT_S` and the whole request within
+    :data:`REQUEST_TIMEOUT_S` of it.  Requests only move the deadline;
+    the timer is re-armed when it fires, never later than the shorter of
+    the two timeouts ahead, so no deadline set since can be missed.  An
+    expired deadline fails the pending read with :class:`_Expired`.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        super().__init__(limit=_READ_LIMIT, loop=loop)
+        self._clock = loop.time
+        self._call_at = loop.call_at
+        self._timer: Optional[asyncio.TimerHandle] = None
+        #: Whether a request is being read (its head or body).
+        self._reading = False
+        #: When the connection began waiting for the current request.
+        self._waiting_since = 0.0
+        #: When the current request's first byte came in (``None``: not yet).
+        self._arrived: Optional[float] = None
+
+    def feed_data(self, data: bytes) -> None:
+        if self._reading and self._arrived is None:
+            self._arrived = self._clock()
+        super().feed_data(data)
+
+    def start_request(self) -> None:
+        """Begin waiting for (and reading) the next request."""
+        now = self._clock()
+        self._reading = True
+        self._waiting_since = now
+        self._arrived = now if self._buffer else None
+        if self._timer is None:
+            self._arm(now)
+
+    def end_request(self) -> None:
+        """The request is in, or has failed: no deadline until the next
+        one starts.  An expiry the caller has seen (or that came after
+        the bytes it read were in) is spent, so it fails no later write
+        (``drain`` raises the reader's exception) or read."""
+        self._reading = False
+        if isinstance(self._exception, _Expired):
+            self._exception = None
+
+    def close_deadlines(self) -> None:
+        """Cancel the timer (the connection is ending)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _deadline(self) -> Optional[float]:
+        if not self._reading:
+            return None
+        if self._arrived is None:
+            return self._waiting_since + IDLE_TIMEOUT_S
+        return self._arrived + REQUEST_TIMEOUT_S
+
+    def _arm(self, now: float) -> None:
+        when = now + min(IDLE_TIMEOUT_S, REQUEST_TIMEOUT_S)
+        deadline = self._deadline()
+        if deadline is not None and deadline < when:
+            when = deadline
+        self._timer = self._call_at(when, self._fire)
+
+    def _fire(self) -> None:
+        self._timer = None
+        now = self._clock()
+        deadline = self._deadline()
+        if deadline is not None and now >= deadline:
+            self.set_exception(_Expired(idle=self._arrived is None))
+        else:
+            self._arm(now)
+
+    async def read_head(self) -> bytes:
+        """The next request head, through its terminating empty line.
+
+        Raises :class:`_BadRequest` when the head runs past
+        :data:`_READ_LIMIT` (414 if its request line does, else 431)
+        and, like ``readuntil``, :class:`asyncio.IncompleteReadError` at
+        end of stream.
+        """
+        buffer = self._buffer
+        start = 0
+        while True:
+            if self._exception is not None:
+                raise self._exception
+            end = _head_end(buffer, start)
+            if end or len(buffer) > _READ_LIMIT:
+                break
+            if self._eof:
+                partial = bytes(buffer)
+                buffer.clear()
+                raise asyncio.IncompleteReadError(partial, None)
+            start = max(0, len(buffer) - 2)
+            await self._wait_for_data("read_head")
+        if not end or end > _READ_LIMIT:
+            if buffer.find(b"\n", 0, _READ_LIMIT) < 0:
+                raise _BadRequest(414, "request line too long")
+            raise _BadRequest(431, "request header fields too large")
+        head = bytes(buffer[:end])
+        del buffer[:end]
+        self._maybe_resume_transport()
+        return head
+
+
+def _parse_head(head: bytes) -> tuple[str, str, str, dict[str, str]]:
+    """``(method, target, version, headers)`` of a request head."""
+    request_line, *lines = head.decode("latin-1").split("\n")
+    parts = request_line.split()
+    if len(parts) != 3:
+        raise _BadRequest(400, "malformed request line")
+    headers: dict[str, str] = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        name = name.strip()
+        if name:
+            headers[name.lower()] = value.strip()
+    method, target, version = parts
+    return method, target, version, headers
+
+
+def _encode(payload: dict) -> bytes:
+    """A payload's response body (a result-tier entry's, as encoded)."""
+    if isinstance(payload, EncodedPayload):
+        return payload.body
+    return json.dumps(payload).encode("utf-8")
 
 
 def _content_length(headers: dict[str, str]) -> int:
@@ -103,8 +263,14 @@ class ServeApp:
     # ------------------------------------------------------------------ #
     async def start(self) -> str:
         """Bind the listener and start the refresh worker; returns the URL."""
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._port)
+        loop = asyncio.get_running_loop()
+
+        def connection() -> asyncio.StreamReaderProtocol:
+            return asyncio.StreamReaderProtocol(_RequestReader(loop),
+                                                self._handle, loop=loop)
+
+        self._server = await loop.create_server(connection, self._host,
+                                                self._port)
         host, port = self._server.sockets[0].getsockname()[:2]
         self.url = f"http://{host}:{port}"
         if not self.worker.is_alive():
@@ -149,7 +315,7 @@ class ServeApp:
     # ------------------------------------------------------------------ #
     # Connection handling
     # ------------------------------------------------------------------ #
-    async def _handle(self, reader: asyncio.StreamReader,
+    async def _handle(self, reader: _RequestReader,
                       writer: asyncio.StreamWriter) -> None:
         loop = asyncio.get_running_loop()
         handler = asyncio.current_task()
@@ -160,19 +326,19 @@ class ServeApp:
                     request = await self._read_request(reader)
                 except _BadRequest as bad:
                     await self._respond(writer, bad.status,
-                                        {"error": str(bad)}, keep_alive=False)
+                                        _encode({"error": str(bad)}),
+                                        keep_alive=False)
                     break
                 if request is None:
                     break
                 method, target, version, headers, body = request
 
                 obs.count("serve.requests")
-                status, payload = await self._answer(loop, method, target,
-                                                     body)
+                status, data = await self._answer(loop, method, target, body)
 
                 default = "keep-alive" if version == "HTTP/1.1" else "close"
                 keep = headers.get("connection", default).lower() != "close"
-                await self._respond(writer, status, payload, keep_alive=keep)
+                await self._respond(writer, status, data, keep_alive=keep)
                 if not keep:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError,
@@ -185,6 +351,7 @@ class ServeApp:
             # 3.11's stream done-callback from logging the cancellation as
             # an unhandled error.
         finally:
+            reader.close_deadlines()
             del self._connections[handler]
             writer.close()
             try:
@@ -192,8 +359,8 @@ class ServeApp:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    @classmethod
-    async def _read_request(cls, reader: asyncio.StreamReader):
+    @staticmethod
+    async def _read_request(reader: _RequestReader):
         """``(method, target, version, headers, body)``, or ``None`` at EOF.
 
         ``None`` too when no byte of a request arrives within
@@ -201,45 +368,25 @@ class ServeApp:
         with the status to answer: 400 for a bad request line or
         ``Content-Length``, 408 for a request still incomplete
         :data:`REQUEST_TIMEOUT_S` after its first byte, 413 for an
-        oversized body, 414/431 for a request or header line longer than
-        the stream reader's limit (which ``readline`` reports as
-        :class:`ValueError`).
+        oversized body, 414/431 for a request line or head longer than
+        the stream reader's limit.
         """
+        reader.start_request()
         try:
-            async with asyncio.timeout(IDLE_TIMEOUT_S):
-                first = await reader.read(1)
-        except TimeoutError:
-            return None
-        if not first:
-            return None
-        try:
-            async with asyncio.timeout(REQUEST_TIMEOUT_S):
-                return await cls._read_rest(reader, first)
-        except TimeoutError:
+            head = await reader.read_head()
+            method, target, version, headers = _parse_head(head)
+            length = _content_length(headers)
+            body = await reader.readexactly(length) if length else b""
+        except _Expired as expired:
+            if expired.idle:
+                return None
             raise _BadRequest(408, "request not received in time")
-
-    @classmethod
-    async def _read_rest(cls, reader: asyncio.StreamReader, first: bytes):
-        """The request after its first byte (see :meth:`_read_request`)."""
-        try:
-            request_line = first + await reader.readline()
-        except ValueError:
-            raise _BadRequest(414, "request line too long")
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise _BadRequest(400, "malformed request line")
-        try:
-            headers = await cls._read_headers(reader)
-        except ValueError:
-            raise _BadRequest(431, "request header line too long")
-        if headers is None:
-            return None
-        length = _content_length(headers)
-        body = await reader.readexactly(length) if length else b""
-        return (*parts, headers, body)
+        finally:
+            reader.end_request()
+        return method, target, version, headers, body
 
     async def _answer(self, loop: asyncio.AbstractEventLoop, method: str,
-                      target: str, body: bytes) -> tuple[int, dict]:
+                      target: str, body: bytes) -> tuple[int, bytes]:
         """Dispatch one request: on the loop when it needs no scan.
 
         A scan-free request (:meth:`Router.scan_free`: health, kinds, a
@@ -259,34 +406,22 @@ class ServeApp:
             self._executor, self._dispatch, method, target, body)
 
     def _dispatch(self, method: str, target: str,
-                  body: bytes) -> tuple[int, dict]:
-        """Router dispatch, shielded against handler bugs."""
+                  body: bytes) -> tuple[int, bytes]:
+        """Router dispatch, shielded against handler bugs, to the status
+        and response body (a result-tier entry's bytes as they were put)."""
         try:
             with obs.span("serve.request"):
-                return self.router.dispatch(method, target, body)
+                status, payload = self.router.dispatch(method, target, body)
+                return status, _encode(payload)
         except ScanRequired:
             raise
         except Exception as exc:  # a handler bug must not kill the connection
             obs.count("serve.errors")
-            return 500, {"error": f"internal error: {exc}"}
-
-    @staticmethod
-    async def _read_headers(reader: asyncio.StreamReader
-                            ) -> Optional[dict[str, str]]:
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n"):
-                return headers
-            if not line:
-                return None
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            return 500, _encode({"error": f"internal error: {exc}"})
 
     @staticmethod
     async def _respond(writer: asyncio.StreamWriter, status: int,
-                       payload: dict, *, keep_alive: bool) -> None:
-        data = json.dumps(payload).encode("utf-8")
+                       data: bytes, *, keep_alive: bool) -> None:
         connection = "keep-alive" if keep_alive else "close"
         head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
                 f"Content-Type: application/json\r\n"

@@ -13,7 +13,10 @@ tiers serve repeated and changing reads:
   segments.  A replacement commit (compaction) drops the views it
   invalidates and the next query rebuilds them.
 * **result tier** — keyed ``(generation, query fragment)``, holding the
-  final JSON payload of a request.  A generation advance orphans these
+  final JSON payload of a request as an :class:`EncodedPayload`: the
+  payload dict Python callers get, with its response body encoded once
+  when the entry is put, so the server writes a hit's bytes as they
+  are.  A generation advance orphans these
   (the segment list they summarise is no longer the served one); the
   :class:`~repro.serve.snapshot.SnapshotManager` evicts non-current
   generations on every swap, and clears the tier on a replacement
@@ -32,13 +35,25 @@ cover and how much memory they hold.
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from typing import Any, Optional
 
 from repro import obs
 
-__all__ = ["ServeCache"]
+__all__ = ["EncodedPayload", "ServeCache"]
+
+
+class EncodedPayload(dict):
+    """A result-tier payload: the dict itself, plus ``body``, its JSON
+    response body (``json.dumps(payload).encode()``), encoded once."""
+
+    __slots__ = ("body",)
+
+    def __init__(self, payload: dict) -> None:
+        super().__init__(payload)
+        self.body = json.dumps(payload).encode("utf-8")
 
 
 class _LruTier:
@@ -125,8 +140,11 @@ class ServeCache:
         return (generation, fragment) in self._results
 
     def put_result(self, generation: int, fragment: str,
-                   payload: dict) -> None:
-        self._results.put((generation, fragment), payload)
+                   payload: dict) -> EncodedPayload:
+        """Hold ``payload``, encoded once; returns the held entry."""
+        entry = EncodedPayload(payload)
+        self._results.put((generation, fragment), entry)
+        return entry
 
     # -- lifecycle ------------------------------------------------------ #
     def evict_generations(self, keep: int) -> int:

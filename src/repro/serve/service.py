@@ -16,7 +16,7 @@ SnapshotManager`'s pinned generation, consulting the
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import json
 import threading
 from dataclasses import dataclass, field
@@ -123,6 +123,11 @@ class QuerySpec:
 
     def fragment(self) -> str:
         """Canonical cache-key string of this spec (kind + shape + filters)."""
+        return self._fragment
+
+    @functools.cached_property
+    def _fragment(self) -> str:
+        # Specs are immutable: the key is encoded once per spec.
         return json.dumps(
             {"kind": self.kind, "where": list(self.where),
              "group_by": list(self.group_by), "agg": list(self.agg),
@@ -233,12 +238,26 @@ class ScanRequired(Exception):
     """
 
 
-def _query_fragment(spec: QuerySpec) -> str:
+def query_fragment(spec: QuerySpec) -> str:
+    """The result-tier key of a query spec's answer (per generation)."""
     return "query:" + spec.fragment()
 
 
-def _report_fragment(table: str, device: Optional[str], min_apps: int) -> str:
+def report_fragment(table: str, device: Optional[str], min_apps: int) -> str:
+    """The result-tier key of a report table's answer (per generation)."""
     return f"report:{table}|device={device}|min_apps={min_apps}"
+
+
+class _CachedOnly(threading.local):
+    """The :meth:`QueryService.cached_only` block: one flag per thread."""
+
+    active = False
+
+    def __enter__(self) -> None:
+        self.active = True
+
+    def __exit__(self, *exc_info) -> None:
+        self.active = False
 
 
 class QueryService:
@@ -247,7 +266,7 @@ class QueryService:
     def __init__(self, manager, *, cache=None) -> None:
         self.manager = manager
         self.cache = cache
-        self._local = threading.local()
+        self._cached_only = _CachedOnly()
 
     # ------------------------------------------------------------------ #
     # Lightweight endpoints
@@ -279,28 +298,16 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Result tier
     # ------------------------------------------------------------------ #
-    @contextlib.contextmanager
-    def cached_only(self):
+    def cached_only(self) -> _CachedOnly:
         """Within this block, on this thread, a request that would scan
         raises :class:`ScanRequired` instead (the serve event loop answers
         result-tier hits this way and never runs a scan itself)."""
-        self._local.cached_only = True
-        try:
-            yield
-        finally:
-            self._local.cached_only = False
+        return self._cached_only
 
-    def holds_query(self, spec: QuerySpec) -> bool:
-        """Whether the result tier holds ``spec``'s answer at the served
+    def holds(self, fragment: str) -> bool:
+        """Whether the result tier holds the answer keyed ``fragment``
+        (:func:`query_fragment`, :func:`report_fragment`) at the served
         generation (a check only: no hit or miss is counted)."""
-        return self._holds(_query_fragment(spec))
-
-    def holds_report(self, table: str, *, device: Optional[str] = None,
-                     min_apps: int = 0) -> bool:
-        """:meth:`holds_query` for a report table."""
-        return self._holds(_report_fragment(table, device, min_apps))
-
-    def _holds(self, fragment: str) -> bool:
         return (self.cache is not None
                 and self.cache.has_result(self.manager.generation, fragment))
 
@@ -311,7 +318,7 @@ class QueryService:
         a miss raises :class:`ScanRequired` uncounted, leaving the count
         to the attempt that scans.
         """
-        cached_only = getattr(self._local, "cached_only", False)
+        cached_only = self._cached_only.active
         cached = (self.cache.get_result(generation, fragment,
                                         count_miss=not cached_only)
                   if self.cache is not None else None)
@@ -325,7 +332,7 @@ class QueryService:
     def query(self, spec: QuerySpec) -> dict:
         """Execute one query spec at the served generation (result-cached)."""
         snapshot = self.manager.current()
-        fragment = _query_fragment(spec)
+        fragment = query_fragment(spec)
         cached = self._cached(snapshot.generation, fragment)
         if cached is not None:
             return cached
@@ -351,19 +358,21 @@ class QueryService:
             },
         }
         if self.cache is not None:
-            self.cache.put_result(snapshot.generation, fragment, payload)
+            return self.cache.put_result(snapshot.generation, fragment,
+                                         payload)
         return payload
 
     def report(self, table: str, *, device: Optional[str] = None,
                min_apps: int = 0) -> dict:
         """One report table at the served generation (result-cached)."""
         snapshot = self.manager.current()
-        fragment = _report_fragment(table, device, min_apps)
+        fragment = report_fragment(table, device, min_apps)
         cached = self._cached(snapshot.generation, fragment)
         if cached is not None:
             return cached
         payload = report_payload(snapshot, table, device=device,
                                  min_apps=min_apps)
         if self.cache is not None:
-            self.cache.put_result(snapshot.generation, fragment, payload)
+            return self.cache.put_result(snapshot.generation, fragment,
+                                         payload)
         return payload

@@ -56,9 +56,10 @@ assert pushdown actually happened.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -190,6 +191,187 @@ class Predicate:
         if self.op == ">=":
             return array >= self.value
         return np.isin(array, list(self.value))
+
+
+def _exact_float(value: Any) -> Optional[float]:
+    """``value`` as a float that compares exactly as ``value`` does, or
+    ``None`` (a non-number, or an int float64 cannot hold)."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        return None
+    try:
+        converted = float(value)
+    except OverflowError:
+        return None
+    return converted if converted == value or converted != converted \
+        else None
+
+
+class _ColumnStats(NamedTuple):
+    """One column's manifest stats over a kind's segments, as arrays.
+
+    :meth:`Predicate.may_match` compares some segments by min/max
+    (``low``/``high``; ``None`` when some bound has no exact float64
+    form) and tests others against a distinct-value set:
+    ``member[i, vocab[v]]`` says whether segment ``i`` holds ``v``,
+    ``single[i]`` whether that set has one value.  ``not_ranged`` and
+    ``not_tracked`` mark the segments outside each test, which admit
+    every predicate it would decide (``None``: no segment takes it).
+    """
+
+    not_ranged: Optional[np.ndarray]
+    low: Optional[np.ndarray]
+    high: Optional[np.ndarray]
+    not_tracked: Optional[np.ndarray]
+    vocab: dict
+    member: np.ndarray
+    single: np.ndarray
+
+
+class KindSegments:
+    """One row kind's committed segments, pruned without a per-segment loop.
+
+    A store and each snapshot keep one per kind and committed segment
+    list (:meth:`~repro.store.store.ResultStore.kind_segments`), so the
+    per-kind sublist and the stats arrays are built once per list, not
+    once per query, and go away with it.  :meth:`prune` answers exactly
+    what testing every segment with :meth:`Predicate.may_match` answers,
+    which stays the reference: a predicate whose values or bounds
+    float64 cannot compare exactly is pruned by that loop.
+    """
+
+    def __init__(self, metas: tuple[SegmentMeta, ...]) -> None:
+        self.metas = metas
+        self._columns: dict[str, _ColumnStats] = {}
+
+    @functools.cached_property
+    def rows(self) -> int:
+        """Rows over all the segments."""
+        return sum(meta.rows for meta in self.metas)
+
+    def prune(self, predicates: Sequence[Predicate], kind: RowKind
+              ) -> tuple[list[tuple[int, int]], int, int]:
+        """``(row ranges to scan, segments skipped, rows scanned)``.
+
+        A segment is skipped when some predicate's :meth:`Predicate.
+        may_match` rules it out; the kept segments become row ranges of
+        the view, runs that meet end to start merged into one.
+        """
+        if not self.metas:
+            return [], 0, 0
+        keep = None
+        for predicate in predicates:
+            admits = self._admits(predicate, kind.column(predicate.column))
+            if admits is not None:
+                keep = admits if keep is None else keep & admits
+        if keep is None or keep.all():
+            return [(0, self.rows)], 0, self.rows
+        offsets = np.zeros(len(self.metas) + 1, dtype=np.int64)
+        np.cumsum([meta.rows for meta in self.metas], out=offsets[1:])
+        edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+        ranges: list[tuple[int, int]] = []
+        for start, stop in zip(offsets[edges[0::2]].tolist(),
+                               offsets[edges[1::2]].tolist()):
+            if ranges and ranges[-1][1] == start:
+                ranges[-1] = (ranges[-1][0], stop)
+            else:
+                ranges.append((start, stop))
+        scanned = int(np.diff(offsets)[keep].sum())
+        return ranges, keep.size - int(np.count_nonzero(keep)), scanned
+
+    def _stats(self, column: Column) -> _ColumnStats:
+        found = self._columns.get(column.name)
+        if found is None:
+            found = self._columns[column.name] = self._build(column)
+        return found
+
+    def _build(self, column: Column) -> _ColumnStats:
+        count = len(self.metas)
+        numeric = np.zeros(count, dtype=bool)
+        tracked = np.zeros(count, dtype=bool)
+        bounds: list = []
+        sets: list = []
+        for index, meta in enumerate(self.metas):
+            stats = meta.stats.get(column.name)
+            if not stats:
+                continue
+            if column.is_numeric and "min" in stats:
+                numeric[index] = True
+                bounds.append((index, stats["min"], stats["max"]))
+            elif "values" in stats:
+                tracked[index] = True
+                sets.append((index, set(stats["values"])))
+        low = high = None
+        exact = [(_exact_float(lo), _exact_float(hi)) for _, lo, hi in bounds]
+        if all(lo is not None and hi is not None for lo, hi in exact):
+            low, high = np.zeros(count), np.zeros(count)
+            for (index, _, _), (lo, hi) in zip(bounds, exact):
+                low[index], high[index] = lo, hi
+        vocab: dict = {}
+        for _, present in sets:
+            for value in present:
+                vocab.setdefault(value, len(vocab))
+        member = np.zeros((count, len(vocab)), dtype=bool)
+        single = np.zeros(count, dtype=bool)
+        for index, present in sets:
+            member[index, [vocab[value] for value in present]] = True
+            single[index] = len(present) == 1
+        return _ColumnStats(~numeric if bounds else None, low, high,
+                            ~tracked if sets else None, vocab, member,
+                            single)
+
+    def _admits(self, predicate: Predicate, column: Column
+                ) -> Optional[np.ndarray]:
+        """Per segment, whether ``predicate.may_match`` holds (``None``:
+        everywhere)."""
+        stats = self._stats(column)
+        admits = None
+        if stats.not_ranged is not None:
+            ranged = self._ranged(predicate, stats)
+            if ranged is None:
+                return np.array([predicate.may_match(meta, column)
+                                 for meta in self.metas], dtype=bool)
+            admits = ranged | stats.not_ranged
+        if stats.not_tracked is not None \
+                and predicate.op in ("==", "!=", "in"):
+            values = (predicate.value if predicate.op == "in"
+                      else (predicate.value,))
+            columns = [stats.vocab[value] for value in values
+                       if value in stats.vocab]
+            held = stats.member[:, columns].any(axis=1)
+            if predicate.op == "!=":
+                held = ~(held & stats.single)
+            held |= stats.not_tracked
+            admits = held if admits is None else admits & held
+        return admits
+
+    @staticmethod
+    def _ranged(predicate: Predicate, stats: _ColumnStats
+                ) -> Optional[np.ndarray]:
+        """The min/max test of every segment, or ``None`` when float64
+        cannot decide it exactly."""
+        values = (predicate.value if predicate.op == "in"
+                  else (predicate.value,))
+        exact = [_exact_float(value) for value in values]
+        if stats.low is None or any(value is None for value in exact):
+            return None
+        low, high, op = stats.low, stats.high, predicate.op
+        if op == "in":
+            admits = np.zeros(low.size, dtype=bool)
+            for value in exact:
+                admits |= (low <= value) & (value <= high)
+            return admits
+        value = exact[0]
+        if op == "==":
+            return (low <= value) & (value <= high)
+        if op == "<":
+            return low < value
+        if op == "<=":
+            return low <= value
+        if op == ">":
+            return high > value
+        if op == ">=":
+            return high >= value
+        return ~((low == high) & (high == value))
 
 
 #: Comparison operators accepted in textual predicate expressions, longest
@@ -430,22 +612,10 @@ class Query:
         :func:`_evaluate_segment` call.  Returns ``(payload, matched)``
         and sets :attr:`stats`: per-segment counts from pruning.
         """
-        metas = self.store.segments_for(self.kind)
+        segments = self.store.kind_segments(self.kind)
+        metas = segments.metas
         predicates = self._predicates
-        ranges: list[tuple[int, int]] = []
-        skipped = scanned_rows = start = 0
-        specs = [(p, self.kind.column(p.column)) for p in predicates]
-        for meta in metas:
-            stop = start + meta.rows
-            if all(p.may_match(meta, spec) for p, spec in specs):
-                if ranges and ranges[-1][1] == start:
-                    ranges[-1] = (ranges[-1][0], stop)
-                else:
-                    ranges.append((start, stop))
-                scanned_rows += meta.rows
-            else:
-                skipped += 1
-            start = stop
+        ranges, skipped, scanned_rows = segments.prune(predicates, self.kind)
         columns = tuple(columns)
         names = dict.fromkeys(columns + tuple(p.column for p in predicates))
         payload: Optional[dict] = None

@@ -52,6 +52,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.store import segment as segment_io
+from repro.store.query import KindSegments, Query
 from repro.store.schema import ROW_KINDS, RowKind, kind_for
 from repro.store.segment import SegmentMeta, StoreCorruptionError
 from repro.store.view import KindView, ViewRows
@@ -99,6 +100,9 @@ class ResultStore:
                                 "sequence": 0, "generation": 0,
                                 "generations": []}
         self._segments: tuple[SegmentMeta, ...] = ()
+        #: ``(segment list, {kind: KindSegments})``: per-kind sublists of
+        #: one committed list (:meth:`kind_segments`).
+        self._kind_memo: tuple[tuple, dict] = ((), {})
         #: kind -> the column view queries scan (:meth:`view_rows`).
         self._views: dict[str, KindView] = {}
         self._views_lock = threading.Lock()
@@ -137,8 +141,18 @@ class ResultStore:
             raise StoreCorruptionError(
                 f"store at {self.root} has format version {version!r}; "
                 f"this build reads versions {READABLE_VERSIONS}")
-        segments = tuple(
-            SegmentMeta.from_json(entry) for entry in data.pop("segments"))
+        # A held meta is kept when its entry still names the same file
+        # content, so derived structures (the column views, the encoded
+        # entries) keep comparing identical objects.
+        held = {meta.name: meta for meta in self._segments}
+        kept = []
+        for entry in data.pop("segments"):
+            meta = held.get(entry["name"])
+            if (meta is None or meta.sha256 != entry["sha256"]
+                    or meta.rows != int(entry["rows"])):
+                meta = SegmentMeta.from_json(entry)
+            kept.append(meta)
+        segments = tuple(kept)
         # Stores written before generations existed: derive a monotone
         # generation from the sequence counter and pin the current list as
         # the only reopenable prefix (rewritten properly on the next commit).
@@ -317,8 +331,25 @@ class ResultStore:
 
     def segments_for(self, kind: Union[str, RowKind]) -> tuple[SegmentMeta, ...]:
         """Committed segments of one row kind, in commit order."""
+        return self.kind_segments(kind).metas
+
+    def kind_segments(self, kind: Union[str, RowKind]) -> KindSegments:
+        """One row kind's committed segments and their pruning stats.
+
+        Built once per committed segment list and kind, and dropped with
+        the list: the next commit or refresh starts a fresh memo.
+        """
         name = kind if isinstance(kind, str) else kind.name
-        return tuple(meta for meta in self._segments if meta.kind == name)
+        segments, memo = self._kind_memo
+        if segments is not self._segments:
+            segments = self._segments
+            memo = {}
+            self._kind_memo = (segments, memo)
+        found = memo.get(name)
+        if found is None:
+            found = memo[name] = KindSegments(
+                tuple(meta for meta in segments if meta.kind == name))
+        return found
 
     def kinds(self) -> tuple[str, ...]:
         """Row kinds with at least one committed segment, in first-commit order."""
@@ -415,14 +446,12 @@ class ResultStore:
         for meta in self.segments_for(kind):
             yield from self.rows_for(meta)
 
-    def query(self, kind: str) -> "Query":
+    def query(self, kind: str) -> Query:
         """Start a :class:`~repro.store.query.Query` over one row kind.
 
         The query scans the kind's column view once, on the calling
         thread.
         """
-        from repro.store.query import Query
-
         return Query(self, kind_for(kind))
 
     # ------------------------------------------------------------------ #
@@ -480,6 +509,7 @@ class StoreSnapshot:
         #: The pinned manifest generation (constant for the snapshot's life).
         self.generation = generation
         self._segments = tuple(segments)
+        self._kind_memo: tuple[tuple, dict] = ((), {})
         self.root = store.root
 
     @property
@@ -512,6 +542,7 @@ class StoreSnapshot:
     # Pure segment-list reads are identical to the store's; share the
     # implementations so the two views can never diverge.
     segments_for = ResultStore.segments_for
+    kind_segments = ResultStore.kind_segments
     kinds = ResultStore.kinds
     num_rows = ResultStore.num_rows
     format_summary = ResultStore.format_summary

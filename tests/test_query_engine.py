@@ -27,7 +27,9 @@ engine promises bit-identity, not closeness):
   ``count``/``sum``/``mean``/``std`` never build the group order.
 
 Plus the satellite fixes: the ``in`` textual grammar, numeric ``!=``
-pushdown, vectorised ``rows()`` and ``rows(limit)``; and the column views: every terminal
+pushdown, vectorised ``rows()`` and ``rows(limit)``; pruning over stats
+arrays (:class:`KindSegments`) equal to the per-segment
+:meth:`Predicate.may_match` loop; and the column views: every terminal
 through a store's life (append, pinned snapshot, compaction, fresh
 handle) equals the per-segment loop they replaced, kept here as the
 oracle, and a kept view is reused, extended and rebuilt as commits
@@ -36,8 +38,10 @@ require.
 
 from __future__ import annotations
 
+import gc
 import math
 import tempfile
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -50,7 +54,9 @@ from repro.campaign import synthetic_fleet_batch
 from repro.store import ResultStore, StoreCorruptionError, compact_store
 from repro.store import kernels
 from repro.store.columnar import CodedColumn
-from repro.store.query import Predicate, QueryStats, parse_predicate
+from repro.store.query import (KindSegments, Predicate, QueryStats,
+                                parse_predicate)
+from repro.store.segment import SegmentMeta
 from repro.store.schema import kind_for
 
 ALL_FNS = ("count", "sum", "mean", "std", "median", "min", "max",
@@ -941,6 +947,120 @@ class TestNotEqualPushdown:
         Meta.stats = {"cloud_bytes": {"min": 7, "max": 7}}
         assert not Predicate("cloud_bytes", "!=", 7).may_match(Meta, column)
         assert Predicate("cloud_bytes", "!=", 8).may_match(Meta, column)
+
+
+def _prune_reference(metas, predicates, kind):
+    """``(ranges, skipped, rows scanned)`` by the per-segment loop."""
+    ranges: list[tuple[int, int]] = []
+    skipped = scanned = start = 0
+    specs = [(p, kind.column(p.column)) for p in predicates]
+    for meta in metas:
+        stop = start + meta.rows
+        if all(p.may_match(meta, spec) for p, spec in specs):
+            if ranges and ranges[-1][1] == start:
+                ranges[-1] = (ranges[-1][0], stop)
+            else:
+                ranges.append((start, stop))
+            scanned += meta.rows
+        else:
+            skipped += 1
+        start = stop
+    return ranges, skipped, scanned
+
+
+_PRUNE_VOCAB = ("eu", "us", "apac", "sa")
+#: Bounds and values: small ints and floats, so segments both match and
+#: miss and bounds tie with values; now and then 2**53 or an int float64
+#: cannot hold (2**53 + 1), which sends its predicates to the
+#: ``may_match`` loop.
+_PRUNE_NUMBERS = st.one_of(
+    st.integers(-4, 4), st.floats(-4, 4, allow_nan=False),
+    st.integers(0, 15).map(lambda pick: 2 ** 53 + pick - 14 if pick >= 14
+                           else 0))
+
+
+@st.composite
+def _pruning_meta(draw, index: int) -> SegmentMeta:
+    stats: dict = {}
+    for column in ("latency_ms", "cloud_bytes"):
+        shape = draw(st.sampled_from(("missing", "empty", "range")))
+        if shape == "empty":
+            stats[column] = {}
+        elif shape == "range":
+            low, high = sorted((draw(_PRUNE_NUMBERS), draw(_PRUNE_NUMBERS)))
+            stats[column] = {"min": low, "max": high}
+    shape = draw(st.sampled_from(("missing", "empty", "values")))
+    if shape == "empty":
+        stats["region"] = {}
+    elif shape == "values":
+        stats["region"] = {"values": draw(st.lists(
+            st.sampled_from(_PRUNE_VOCAB), unique=True, max_size=3))}
+    return SegmentMeta(name=f"fleet_events-{index:06d}", kind="fleet_events",
+                       rows=draw(st.integers(0, 5)), sha256="0" * 64,
+                       stats=stats)
+
+
+@st.composite
+def _pruning_case(draw):
+    metas = tuple(draw(_pruning_meta(index))
+                  for index in range(draw(st.integers(0, 12))))
+    predicates = []
+    for _ in range(draw(st.integers(0, 3))):
+        column = draw(st.sampled_from(("latency_ms", "cloud_bytes",
+                                       "region")))
+        op = draw(st.sampled_from(("==", "!=", "<", ">=", "in")))
+        values = (st.sampled_from(_PRUNE_VOCAB + ("zz",))
+                  if column == "region"
+                  else st.one_of(_PRUNE_NUMBERS, st.just(math.nan)))
+        value = (tuple(draw(st.lists(values, max_size=3))) if op == "in"
+                 else draw(values))
+        predicates.append(Predicate(column, op, value))
+    return metas, predicates
+
+
+class TestPruningArrays:
+    """:meth:`KindSegments.prune` is the per-segment ``may_match`` loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pruning_case())
+    @example(((SegmentMeta("fleet_events-000000", "fleet_events", 2, "0",
+                           {"cloud_bytes": {"min": 1, "max": 3}}),
+               SegmentMeta("fleet_events-000001", "fleet_events", 0, "0",
+                           {"cloud_bytes": {"min": 7, "max": 7}}),
+               SegmentMeta("fleet_events-000002", "fleet_events", 3, "0",
+                           {"cloud_bytes": {"min": 2, "max": 2}})),
+              [Predicate("cloud_bytes", "<", 3)]))
+    @example(((SegmentMeta("fleet_events-000000", "fleet_events", 1, "0",
+                           {"cloud_bytes": {"min": 2 ** 53,
+                                            "max": 2 ** 53}}),),
+              [Predicate("cloud_bytes", "<", 2 ** 53 + 1)]))
+    def test_prune_equals_per_segment_loop(self, case):
+        metas, predicates = case
+        kind = kind_for("fleet_events")
+        assert KindSegments(metas).prune(predicates, kind) == \
+            _prune_reference(metas, predicates, kind)
+
+    def test_memo_lives_and_dies_with_the_segment_list(self, tmp_path):
+        store = mixed_store(tmp_path / "s")
+        held = store.kind_segments("fleet_events")
+        assert store.kind_segments("fleet_events") is held
+        assert held.metas == store.segments_for("fleet_events")
+        snapshot = store.open_snapshot()
+        pinned = snapshot.kind_segments("fleet_events")
+        assert pinned is not held and pinned.metas == held.metas
+        query = store.query("fleet_events").where("latency_ms", "<", 120.0)
+        query.count()
+        assert query.stats.segments_total == len(held.metas)
+        with store.writer(rows_per_segment=64) as writer:
+            writer.append_batch("fleet_events", synthetic_fleet_batch(3, 10))
+        fresh = store.kind_segments("fleet_events")
+        assert fresh is not held
+        assert fresh.metas[:len(held.metas)] == held.metas
+        assert snapshot.kind_segments("fleet_events") is pinned
+        gone = weakref.ref(held)
+        del held, query
+        gc.collect()
+        assert gone() is None
 
 
 class TestRowsVectorised:

@@ -744,6 +744,155 @@ class TestLoopAnswers:
         assert loop_thread not in scan_threads
 
 
+def _split_responses(data: bytes) -> list[tuple[str, dict, bytes]]:
+    """``(status line, headers, body)`` of each response in ``data``."""
+    responses = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        status, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = int(headers["Content-Length"])
+        responses.append((status, headers, rest[:length]))
+        data = rest[length:]
+    return responses
+
+
+class TestFraming:
+    """How request heads are read: one read per head, CRLF or bare LF,
+    pipelined or trickled, and the per-connection deadlines."""
+
+    @pytest.fixture()
+    def server(self, fleet_store):
+        app = ServeApp(fleet_store.root, port=0, refresh_s=3600.0)
+        with ServerThread(app) as thread:
+            yield thread
+
+    @staticmethod
+    def connect(server) -> socket.socket:
+        host, port = server.url.removeprefix("http://").split(":")
+        return socket.create_connection((host, int(port)), timeout=10)
+
+    @staticmethod
+    def read_all(sock: socket.socket) -> bytes:
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+        return data
+
+    def test_request_line_over_the_limit_is_a_414(self, server):
+        lines, body = _raw_request(
+            server.url, b"GET /v1/health?x=" + b"a" * (70 * 1024)
+            + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert lines[0].startswith("HTTP/1.1 414 ")
+        assert "Connection: close" in lines
+        assert "error" in json.loads(body)
+        lines, body = _raw_request(
+            server.url, b"GET /v1/health HTTP/1.1\r\nConnection: close"
+                        b"\r\n\r\n")
+        assert lines[0] == "HTTP/1.1 200 OK"
+
+    def test_bare_lf_head_is_answered(self, server):
+        lines, body = _raw_request(
+            server.url, b"GET /v1/kinds HTTP/1.1\nHost: x\n"
+                        b"Connection: close\n\n")
+        assert lines[0] == "HTTP/1.1 200 OK"
+        assert "Connection: close" in lines
+        assert json.loads(body)["kinds"]["fleet_events"] == 1200
+
+    def test_pipelined_requests_are_answered_in_order(self, server):
+        spec = json.dumps({"kind": "fleet_events",
+                           "agg": ["latency_ms:count"]}).encode()
+        with self.connect(server) as sock:
+            sock.sendall(
+                b"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + str(len(spec)).encode()
+                + b"\r\n\r\n" + spec
+                + b"GET /v1/kinds HTTP/1.1\r\nHost: x\r\n\r\n"
+                + b"GET /v1/health HTTP/1.1\r\nHost: x\r\n"
+                  b"Connection: close\r\n\r\n")
+            responses = _split_responses(self.read_all(sock))
+        assert [status for status, _, _ in responses] == \
+            ["HTTP/1.1 200 OK"] * 3
+        assert [headers["Connection"] for _, headers, _ in responses] == \
+            ["keep-alive", "keep-alive", "close"]
+        query, kinds, health = (json.loads(body) for _, _, body in responses)
+        assert query["rows"] == [{"latency_ms_count": 1200}]
+        assert kinds["kinds"] == {"fleet_events": 1200}
+        assert health["status"] == "ok"
+
+    def test_trickled_head_within_the_deadline_is_answered(
+            self, fleet_store, monkeypatch, caplog):
+        """Once a request's first byte is in, only the request deadline
+        binds: a head trickled for longer than the idle timeout is
+        answered.  A request that then stalls gets its 408, and neither
+        logs an error."""
+        from repro.serve import app as app_module
+
+        monkeypatch.setattr(app_module, "IDLE_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(app_module, "REQUEST_TIMEOUT_S", 3.0)
+        request = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+        app = ServeApp(fleet_store.root, port=0, refresh_s=3600.0)
+        with ServerThread(app) as server, self.connect(server) as sock:
+            started = time.perf_counter()
+            for byte in range(len(request)):
+                sock.sendall(request[byte:byte + 1])
+                time.sleep(0.6 / len(request))
+            assert time.perf_counter() - started > 0.3
+            sock.sendall(b"GET /v1/kinds HTTP/1.1\r\n")  # then stalls
+            responses = _split_responses(self.read_all(sock))
+        assert [status.split()[1] for status, _, _ in responses] == \
+            ["200", "408"]
+        assert json.loads(responses[0][2])["status"] == "ok"
+        assert responses[1][1]["Connection"] == "close"
+        assert not [record for record in caplog.records
+                    if record.levelname in ("ERROR", "CRITICAL")]
+
+
+class TestParseOnce:
+    """One parse per GET target, keyed without its ``#`` fragment; the
+    result tier keys on the parsed spec, so spellings share one entry."""
+
+    _SPELLINGS = (
+        _GROUPED,
+        "/v1/query?agg=latency_ms:mean,p99&group_by=device_name"
+        "&group_by=backend&where=latency_ms<120&kind=fleet_events",
+        _GROUPED + "#tag",
+    )
+
+    def test_spellings_share_one_miss_and_the_same_bytes(self, fleet_store):
+        app = ServeApp(fleet_store.root, port=0, refresh_s=3600.0)
+        with ServerThread(app) as server:
+            host, port = server.url.removeprefix("http://").split(":")
+            connection = http.client.HTTPConnection(host, int(port),
+                                                    timeout=10)
+            try:
+                bodies = [TestLoopAnswers.fetch(connection, target)
+                          for target in self._SPELLINGS * 2]
+            finally:
+                connection.close()
+        counted = app.cache.stats()["result"]
+        assert (counted["misses"], counted["hits"]) == (1, 5)
+        assert set(bodies) == {bodies[0]}
+        assert json.loads(bodies[0]) == \
+            TestLoopAnswers.offline_query(fleet_store.open_snapshot())
+
+    def test_fragments_do_not_grow_the_parse_memo(self, fleet_store):
+        from repro.serve.routes import MAX_PARSED
+
+        cache = ServeCache()
+        manager = SnapshotManager(ResultStore(fleet_store.root), cache=cache)
+        router = Router(QueryService(manager, cache=cache))
+        for tag in range(5000):
+            assert router.scan_free("GET", f"{_GROUPED}#{tag}") is False
+        assert router.dispatch("GET", f"{_GROUPED}#last")[0] == 200
+        assert router.scan_free("GET", f"{_GROUPED}#again") is True
+        assert router._parse_get.cache_info().currsize == 1
+        for limit in range(1, MAX_PARSED + 50):
+            router.scan_free("GET", f"/v1/query?kind=fleet_events"
+                                    f"&limit={limit}")
+        assert router._parse_get.cache_info().currsize == MAX_PARSED
+
+
 # --------------------------------------------------------------------------- #
 # Satellite: CLI `store info --json` / `store report --json`
 # --------------------------------------------------------------------------- #

@@ -140,3 +140,42 @@ def test_manifest_is_compact_json_of_every_committed_entry(tmp_path):
     assert data["sequence"] == other.sequence == 6
     assert _names(ResultStore(store.root)) == [
         "fleet_events-000004", "fleet_events-000005", "fleet_events-000006"]
+
+
+def test_refresh_keeps_the_held_metas_of_unchanged_entries(tmp_path):
+    """A refresh that finds one more segment keeps every held meta object,
+    so the column view's prefix check compares identical objects."""
+    root = tmp_path / "s"
+    with ResultStore(root).writer(rows_per_segment=8) as writer:
+        writer.append_batch("fleet_events", _batch("fleet_events", 20))
+    reader = ResultStore(root)
+    held = reader.segments
+    assert reader.query("fleet_events").count() == 20
+    with ResultStore(root).writer(rows_per_segment=8) as writer:
+        writer.append_batch("fleet_events", _batch("fleet_events", 5, 20))
+    reader.refresh()
+    assert len(reader.segments) == len(held) + 1
+    assert all(new is old for new, old in zip(reader.segments, held))
+    assert _user_ids(reader) == list(range(25))
+    assert reader.view_stats()["misses"] == 1  # the view was extended
+
+
+def test_refresh_replaces_a_meta_whose_name_now_holds_other_rows(tmp_path):
+    """Two handles at one sequence seal the same name (the two-handle
+    clobber): a reader holding the first meta gets a fresh one for the
+    second, and its reads follow the file now on disk."""
+    root = tmp_path / "s"
+    first, second = ResultStore(root), ResultStore(root)
+    with first.writer() as writer:
+        writer.append_batch("fleet_events", _batch("fleet_events", 4))
+    reader = ResultStore(root)
+    held = reader.segments[0]
+    assert _user_ids(reader) == [0, 1, 2, 3]
+    with second.writer() as writer:
+        writer.append_batch("fleet_events", _batch("fleet_events", 4, 100))
+    reader.refresh()
+    fresh = reader.segments[0]
+    assert (fresh.name, fresh.rows) == (held.name, held.rows)
+    assert fresh is not held and fresh.sha256 != held.sha256
+    assert fresh.stats["user_id"] == {"min": 100, "max": 103}
+    assert _user_ids(reader) == [100, 101, 102, 103]
