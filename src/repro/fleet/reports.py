@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from repro.analysis.ecdf import Ecdf
+from repro.analysis.ecdf import Ecdf, sort_floats
 from repro.fleet.queueing import ROUTE_TARGETS
 
 __all__ = ["tail_latency_table", "battery_drain_ecdf", "offload_summary",
@@ -58,7 +56,7 @@ def battery_drain_ecdf(store) -> Ecdf:
               .aggregate_arrays()["total_mah"])
     if not totals.size:
         raise ValueError("store holds no fleet_events rows")
-    return Ecdf.from_sorted(np.sort(totals, kind="stable"))
+    return Ecdf.from_sorted(sort_floats(totals))
 
 
 def offload_summary(store) -> dict:

@@ -49,12 +49,20 @@ class Router:
 
     A GET target is parsed once: :meth:`scan_free` and :meth:`dispatch`
     share a bounded memo of parsed targets, keyed by the target without
-    its ``#`` fragment.
+    its ``#`` fragment.  A POST body is parsed once per request:
+    :meth:`scan_free` keeps its parse of the last POST query it checked,
+    and :meth:`dispatch` of that request (the same body object, on any
+    thread) takes it instead of parsing again.
     """
 
     def __init__(self, service: QueryService) -> None:
         self.service = service
         self._parse_get = functools.lru_cache(maxsize=MAX_PARSED)(_parse_get)
+        #: ``(method, target, body, spec)`` of the last POST query
+        #: :meth:`scan_free` parsed.  One reference swap per update, and
+        #: ``dispatch`` matches the body by identity, so a request can
+        #: only ever take its own parse.
+        self._checked: Optional[tuple] = None
 
     def dispatch(self, method: str, target: str,
                  body: Optional[bytes] = None) -> tuple[int, dict]:
@@ -86,10 +94,12 @@ class Router:
                 if fragment is None:
                     return route in ("health", "kinds")
                 return self.service.holds(fragment)
+            body = body or b""
             path, params = _split(target)
             if path == "/v1/query":
-                return self.service.holds(query_fragment(
-                    _query_spec(method, path, params, body or b"")))
+                spec = _query_spec(method, path, params, body)
+                self._checked = (method, target, body, spec)
+                return self.service.holds(query_fragment(spec))
         except Exception:  # ``dispatch`` answers whatever went wrong
             pass
         return False
@@ -102,7 +112,12 @@ class Router:
         if method == "GET":
             route, args, _ = self._parse(target)
         else:
-            route, args = _parse_other(method, target, body)
+            checked = self._checked
+            if checked is not None and checked[2] is body \
+                    and checked[:2] == (method, target):
+                route, args = "query", checked[3]
+            else:
+                route, args = _parse_other(method, target, body)
         if route == "query":
             return self.service.query(args)
         if route == "report":

@@ -199,13 +199,13 @@ def report_payload(source, table: str, *, device: Optional[str] = None,
     if table == "summary":
         payload["summary"] = server.summary()
     elif table == "latency_ecdf":
-        payload["rows"] = [
-            {"device": name, "models": len(ecdf.values),
-             "median_ms": float(ecdf.median),
-             "p90_ms": float(ecdf.quantile(0.9)),
-             "p99_ms": float(ecdf.quantile(0.99))}
-            for name, ecdf in server.latency_ecdf_by_device().items()
-        ]
+        rows = []
+        for name, ecdf in server.latency_ecdf_by_device().items():
+            median_ms, p90_ms, p99_ms = ecdf.quantiles((0.5, 0.9, 0.99))
+            rows.append({"device": name, "models": len(ecdf.values),
+                         "median_ms": median_ms, "p90_ms": p90_ms,
+                         "p99_ms": p99_ms})
+        payload["rows"] = rows
     elif table == "energy":
         payload["rows"] = [
             {"device": name, **row}
@@ -218,13 +218,15 @@ def report_payload(source, table: str, *, device: Optional[str] = None,
             for api, entry in server.cloud_api_usage(min_apps).items()
         ]
     else:  # latency_flops (Fig. 8)
-        devices = [device] if device is not None else server.devices()
         payload["device"] = device
-        payload["points"] = {
-            name: [[float(l), float(f)]
-                   for l, f in server.latency_vs_flops(name)]
-            for name in devices
-        }
+        if device is not None:
+            payload["points"] = {device: [
+                [float(l), float(f)]
+                for l, f in server.latency_vs_flops(device)]}
+        else:
+            payload["points"] = {
+                name: points.tolist()
+                for name, points in server.latency_vs_flops_by_device().items()}
     return payload
 
 

@@ -17,10 +17,12 @@ set at once:
   (lexicographic segment endpoints for string columns);
 * ``median``/``p50``/``p90``/``p99``/``p999`` — one in-place sort of
   each group's slice of the gathered column (shared by every order
-  statistic of that column), then a vectorised replica of NumPy's
-  linear-interpolation quantile (virtual index, gamma, and the
-  ``gamma >= 0.5`` lerp branch), bit-identical to ``np.quantile`` per
-  group.
+  statistic of that column), then :func:`segment_quantiles`, a
+  vectorised replica of NumPy's linear-interpolation quantile (virtual
+  index, gamma, the last-index bounds rule and the ``gamma >= 0.5`` lerp
+  branch), bit-identical to ``np.quantile`` per group.  It is the one
+  quantile kernel: :class:`repro.analysis.ecdf.Ecdf` runs its quantiles
+  through it too, with the sample as one segment.
 
 The group index itself is built by counting, not sorting: group keys
 are small dense integers, so :func:`dense_unique` replaces
@@ -58,7 +60,8 @@ import numpy as np
 from repro import obs
 
 __all__ = ["GroupedReducer", "REFERENCE_REDUCERS", "dense_unique",
-           "merge_vocabularies", "factorize_parts", "decompose_keys"]
+           "segment_quantiles", "merge_vocabularies", "factorize_parts",
+           "decompose_keys"]
 
 #: Quantile per percentile-named reduction.
 _QUANTILES = {"p50": 0.50, "p90": 0.90, "p99": 0.99, "p999": 0.999,
@@ -161,6 +164,43 @@ def dense_unique(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), rank[codes]
 
 
+def segment_quantiles(ordered: np.ndarray, starts: np.ndarray,
+                      counts: np.ndarray, q) -> np.ndarray:
+    """``np.quantile`` (linear method) of sorted segments, bit for bit.
+
+    ``ordered[starts[i]:starts[i] + counts[i]]`` is segment ``i``, sorted
+    ascending with any NaN last (as ``np.sort`` leaves it); every count is
+    at least 1 and ``q`` is in ``[0, 1]``.  ``starts``, ``counts`` and
+    ``q`` broadcast against each other: many segments at one ``q`` (the
+    grouped reducer), or one segment at many ``q``
+    (:class:`repro.analysis.ecdf.Ecdf`).
+
+    Replicates NumPy's arithmetic step for step: the virtual index
+    ``(n - 1) * q`` and its floor/gamma split; a virtual index on the
+    last value (``q == 1``, or a ``q`` that rounds up to it) reads that
+    value twice with gamma measured from index ``-1``, as NumPy's bounds
+    rule does; the two-branch lerp that switches at ``gamma >= 0.5``; and
+    a segment that ends in NaN answers that NaN.  So every result,
+    zero sign included, equals the scalar ``np.quantile`` of the segment
+    (and infinities raise the same invalid-value warnings).
+    """
+    top = counts - 1
+    virtual = top * q
+    previous = np.floor(virtual)
+    # ``q <= 1`` keeps ``virtual <= top``: only ``virtual == top`` is not
+    # inside, and there ``previous`` is the last index already.
+    inside = virtual < top
+    gamma = np.where(inside, virtual - previous, virtual + 1)
+    low_idx = starts + previous.astype(np.int64)
+    low = ordered[low_idx]
+    high = ordered[low_idx + inside]
+    diff = high - low
+    result = np.where(gamma >= 0.5, high - diff * (1 - gamma),
+                      low + diff * gamma)
+    tail = ordered[starts + top]
+    return np.where(np.isnan(tail), tail, result)
+
+
 def merge_vocabularies(vocabularies: Sequence[np.ndarray]
                        ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One sorted vocabulary over several, and where each entry lands in it.
@@ -247,6 +287,11 @@ class GroupedReducer:
     scalars — is bit-identical to applying the matching
     :data:`REFERENCE_REDUCERS` entry to each group's rows in original
     row order (enforced by tests and the benchmark gate).
+
+    NaN: a group holding a NaN has NaN ``median`` and percentiles, as
+    ``np.median``/``np.quantile`` give (each group's sorted slice ends
+    in its NaN); ``min``/``max``, sums, means and ``std`` propagate NaN
+    through their arithmetic.
     """
 
     def __init__(self, key_inverse: np.ndarray, num_groups: int) -> None:
@@ -353,36 +398,30 @@ class GroupedReducer:
                   q: float) -> np.ndarray:
         """Per-group ``np.quantile(..., q)`` (linear method), vectorised.
 
-        Replicates NumPy's arithmetic step for step — virtual index over
-        ``n - 1``, floor/gamma split, and the two-branch lerp that
-        switches at ``gamma >= 0.5`` — so each group's value equals the
-        scalar ``np.quantile`` of its rows to the last bit (zero sign
-        canonicalised, as in the reference).
+        :func:`segment_quantiles` over each group's sorted slice, so each
+        group's value equals the scalar ``np.quantile`` of its rows to the
+        last bit, NaN included (zero sign canonicalised, as in the
+        reference).
         """
         ordered = self._sort(name, values).astype(np.float64, copy=False)
-        counts = self._counts
-        virtual = (counts - 1) * q
-        previous = np.floor(virtual)
-        gamma = virtual - previous
-        low_idx = self._starts + previous.astype(np.int64)
-        high_idx = self._starts + np.minimum(previous.astype(np.int64) + 1,
-                                             counts - 1)
-        low = ordered[low_idx]
-        high = ordered[high_idx]
-        diff = high - low
-        return np.where(gamma >= 0.5,
-                        high - diff * (1 - gamma),
-                        low + diff * gamma) + 0.0
+        return segment_quantiles(ordered, self._starts, self._counts,
+                                 q) + 0.0
 
     def _median(self, name: str, values: np.ndarray) -> np.ndarray:
-        """Per-group ``np.median``: mean of the two middle sorted values."""
+        """Per-group ``np.median``: mean of the two middle sorted values.
+
+        A group whose sorted slice ends in NaN (NaN sorts last) holds a
+        NaN, and its median is that NaN, as ``np.median`` returns.
+        """
         ordered = self._sort(name, values).astype(np.float64, copy=False)
         counts = self._counts
         low = ordered[self._starts + (counts - 1) // 2]
         high = ordered[self._starts + counts // 2]
         with np.errstate(over="ignore"):
             even = (low + high) / 2.0
-        return np.where(counts % 2, high, even) + 0.0
+        tail = ordered[self._starts + counts - 1]
+        median = np.where(counts % 2, high, even)
+        return np.where(np.isnan(tail), tail, median) + 0.0
 
     # -- dispatch ---------------------------------------------------------- #
     def reduce_array(self, name: str, values: np.ndarray,

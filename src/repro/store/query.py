@@ -817,10 +817,13 @@ class Query:
         :func:`~repro.store.kernels.decompose_keys` peels off a key.
 
         The index is counted, not sorted, wherever the key space is
-        small.  A coded column's codes already index the view's sorted
-        vocabulary, so it folds in at full-vocabulary radix (its uniques
-        are the whole vocabulary, present or not) with no per-column
-        pass, and when the product of the radices is at most
+        small.  An integer key (an ``i8`` column or a ``bin`` key) whose
+        range is below ``max(rows, 65536)`` is counted once, over its
+        offsets from its minimum (:meth:`_factorize`); other uncoded keys
+        go through ``np.unique``.  A coded column's codes already index
+        the view's sorted vocabulary, so it folds in at full-vocabulary
+        radix (its uniques are the whole vocabulary, present or not) with
+        no per-column pass, and when the product of the radices is at most
         ``max(rows, 65536)`` one :func:`~repro.store.kernels.dense_unique`
         over the folded key (``bincount`` + rank lookup, O(rows + space))
         is the only counting pass.  Past that bound each coded column is
@@ -833,14 +836,19 @@ class Query:
         data.  Group order is ascending key order either way.
         """
         with obs.span("store.kernels.factorize"):
+            bound = max(length, _DENSE_KEY_SPACE)
             parts: list[tuple[np.ndarray, np.ndarray]] = []
             for name in self._group_by:
                 if name in coded:
                     column = arrays[name]
                     parts.append((column.values, column.codes))
                 else:
-                    parts.append(np.unique(arrays[name], return_inverse=True))
-            bound = max(length, _DENSE_KEY_SPACE)
+                    parts.append(self._factorize(arrays[name], bound))
+            if len(parts) == 1 and self._group_by[0] not in coded:
+                # One uncoded key is ranked already: its inverse is the
+                # group index.
+                uniques, inverse = parts[0]
+                return [uniques], np.arange(len(uniques)), inverse
             if math.prod(len(u) for u, _ in parts) > bound:
                 parts = [self._present(u, inverse) if name in coded
                          else (u, inverse)
@@ -860,6 +868,24 @@ class Query:
             else:
                 group_keys, key_inverse = np.unique(key, return_inverse=True)
         return [u for u, _ in parts], group_keys, key_inverse
+
+    @staticmethod
+    def _factorize(column: np.ndarray, bound: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """``np.unique(column, return_inverse=True)`` of an uncoded key.
+
+        An integer column whose range ``max - min`` is below ``bound`` is
+        counted: one :func:`~repro.store.kernels.dense_unique` over
+        ``column - min``, its uniques shifted back by ``min`` in the
+        column's dtype.  Other columns, and wider ranges, sort.
+        """
+        if column.dtype.kind == "i":
+            low, high = column.min(), column.max()
+            if int(high) - int(low) < bound:
+                present, inverse = kernels.dense_unique(
+                    column - low, int(high) - int(low) + 1)
+                return (present + low).astype(column.dtype), inverse
+        return np.unique(column, return_inverse=True)
 
     @staticmethod
     def _present(vocabulary: np.ndarray, codes: np.ndarray

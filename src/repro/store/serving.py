@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.ecdf import Ecdf
+from repro.analysis.ecdf import Ecdf, sort_floats
 from repro.analysis.stats import remove_outliers_iqr
 from repro.store.schema import unpack_strings
 
@@ -63,8 +63,7 @@ class ReportServer:
         """Fig. 9: latency ECDF per device, from the store."""
         columns = self._executions("device_name", "latency_ms")
         return {
-            device: Ecdf.from_sorted(np.sort(split["latency_ms"],
-                                             kind="stable"))
+            device: Ecdf.from_sorted(sort_floats(split["latency_ms"]))
             for device, split in _split_by_device(
                 columns["device_name"],
                 latency_ms=columns["latency_ms"]).items()
@@ -99,12 +98,6 @@ class ReportServer:
             }
         return table
 
-    def devices(self) -> list[str]:
-        """Devices with execution rows, in first-appearance order."""
-        devices = self._executions("device_name")["device_name"]
-        names, first = np.unique(devices, return_index=True)
-        return [str(names[i]) for i in np.argsort(first)]
-
     def latency_vs_flops(self, device: str) -> list[tuple[float, float]]:
         """Fig. 8: (latency_ms, flops) points of one device, ingestion order."""
         self.refresh()
@@ -113,6 +106,21 @@ class ReportServer:
         return [(float(latency), float(flops)) for latency, flops
                 in zip(columns["latency_ms"].tolist(),
                        columns["flops"].tolist())]
+
+    def latency_vs_flops_by_device(self) -> dict[str, np.ndarray]:
+        """Fig. 8 for every device from one read of the executions.
+
+        Each device's points are an ``(n, 2)`` float64 array of
+        ``(latency_ms, flops)`` rows in ingestion order, devices in
+        first-appearance order: the points :meth:`latency_vs_flops`
+        returns per device.
+        """
+        columns = self._executions("device_name", "latency_ms", "flops")
+        return {device: np.column_stack((split["latency_ms"],
+                                         split["flops"].astype(np.float64)))
+                for device, split in _split_by_device(
+                    columns["device_name"], latency_ms=columns["latency_ms"],
+                    flops=columns["flops"]).items()}
 
     def cloud_api_usage(self, min_apps: int = 0) -> dict[str, dict[str, object]]:
         """Fig. 15: apps per cloud ML API, from the store's app rows."""

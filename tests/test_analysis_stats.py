@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.analysis import (Ecdf, exponential_decay_scan, geometric_mean,
                             kernel_density, remove_outliers_iqr,
                             summary_statistics)
+from repro.analysis.ecdf import sort_floats
 
 
 class TestEcdf:
@@ -82,6 +83,107 @@ class TestEcdfNumpySort:
         assert ecdf.values[:3] == (-1.0, 0.5, 2.0)
         assert all(math.isnan(v) for v in ecdf.values[3:])
         assert all(math.isnan(q) for q in ecdf.quantiles((0.0, 0.5, 1.0)))
+
+
+#: Samples for the differential tests: ties, signed zeros, infinities,
+#: NaN (any payload hypothesis draws), subnormals and integers.
+_ANY_SAMPLES = st.lists(
+    st.one_of(st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan,
+                               -math.nan, 5e-324, 1.5, -1.5)),
+              st.floats(),
+              st.integers(-2 ** 60, 2 ** 60)),
+    min_size=1, max_size=40)
+
+#: Quantiles: the ends, the report's own, and any value in ``[0, 1]``
+#: (including those that round ``(n - 1) * q`` up to the last index).
+_QS = st.lists(st.one_of(st.sampled_from((0.0, 1.0, 0.5, 0.9, 0.99, 0.999,
+                                          1 - 2 ** -53)),
+                         st.floats(0.0, 1.0)),
+               min_size=1, max_size=6)
+
+
+def _reprs(values) -> list[str]:
+    """``repr`` of every value: compares the zero sign, and NaN as NaN."""
+    return [repr(float(v)) for v in np.atleast_1d(values)]
+
+
+class TestEcdfAgainstNumpy:
+    """Every statistic equals NumPy's over ``values``, zero sign included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ANY_SAMPLES, _QS)
+    @example([-0.0], [0.0, 1.0])
+    @example([-0.0, -0.0], [1.0])
+    @example([-math.inf, 1.0], [0.0, 1.0])
+    @example([1.0, math.inf], [1.0, 1 - 2 ** -53])
+    @example([3.0, math.nan, 1.0], [0.0, 0.5, 1.0])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_statistics_equal_numpy(self, xs, qs):
+        ecdf = Ecdf.from_samples(xs)
+        values = ecdf.values
+        assert _reprs(ecdf.quantiles(qs)) == _reprs(np.quantile(values, qs))
+        for q in qs:
+            assert _reprs(ecdf.quantile(q)) == _reprs(np.quantile(values, q))
+        # The median is the 0.5 quantile; np.median's mean of the middle
+        # pair can differ from it in the last bit.
+        assert _reprs(ecdf.median) == _reprs(np.quantile(values, 0.5))
+        assert _reprs(ecdf.mean) == _reprs(np.mean(values))
+        for x in (*values[:3], 0.0, -1.0, math.inf):
+            assert ecdf(x) == float(np.searchsorted(
+                values, x, side="right")) / len(values)
+        if all(math.isfinite(v) for v in values):
+            grid = np.linspace(values[0], values[-1], 7)
+            assert ecdf.curve(7) == (
+                tuple(grid.tolist()),
+                tuple((np.searchsorted(values, grid, side="right")
+                       / len(values)).tolist()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ANY_SAMPLES)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_from_sorted_array_equals_from_samples(self, xs):
+        ecdf = Ecdf.from_samples(xs)
+        held = Ecdf.from_sorted(sort_floats(xs))
+        assert _reprs(held.values) == _reprs(ecdf.values)
+        assert _reprs(held.quantiles((0.0, 0.5, 1.0))) == \
+            _reprs(ecdf.quantiles((0.0, 0.5, 1.0)))
+
+
+class TestSortFloats:
+    @staticmethod
+    def _words(values: np.ndarray) -> list[int]:
+        return values.view(np.uint64).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ANY_SAMPLES)
+    @example([0.0, -0.0, 0.0, -0.0])
+    @example([math.nan, -math.nan, 1.0, math.nan])
+    @example([2.0, 1.0, 2.0, -3.0])
+    def test_bits_equal_the_stable_sort(self, xs):
+        array = np.asarray(xs, dtype=np.float64)
+        assert self._words(sort_floats(xs)) == \
+            self._words(np.sort(array, kind="stable"))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(), min_size=0, max_size=3000))
+    def test_long_samples_with_and_without_zeros(self, xs):
+        array = np.asarray(xs, dtype=np.float64)
+        assert self._words(sort_floats(array)) == \
+            self._words(np.sort(array, kind="stable"))
+
+    def test_zero_free_samples_take_the_default_sort(self, monkeypatch):
+        kinds = []
+        real_sort = np.sort
+
+        def counting_sort(values, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return real_sort(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        sort_floats([3.0, -1.0, math.inf, 2.0])
+        sort_floats([3.0, 0.0, 2.0])
+        sort_floats([3.0, math.nan, 2.0])
+        assert kinds == [None, "stable", "stable"]
 
 
 class TestSummaryStatistics:

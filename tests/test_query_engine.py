@@ -54,7 +54,7 @@ from repro.campaign import synthetic_fleet_batch
 from repro.store import ResultStore, StoreCorruptionError, compact_store
 from repro.store import kernels
 from repro.store.columnar import CodedColumn
-from repro.store.query import (KindSegments, Predicate, QueryStats,
+from repro.store.query import (KindSegments, Predicate, Query, QueryStats,
                                 parse_predicate)
 from repro.store.segment import SegmentMeta
 from repro.store.schema import kind_for
@@ -352,7 +352,8 @@ class TestSignedZero:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 5),
-                              st.sampled_from((-1.0, -0.0, 0.0, 1.0))),
+                              st.sampled_from((-1.0, -0.0, 0.0, 1.0,
+                                               math.nan))),
                     min_size=1, max_size=60))
     def test_kernels_match_reference_zero_sign(self, rows):
         groups = np.array([group for group, _ in rows])
@@ -365,6 +366,41 @@ class TestSignedZero:
                          for g in range(uniques.size)]
             assert [repr(v) for v in kernel] == [repr(v) for v in reference]
             assert "-0.0" not in map(repr, kernel)
+
+
+class TestNaNGroups:
+    """A group holding NaN has NaN order statistics, as NumPy gives."""
+
+    def test_reducer_median_and_percentiles_propagate_nan(self):
+        values = np.array([1.0, 2.0, math.nan, 3.0, 4.0, 5.0])
+        inverse = np.array([0, 0, 0, 0, 1, 1])
+        reducer = kernels.GroupedReducer(inverse, 2)
+        for fn in ("median", "p50", "p90", "p99", "p999"):
+            nan_group, plain = reducer.reduce("v", values, fn)
+            assert math.isnan(nan_group), fn
+            assert plain == kernels.REFERENCE_REDUCERS[fn](values[4:]), fn
+
+    def test_grouped_p50_matches_reference_and_ungrouped(self, tmp_path):
+        batch = synthetic_fleet_batch(0, 8)
+        batch["latency_ms"] = batch["latency_ms"].copy()
+        batch["latency_ms"][3] = math.nan
+        store = ResultStore(tmp_path / "s")
+        with store.writer() as writer:
+            writer.append_batch("fleet_events", batch)
+        aggs = {fn: ("latency_ms", fn)
+                for fn in ("median", "p50", "p90", "p99", "p999")}
+
+        def build():
+            return store.query("fleet_events").group_by("target").agg(**aggs)
+
+        kernel = build().aggregate()
+        assert repr(kernel) == repr(build().aggregate(engine="reference"))
+        nan_target = str(batch["target"][3])
+        for row in kernel:
+            ungrouped = (store.query("fleet_events").where(target=row["target"])
+                         .agg(**aggs).aggregate())
+            assert repr({fn: row[fn] for fn in aggs}) == repr(ungrouped)
+            assert math.isnan(row["p50"]) == (row["target"] == nan_target)
 
 
 # --------------------------------------------------------------------------- #
@@ -384,7 +420,8 @@ MODEL_AGGS = {
     "name_max": ("name", "max"),
 }
 
-_FLOATS = st.one_of(st.sampled_from((0.0, -0.0, 0.25, 1.0, 5e-324)),
+_FLOATS = st.one_of(st.sampled_from((0.0, -0.0, 0.25, 1.0, 5e-324,
+                                     math.nan)),
                     st.floats(-1e6, 1e6))
 
 
@@ -437,7 +474,10 @@ def _zip_columns(columns: dict) -> list[dict]:
 
 
 def _typed(rows: list[dict]) -> list[list]:
-    return [[(name, value, type(value)) for name, value in row.items()]
+    """Rows as ``(name, value, type)`` lists, NaN as a marker that
+    compares equal to itself."""
+    return [[(name, "NaN" if value != value else value, type(value))
+             for name, value in row.items()]
             for row in rows]
 
 
@@ -1330,6 +1370,93 @@ class TestCodedKeysCountedOnce:
             build(*additive).aggregate(engine="reference")
         build(*additive, "p90").aggregate_arrays()
         assert len(reads) >= 1
+
+
+def _int_key_store(root, user_ids, times=None) -> ResultStore:
+    """``fleet_events`` rows whose ``user_id`` (and ``time_s``) are given."""
+    batch = synthetic_fleet_batch(0, len(user_ids), seed=0)
+    batch["user_id"] = np.asarray(user_ids, dtype=np.int64)
+    if times is not None:
+        batch["time_s"] = np.asarray(times, dtype=np.float64)
+    store = ResultStore(root)
+    with store.writer(rows_per_segment=16) as writer:
+        writer.append_batch("fleet_events", batch)
+    return store
+
+
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+class TestIntegerKeysCountedOnce:
+    """Integer group keys are counted, and group like ``np.unique``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-40, 40), _INT64), min_size=1,
+                    max_size=50),
+           st.sampled_from((1, 50, 2 ** 16)))
+    @example([-2 ** 63, 2 ** 63 - 1], 2 ** 16)
+    @example([5], 1)
+    @example([-3, -3, -1], 1)
+    def test_factorize_equals_np_unique(self, values, bound):
+        column = np.array(values, dtype=np.int64)
+        uniques, inverse = Query._factorize(column, bound)
+        expected, expected_inverse = np.unique(column, return_inverse=True)
+        assert uniques.dtype == column.dtype
+        assert uniques.tolist() == expected.tolist()
+        assert inverse.tolist() == expected_inverse.tolist()
+
+    @pytest.mark.parametrize("span, counted", [(2 ** 16 - 1, True),
+                                               (2 ** 16, False),
+                                               (2 ** 16 + 1, False)])
+    def test_range_bound(self, tmp_path, monkeypatch, span, counted):
+        low = -7
+        store = _int_key_store(tmp_path / "s", [low + span, low, 3, low])
+        build = lambda: (store.query("fleet_events").group_by("user_id")
+                         .agg(n=("latency_ms", "count"),
+                              p90=("latency_ms", "p90")))
+        rows = _assert_engines_agree(build)
+        assert [(row["user_id"], row["n"]) for row in rows] == \
+            [(low, 2), (3, 1), (low + span, 1)]
+        calls = _key_space_spy(monkeypatch)
+        build().aggregate_arrays()
+        # One count for the one key, and none over the folded key.
+        assert calls == ([(4, span + 1)] if counted else [])
+
+    def test_one_row(self, tmp_path, monkeypatch):
+        store = _int_key_store(tmp_path / "s", [-12])
+        build = lambda: (store.query("fleet_events").group_by("user_id")
+                         .agg(p50=("latency_ms", "p50")))
+        rows = _assert_engines_agree(build)
+        assert [row["user_id"] for row in rows] == [-12]
+        calls = _key_space_spy(monkeypatch)
+        build().aggregate_arrays()
+        assert calls == [(1, 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.integers(-40, 40), _INT64),
+                              st.floats(-1e6, 1e6)),
+                    min_size=1, max_size=50),
+           st.sampled_from((0.5, 7.5, 1e5)),
+           st.sampled_from((("user_id",), ("time_s_bin",),
+                            ("user_id", "device_name"),
+                            ("time_s_bin", "user_id"))))
+    def test_engines_agree_on_integer_and_bin_keys(self, rows, width, keys):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = _int_key_store(Path(tmp) / "s",
+                                   [user for user, _ in rows],
+                                   [time for _, time in rows])
+            grouped = _assert_engines_agree(lambda: (
+                store.query("fleet_events").bin("time_s", width)
+                .group_by(*keys)
+                .agg(**{f"lat_{fn}": ("latency_ms", fn) for fn in ALL_FNS},
+                     model_max=("model_name", "max"))))
+            arrays = store.query("fleet_events").arrays(
+                "time_s", "user_id", "device_name")
+            arrays["time_s_bin"] = (arrays["time_s"] // width).astype(
+                np.int64)
+            assert [(*(row[k] for k in keys), row["lat_count"])
+                    for row in grouped] == \
+                _python_group_counts([arrays[k] for k in keys])
 
 
 class TestRowsLimit:

@@ -876,6 +876,47 @@ class TestParseOnce:
         assert json.loads(bodies[0]) == \
             TestLoopAnswers.offline_query(fleet_store.open_snapshot())
 
+    def test_post_hit_parses_its_body_once(self, fleet_store, monkeypatch):
+        parses = []
+        from_json = QuerySpec.from_json.__func__
+
+        def counted(cls, body):
+            parses.append(body)
+            return from_json(cls, body)
+
+        monkeypatch.setattr(QuerySpec, "from_json", classmethod(counted))
+        body = json.dumps({"kind": "fleet_events",
+                           "where": [["latency_ms", "<", 120]],
+                           "group_by": ["device_name", "backend"],
+                           "agg": [["latency_ms", "mean"],
+                                   ["latency_ms", "p99"]]}).encode()
+        app = ServeApp(fleet_store.root, port=0, refresh_s=3600.0)
+        answers, counts = [], []
+        with ServerThread(app) as server:
+            host, port = server.url.removeprefix("http://").split(":")
+            connection = http.client.HTTPConnection(host, int(port),
+                                                    timeout=10)
+            try:
+                for _ in range(3):
+                    before = len(parses)
+                    connection.request("POST", "/v1/query", body=body)
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    answers.append(response.read())
+                    counted_now = app.cache.stats()["result"]
+                    counts.append((len(parses) - before,
+                                   counted_now["misses"],
+                                   counted_now["hits"]))
+            finally:
+                connection.close()
+        # One parse per request: the loop's check parses, and the
+        # dispatch (on the loop for a hit, a handler thread for the miss)
+        # takes that parse; one miss, then one hit per request.
+        assert counts == [(1, 1, 0), (1, 1, 1), (1, 1, 2)]
+        assert set(answers) == {answers[0]}
+        assert json.loads(answers[0]) == \
+            TestLoopAnswers.offline_query(fleet_store.open_snapshot())
+
     def test_fragments_do_not_grow_the_parse_memo(self, fleet_store):
         from repro.serve.routes import MAX_PARSED
 

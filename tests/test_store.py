@@ -422,6 +422,33 @@ class TestServing:
             assert server.latency_vs_flops(device) \
                 == reports.latency_vs_flops(device_results)
 
+    def test_latency_vs_flops_by_device_reads_once(self, populated,
+                                                   by_device, monkeypatch):
+        from repro.serve.service import report_payload
+
+        server = ReportServer(populated)
+        scans = []
+        query = type(populated).query
+
+        def counted(store, kind):
+            scans.append(kind)
+            return query(store, kind)
+
+        monkeypatch.setattr(type(populated), "query", counted)
+        points = server.latency_vs_flops_by_device()
+        assert scans == ["executions"]
+        assert list(points) == list(by_device)  # first-appearance order
+        for device, device_results in by_device.items():
+            assert points[device].dtype == np.float64
+            assert [tuple(point) for point in points[device].tolist()] \
+                == reports.latency_vs_flops(device_results)
+        monkeypatch.undo()
+        payload = report_payload(populated, "latency_flops")
+        assert payload["device"] is None
+        assert payload["points"] == {
+            device: [list(point) for point in server.latency_vs_flops(device)]
+            for device in by_device}
+
     def test_reports_accept_store_directly(self, populated, by_device):
         assert reports.latency_ecdf_by_device(populated) \
             == reports.latency_ecdf_by_device(by_device)

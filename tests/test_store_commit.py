@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -161,18 +162,27 @@ def test_refresh_keeps_the_held_metas_of_unchanged_entries(tmp_path):
 
 
 def test_refresh_replaces_a_meta_whose_name_now_holds_other_rows(tmp_path):
-    """Two handles at one sequence seal the same name (the two-handle
-    clobber): a reader holding the first meta gets a fresh one for the
-    second, and its reads follow the file now on disk."""
+    """A manifest entry whose name a reader holds now carries another
+    ``sha256``, and the file under that name holds other rows: the reader
+    gets a fresh meta for it, and its reads follow the file now on disk."""
     root = tmp_path / "s"
-    first, second = ResultStore(root), ResultStore(root)
-    with first.writer() as writer:
+    with ResultStore(root).writer() as writer:
         writer.append_batch("fleet_events", _batch("fleet_events", 4))
     reader = ResultStore(root)
     held = reader.segments[0]
     assert _user_ids(reader) == [0, 1, 2, 3]
-    with second.writer() as writer:
+    # Seal other rows under the same name in a second store, then put its
+    # segment file and manifest entry in place of the first.
+    other = tmp_path / "other"
+    with ResultStore(other).writer() as writer:
         writer.append_batch("fleet_events", _batch("fleet_events", 4, 100))
+    entry = json.loads((other / "MANIFEST.json").read_text())["segments"][0]
+    assert entry["name"] == held.name
+    path = f"segments/{held.name}.colseg"
+    os.replace(other / path, root / path)
+    manifest = json.loads((root / "MANIFEST.json").read_text())
+    manifest["segments"][0] = entry
+    (root / "MANIFEST.json").write_text(json.dumps(manifest))
     reader.refresh()
     fresh = reader.segments[0]
     assert (fresh.name, fresh.rows) == (held.name, held.rows)
