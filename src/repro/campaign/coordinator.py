@@ -15,7 +15,12 @@ A campaign run is four deterministic steps:
    shard's :class:`~repro.cloud.load.LoadProfile`
    (:meth:`~repro.cloud.load.LoadProfile.add_block`).  Per-user seeds
    (:func:`~repro.fleet.population.derive_user_seed`) make each shard's
-   output independent of every other shard.
+   output independent of every other shard.  The shard processes are
+   forked once per process and reused by every later campaign (a
+   one-shot CLI run forks once, as before).  They run the code, and hold
+   the open files and mappings, of the moment they were forked, so a
+   shard reads everything through its pickled task and the module-level
+   shard body, never through state set up after the fork.
 3. **Adopt** — the merged store takes ownership of every shard's sealed
    ``fleet_events`` segments by hard link
    (:func:`~repro.store.merge.adopt_segments`): no row is rewritten, no
@@ -181,10 +186,11 @@ def run_campaign(spec: FleetSpec, root: Union[str, Path], *,
     included (default: one per CPU; never more than shards).  This
     process simulates the first of every ``max_parallel`` consecutive
     shards itself while a pool of ``max_parallel - 1`` shard processes
-    takes the others, so ``max_parallel=1`` forks nothing.  Shard stores
-    are left in place after the merge — their event segments are hard
-    links to the merged store's files, so they cost directory entries, not
-    data; delete them freely.
+    takes the others, so ``max_parallel=1`` forks nothing; that pool is
+    forked by the first campaign in this process and kept for later
+    ones.  Shard stores are left in place after the merge — their event
+    segments are hard links to the merged store's files, so they cost
+    directory entries, not data; delete them freely.
     """
     root = Path(root)
     merged = ResultStore(root / "merged.store")

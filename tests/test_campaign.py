@@ -1,16 +1,23 @@
 """Tests for out-of-core sharded campaigns: shard geometry, bit-identity
-for any shard count, merge-by-adoption semantics and crash-mid-merge
-convergence."""
+for any shard count, kept shard workers, merge-by-adoption semantics and
+crash-mid-merge convergence."""
 
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.campaign import (ambient_spec, campaign_spec, run_campaign,
                             shard_ranges)
 from repro.cloud.load import LoadProfile, load_report
 from repro.fleet.simulator import FleetSimulator
+from repro.runtime.pool import iter_mapped_chunks
 from repro.store import ResultStore, merge_stores
 from repro.store.merge import adopt_segments
 
@@ -188,6 +195,120 @@ class TestCampaignRun:
         assert campaign_spec("zoo", 4, seed=2).seed == 2
         with pytest.raises(KeyError, match="unknown campaign workload"):
             campaign_spec("bogus", 10)
+
+
+def _worker_pids(items):
+    """Module-level (picklable) chunk body: the pid that ran each item."""
+    return [os.getpid() for _ in items]
+
+
+def _kept_worker_pids() -> set:
+    """Pids of the kept one-worker shard pool (forked here if need be)."""
+    pids = set(iter_mapped_chunks(_worker_pids, [0, 1], max_workers=2,
+                                  chunk_size=1, use_processes=True))
+    return pids - {os.getpid()}
+
+
+def _assert_events_equal(result, reference):
+    ref_events, got_events = _events(reference.store), _events(result.store)
+    assert set(got_events) == set(ref_events)
+    for name, ref in ref_events.items():
+        assert np.array_equal(got_events[name], ref), name
+        assert got_events[name].dtype == ref.dtype
+
+
+class TestKeptShardWorkers:
+    """Shard workers are forked once per process and reused; a dead
+    worker or a failed shard leaves the next campaign bit-identical.
+
+    Failures come through inputs, not monkeypatches: a kept worker runs
+    the code of the moment it was forked and never sees a later patch.
+    """
+
+    def test_workers_are_kept_across_campaigns(self, spec, baseline,
+                                               tmp_path):
+        run_campaign(spec, tmp_path / "first", shards=2, bin_seconds=BIN_S,
+                     max_parallel=2)
+        pids = _kept_worker_pids()
+        result = run_campaign(spec, tmp_path / "second", shards=2,
+                              bin_seconds=BIN_S, max_parallel=2)
+        assert _kept_worker_pids() == pids
+        assert len(pids) == 1
+        _assert_events_equal(result, baseline)
+
+    def test_killed_worker_is_replaced(self, spec, baseline, tmp_path):
+        run_campaign(spec, tmp_path / "before", shards=2, bin_seconds=BIN_S,
+                     max_parallel=2)
+        (pid,) = _kept_worker_pids()
+        os.kill(pid, signal.SIGKILL)
+        # The pool reaps its dead worker once it notices the death.
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "killed worker not reaped"
+            time.sleep(0.01)
+        result = run_campaign(spec, tmp_path / "after", shards=2,
+                              bin_seconds=BIN_S, max_parallel=2)
+        _assert_events_equal(result, baseline)
+        assert _kept_worker_pids().isdisjoint({pid})
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_shard_raises_and_next_campaign_is_identical(
+            self, spec, baseline, tmp_path, failing):
+        """A shard that cannot write its store fails the campaign in the
+        coordinator, whether the coordinator ran it (shard 0) or the worker
+        did (shard 1); no shard of the failed call writes after it
+        returns, and the next campaign is bit-identical."""
+        root = tmp_path / "failing"
+        root.mkdir()
+        # A regular file where the shard's store directory goes: its
+        # manifest path lies under a file.  The coordinator runs shards 0
+        # and 2, the worker 1 and 3.
+        (root / f"shard-{failing:04d}.store").write_text("")
+        with pytest.raises(NotADirectoryError):
+            run_campaign(spec, root, shards=4, bin_seconds=BIN_S,
+                         max_parallel=2)
+        written = sorted((path, path.stat().st_size)
+                         for path in root.rglob("*") if path.is_file())
+        time.sleep(0.2)
+        assert sorted((path, path.stat().st_size)
+                      for path in root.rglob("*") if path.is_file()) \
+            == written
+        result = run_campaign(spec, tmp_path / "next", shards=4,
+                              bin_seconds=BIN_S, max_parallel=2)
+        _assert_events_equal(result, baseline)
+        for name, ref in _load(baseline.store).items():
+            assert np.array_equal(_load(result.store)[name], ref), name
+
+    def test_no_worker_outlives_its_process(self, tmp_path):
+        """A process that ran a sharded campaign joins its kept workers on
+        exit: none is left running, or left unreaped."""
+        code = "\n".join([
+            "import os",
+            "from repro.campaign import ambient_spec, run_campaign",
+            "from repro.runtime.pool import iter_mapped_chunks",
+            "def pids(items):",
+            "    return [os.getpid() for _ in items]",
+            "run_campaign(ambient_spec(12, seed=5, horizon_s=7200.0),",
+            f"             {str(tmp_path / 'c')!r}, shards=2,",
+            "             max_parallel=2)",
+            "print(*set(iter_mapped_chunks(pids, [0, 1], max_workers=2,",
+            "                              chunk_size=1, use_processes=True))",
+            "      - {os.getpid()})",
+        ])
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 1
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestMergeSemantics:

@@ -6,6 +6,9 @@ telemetry heading)."""
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -225,6 +228,14 @@ def _doubling_chunk(items):
     return out
 
 
+def _collector_probe(items):
+    """Module-level (picklable) chunk body: the pid that ran each item and
+    whether a collector was installed there.  Each item holds its worker
+    for a moment, so every idle worker of a pool takes one."""
+    time.sleep(0.05)
+    return [(os.getpid(), obs.get_collector() is not None) for _ in items]
+
+
 class TestStitching:
     def _fan_out(self, **pool_kwargs):
         run_chunk = _doubling_chunk
@@ -396,6 +407,45 @@ class TestCampaignSpans:
         assert sum(row["items"] for row in skew) == 12
         mean_skew = sum(row["skew"] for row in skew) / len(skew)
         assert mean_skew == pytest.approx(1.0)
+
+    def test_kept_workers_follow_each_call_telemetry(self, tmp_path):
+        """Shard workers outlive the call that forked them, so each chunk
+        carries its own call's telemetry state: workers forked inside a
+        traced campaign record nothing in later untraced calls, and a later
+        traced campaign still stitches its shards."""
+        spec = ambient_spec(12, seed=5, horizon_s=2 * 3600.0)
+
+        def probe():
+            results = iter_mapped_chunks(_collector_probe, list(range(6)),
+                                         max_workers=3, chunk_size=1,
+                                         use_processes=True)
+            return [entry for entry in results if entry[0] != os.getpid()]
+
+        # Size the kept pool to one worker first, so the traced campaign
+        # forks its two workers while the coordinator's collector is on.
+        list(iter_mapped_chunks(_collector_probe, [0, 1], max_workers=2,
+                                chunk_size=1, use_processes=True))
+        obs.enable()
+        run_campaign(spec, tmp_path / "traced", shards=3, max_parallel=3)
+        obs.disable()
+        for name in ("plain-1", "plain-2"):
+            run_campaign(spec, tmp_path / name, shards=3, max_parallel=3)
+        workers = probe()
+        assert len(workers) == 4
+        assert len({pid for pid, _ in workers}) == 2
+        assert not any(installed for _, installed in workers)
+
+        obs.enable()
+        run_campaign(spec, tmp_path / "traced-again", shards=3,
+                     max_parallel=3)
+        snapshot = obs.disable()
+        simulate = next(r for r in snapshot.spans
+                        if r.name == "campaign.simulate")
+        shard_spans = [r for r in snapshot.spans if r.name == "campaign.shard"]
+        assert len(shard_spans) == 3
+        assert {r.parent_id for r in shard_spans} == {simulate.span_id}
+        # Every call above ran on the same two kept workers.
+        assert {pid for pid, _ in probe()} == {pid for pid, _ in workers}
 
 
 # ---------------------------------------------------------------------------
